@@ -3,7 +3,8 @@
 Single experiments print their report to stdout (or write it with --out);
 `verify all` runs the whole suite and writes one report per experiment into
 --outdir, the GAUSSDIFF_OUT_DIR environment variable, or ./reports.  The
-exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED.
+exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
+and 2 when the options do not form a valid configuration.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 
 from .experiments import (
     EXPERIMENTS,
+    ConfigError,
     ExperimentConfig,
     run_experiment,
     verify_all,
@@ -86,7 +88,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
         outdir = args.outdir or os.environ.get(OUT_DIR_ENV) or "reports"
         os.makedirs(outdir, exist_ok=True)

@@ -458,6 +458,22 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def _on_side_of_unit_circle(z: complex, outside: bool) -> complex:
+    """z moved by whole ulps, outward or inward, until |z| >= 1 or |z| < 1.
+
+    r * (cos a + i sin a) can round across the unit circle: at r = 1 some
+    angles give |z| == 0.9999999999999999, where the curve is correctly
+    non-zero.  A sample already on its side is returned unchanged.
+    """
+    target = math.inf if outside else 0.0
+    while (abs(z) >= 1.0) != outside:
+        z = complex(
+            math.nextafter(z.real, math.copysign(target, z.real)),
+            math.nextafter(z.imag, math.copysign(target, z.imag)),
+        )
+    return z
+
+
 def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     """The annulus curve vanishes on a whole outer grid yet is non-zero.
 
@@ -483,7 +499,7 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     nonzero_inside = True
     n = 0
     for r, a in zip(out_radii, out_angles):
-        z = r * complex(math.cos(a), math.sin(a))
+        z = _on_side_of_unit_circle(r * complex(math.cos(a), math.sin(a)), outside=True)
         f = curve(z)
         ok = f.is_zero
         n += 1
@@ -498,7 +514,7 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
         )
         zero_outside = zero_outside and ok
     for r, a in zip(in_radii, in_angles):
-        z = r * complex(math.cos(a), math.sin(a))
+        z = _on_side_of_unit_circle(r * complex(math.cos(a), math.sin(a)), outside=False)
         f = curve(z)
         gauge = l0_gauge(f)
         ok = (not f.is_zero) and gauge > 0.0

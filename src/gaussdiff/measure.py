@@ -230,6 +230,18 @@ class RadialRegion:
 
 Region = Union[GridRegion, RadialRegion]
 
+
+def _canonical_region(cls: type, pieces: tuple) -> Region:
+    """A region of `cls` whose `pieces` the caller knows to be canonical.
+
+    Skips the canonicalising sweep of `__post_init__`; a single non-empty
+    rectangle or ring is always canonical.  Nothing is checked here.
+    """
+    region = object.__new__(cls)
+    object.__setattr__(region, "cells" if cls is GridRegion else "rings", pieces)
+    return region
+
+
 _RADIAL_UNIVERSE = Interval(0.0, POS_INF)
 
 

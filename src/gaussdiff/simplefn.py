@@ -3,10 +3,23 @@
 A simple function is a finite complex linear combination of indicators of
 regions from one family.  On construction it is refined into canonical
 atoms: pairwise disjoint maximal rectangles (or rings) carrying one complex
-coefficient each, obtained by overlaying all term breakpoints, accumulating
-coefficients per elementary cell in term order, dropping negligible values,
-and merging adjacent cells with bitwise-equal coefficients.  Point values,
-level-set masses and the gauges below then reduce to sums over atoms.
+coefficient each, together with the Gaussian mass of each atom.  Point
+values, level-set masses and the gauges below then reduce to sums over
+atoms.
+
+The overlay kernel (the sweep of Klee's rectangle-measure problem) sorts
+the distinct x and y endpoints of all term pieces once (radii for rings,
+the same kernel in one dimension).  Every piece covers a contiguous block
+of elementary cells; its coefficient is added to that block as one slice
+of a complex grid, piece by piece in term order, so each cell holds the
+same float sum, built in the same order from 0j, as a per-cell loop over
+all pieces.  Cells whose modulus is negligible are dropped, runs of
+bitwise-equal neighbours are merged along y and then whole equal columns
+along x.  Each atom's region is a single rectangle and thus already
+canonical; the masses are nu(column side) * nu(row side), which is exactly
+what `mu_grid` computes for that region.  The threshold takes Python's
+`abs` of each cell value: numpy's complex `abs` can differ from it in the
+last ulp, which would move the cells dropped at the threshold.
 
 Why drop "negligible" coefficients at all: divided-difference arithmetic
 cancels coefficients on shared atoms, and when the combination is formed in
@@ -30,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .measure import (
     GRID,
     RADIAL,
@@ -38,8 +53,10 @@ from .measure import (
     Interval,
     RadialRegion,
     Region,
+    _canonical_region,
+    mu_radial,
+    nu_mass,
     region_contains,
-    region_measure,
     region_to_json,
 )
 
@@ -62,59 +79,90 @@ ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
 _Term = tuple[complex, Region]
 
 
-def _grid_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, ...]:
-    pieces = [(c, cell) for c, reg in terms for cell in reg.cells]
+def _cell_sums(
+    pieces: Sequence[tuple[complex, tuple[Interval, ...]]], dims: int
+) -> tuple[list[list[float]], list]:
+    """Sorted distinct endpoints per axis, and every elementary cell's sum.
+
+    A piece covers a contiguous block of elementary cells, so its coefficient
+    is added to that block as one slice; cells receive their additions in
+    term order, starting from 0j, exactly as a per-cell loop would.
+    """
+    axes = [
+        sorted({p for _, box in pieces for p in (box[k].lo, box[k].hi)})
+        for k in range(dims)
+    ]
+    index = [{p: i for i, p in enumerate(axis)} for axis in axes]
+    sums = np.zeros([len(axis) - 1 for axis in axes], dtype=complex)
+    # `block += c` on a view; `sums[...] += c` would also copy the block back
+    if dims == 1:
+        (ir,) = index
+        for c, (ring,) in pieces:
+            block = sums[ir[ring.lo] : ir[ring.hi]]
+            block += c
+    else:
+        ix, iy = index
+        for c, (cx, cy) in pieces:
+            block = sums[ix[cx.lo] : ix[cx.hi], iy[cy.lo] : iy[cy.hi]]
+            block += c
+    return axes, sums.tolist()
+
+
+def _runs(edges: Sequence[float], values: Sequence[complex], tol: float) -> list[list]:
+    """[lo, hi, v] runs of consecutive kept cells with equal values."""
+    runs: list[list] = []
+    for lo, hi, v in zip(edges, edges[1:], values):
+        if abs(v) <= tol:
+            continue
+        if runs and runs[-1][1] == lo and runs[-1][2] == v:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, v])
+    return runs
+
+
+def _atoms(
+    family: str, terms: Sequence[_Term], tol: float
+) -> tuple[tuple[_Term, ...], tuple[float, ...]]:
+    """Canonical atoms of `terms` and the Gaussian mass of each atom."""
+    if family == RADIAL:
+        pieces = [(c, (ring,)) for c, reg in terms for ring in reg.rings]
+    else:
+        pieces = [(c, cell) for c, reg in terms for cell in reg.cells]
     if not pieces:
-        return ()
-    xs = sorted({p for _, (cx, _) in pieces for p in (cx.lo, cx.hi)})
-    ys = sorted({p for _, (_, cy) in pieces for p in (cy.lo, cy.hi)})
-    columns: list[list] = []  # [x_lo, x_hi, profile] with profile [[y_lo, y_hi, v], ...]
-    for xlo, xhi in zip(xs, xs[1:]):
-        profile: list[list] = []
-        for ylo, yhi in zip(ys, ys[1:]):
-            v = 0j
-            for c, (cx, cy) in pieces:
-                if cx.lo <= xlo and xhi <= cx.hi and cy.lo <= ylo and yhi <= cy.hi:
-                    v += c
-            if abs(v) <= tol:
-                continue
-            if profile and profile[-1][1] == ylo and profile[-1][2] == v:
-                profile[-1][1] = yhi
-            else:
-                profile.append([ylo, yhi, v])
+        return (), ()
+    atoms: list[_Term] = []
+    masses: list[float] = []
+    if family == RADIAL:
+        (rs,), values = _cell_sums(pieces, 1)
+        for lo, hi, v in _runs(rs, values, tol):
+            reg = _canonical_region(RadialRegion, (Interval(lo, hi),))
+            atoms.append((v, reg))
+            masses.append(mu_radial(reg))
+        return tuple(atoms), tuple(masses)
+    (xs, ys), rows = _cell_sums(pieces, 2)
+    columns: list[list] = []  # [x_lo, x_hi, runs of the column]
+    for xlo, xhi, values in zip(xs, xs[1:], rows):
+        profile = _runs(ys, values, tol)
         if not profile:
             continue
         if columns and columns[-1][1] == xlo and columns[-1][2] == profile:
             columns[-1][1] = xhi
         else:
             columns.append([xlo, xhi, profile])
-    return tuple(
-        (v, GridRegion(((Interval(xlo, xhi), Interval(ylo, yhi)),)))
-        for xlo, xhi, profile in columns
-        for ylo, yhi, v in profile
-    )
-
-
-def _radial_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, ...]:
-    pieces = [(c, ring) for c, reg in terms for ring in reg.rings]
-    if not pieces:
-        return ()
-    rs = sorted({p for _, ring in pieces for p in (ring.lo, ring.hi)})
-    merged: list[list] = []
-    for lo, hi in zip(rs, rs[1:]):
-        v = 0j
-        for c, ring in pieces:
-            if ring.lo <= lo and hi <= ring.hi:
-                v += c
-        if abs(v) <= tol:
-            continue
-        if merged and merged[-1][1] == lo and merged[-1][2] == v:
-            merged[-1][1] = hi
-        else:
-            merged.append([lo, hi, v])
-    return tuple(
-        (v, RadialRegion((Interval(lo, hi),))) for lo, hi, v in merged
-    )
+    sides: dict[tuple[float, float], tuple[Interval, float]] = {}  # y-run -> (side, nu)
+    for xlo, xhi, profile in columns:
+        cx = Interval(xlo, xhi)
+        nx = nu_mass(cx)
+        for ylo, yhi, v in profile:
+            side = sides.get((ylo, yhi))
+            if side is None:
+                cy = Interval(ylo, yhi)
+                side = sides[ylo, yhi] = (cy, nu_mass(cy))
+            cy, ny = side
+            atoms.append((v, _canonical_region(GridRegion, ((cx, cy),))))
+            masses.append(nx * ny)  # == mu_grid of the atom, bitwise
+    return tuple(atoms), tuple(masses)
 
 
 @dataclass(frozen=True)
@@ -122,14 +170,16 @@ class SimpleFunction:
     """Canonicalised finite linear combination of region indicators.
 
     `terms` is kept exactly as given (the construction history); `atoms` is
-    the canonical disjoint decomposition everything else is computed from.
-    Immutable; the atom cache is built here, never lazily.
+    the canonical disjoint decomposition everything else is computed from,
+    and `masses[i]` is the Gaussian measure of the region of `atoms[i]`.
+    Immutable; both caches are built here, never lazily.
     """
 
     family: str
     terms: tuple[_Term, ...] = ()
     zero_tol: float = ZERO_TOL
     atoms: tuple[_Term, ...] = field(init=False, default=())
+    masses: tuple[float, ...] = field(init=False, default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in (GRID, RADIAL):
@@ -143,8 +193,9 @@ class SimpleFunction:
         object.__setattr__(self, "terms", terms)
         cmax = max((abs(c) for c, _ in terms), default=0.0)
         tol = self.zero_tol * cmax
-        build = _grid_atoms if self.family == GRID else _radial_atoms
-        object.__setattr__(self, "atoms", build(terms, tol))
+        atoms, masses = _atoms(self.family, terms, tol)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
@@ -205,7 +256,7 @@ def gauge_in_measure(f: SimpleFunction, eps: float) -> float:
     """mu({w : |f(w)| >= eps}), the level-set mass at height eps."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return sum(region_measure(reg) for c, reg in f.atoms if abs(c) >= eps)
+    return sum(m for (c, _), m in zip(f.atoms, f.masses) if abs(c) >= eps)
 
 
 def wk_member(f: SimpleFunction, k: int) -> bool:
@@ -217,14 +268,14 @@ def wk_member(f: SimpleFunction, k: int) -> bool:
 
 def l0_gauge(f: SimpleFunction) -> float:
     """integral of min(1, |f|) dmu; zero exactly for the zero function."""
-    return sum(min(1.0, abs(c)) * region_measure(reg) for c, reg in f.atoms)
+    return sum(min(1.0, abs(c)) * m for (c, _), m in zip(f.atoms, f.masses))
 
 
 def lp_gauge(f: SimpleFunction, p: float) -> float:
     """integral of |f|**p dmu for an exponent 1/2 < p < 1."""
     if not 0.5 < p < 1.0:
         raise ValueError(f"exponent p={p} outside ]1/2, 1[")
-    return sum(abs(c) ** p * region_measure(reg) for c, reg in f.atoms)
+    return sum(abs(c) ** p * m for (c, _), m in zip(f.atoms, f.masses))
 
 
 # ---------------------------------------------------------------------------

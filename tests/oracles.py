@@ -2,17 +2,22 @@
 
 Adaptive quadrature of the raw densities (never of the erf/exp closed
 forms) plus the package's Monte-Carlo sampler provide measurement routes
-that share no code path with the values under test.
+that share no code path with the values under test.  The reference atom
+overlays at the end re-scan every piece for every elementary cell; the
+package's slice-accumulation kernel must reproduce their atoms exactly.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from gaussdiff import Region, mc_measure, plane_samples
+from gaussdiff import GridRegion, Interval, RadialRegion, Region, mc_measure, plane_samples
+
+_Term = tuple[complex, Region]
 
 
 def nu_quad(a: float, b: float) -> float:
@@ -105,3 +110,60 @@ def eval_grid_64() -> list[complex]:
     """A fixed 8x8 lattice of plane points for pointwise comparisons."""
     xs = np.linspace(-1.75, 1.75, 8)
     return [complex(x, y) for x in xs for y in xs]
+
+
+def reference_grid_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, ...]:
+    """Per-cell loop over every piece: the overlay the kernel must reproduce."""
+    pieces = [(c, cell) for c, reg in terms for cell in reg.cells]
+    if not pieces:
+        return ()
+    xs = sorted({p for _, (cx, _) in pieces for p in (cx.lo, cx.hi)})
+    ys = sorted({p for _, (_, cy) in pieces for p in (cy.lo, cy.hi)})
+    columns: list[list] = []  # [x_lo, x_hi, profile] with profile [[y_lo, y_hi, v], ...]
+    for xlo, xhi in zip(xs, xs[1:]):
+        profile: list[list] = []
+        for ylo, yhi in zip(ys, ys[1:]):
+            v = 0j
+            for c, (cx, cy) in pieces:
+                if cx.lo <= xlo and xhi <= cx.hi and cy.lo <= ylo and yhi <= cy.hi:
+                    v += c
+            if abs(v) <= tol:
+                continue
+            if profile and profile[-1][1] == ylo and profile[-1][2] == v:
+                profile[-1][1] = yhi
+            else:
+                profile.append([ylo, yhi, v])
+        if not profile:
+            continue
+        if columns and columns[-1][1] == xlo and columns[-1][2] == profile:
+            columns[-1][1] = xhi
+        else:
+            columns.append([xlo, xhi, profile])
+    return tuple(
+        (v, GridRegion(((Interval(xlo, xhi), Interval(ylo, yhi)),)))
+        for xlo, xhi, profile in columns
+        for ylo, yhi, v in profile
+    )
+
+
+def reference_radial_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, ...]:
+    """Per-ring loop over every piece: the 1-D overlay the kernel must reproduce."""
+    pieces = [(c, ring) for c, reg in terms for ring in reg.rings]
+    if not pieces:
+        return ()
+    rs = sorted({p for _, ring in pieces for p in (ring.lo, ring.hi)})
+    merged: list[list] = []
+    for lo, hi in zip(rs, rs[1:]):
+        v = 0j
+        for c, ring in pieces:
+            if ring.lo <= lo and hi <= ring.hi:
+                v += c
+        if abs(v) <= tol:
+            continue
+        if merged and merged[-1][1] == lo and merged[-1][2] == v:
+            merged[-1][1] = hi
+        else:
+            merged.append([lo, hi, v])
+    return tuple(
+        (v, RadialRegion((Interval(lo, hi),))) for lo, hi, v in merged
+    )

@@ -334,6 +334,21 @@ def test_cli_requires_example(capsys):
     assert main(["smoothness"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smoothness", "--example", "example1", "--rho", "1.5"],
+        ["identity-failure", "--example", "example1"],
+        ["all", "--steps", "3"],
+    ],
+)
+def test_cli_config_error_exits_2(argv, tmp_path, capsys):
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_csv_format(tmp_path):
     out = tmp_path / "rep.csv"
     code = main(
@@ -363,3 +378,15 @@ def test_cli_outdir_env(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert '"verdict": "PASS"' in capsys.readouterr().out
     assert not os.path.exists(tmp_path / "envdir")  # env dir is for `all` only
+
+
+@pytest.mark.parametrize("seed", [22, 102, 111])
+def test_identity_failure_samples_lie_on_their_side(seed):
+    # at these seeds r * (cos a + i sin a) with r = 1 rounds to |z| < 1
+    rep = exp_identity_theorem_failure(
+        ExperimentConfig(experiment="identity-failure", example="example2", k=2, seed=seed)
+    )
+    assert rep.verdict == "PASS"
+    outside, inside = rep.steps[:100], rep.steps[100:200]
+    assert all(abs(complex(*row["nodes"][0])) >= 1.0 for row in outside)
+    assert all(abs(complex(*row["nodes"][0])) < 1.0 for row in inside)

@@ -11,6 +11,7 @@ from gaussdiff import (
     FamilyMismatchError,
     GridRegion,
     Interval,
+    RadialRegion,
     SimpleFunction,
     SupportBound,
     annulus,
@@ -25,6 +26,7 @@ from gaussdiff import (
     lp_gauge,
     quadrant_map,
     rect,
+    region_measure,
     region_union,
     simple_function_to_json,
     supported_in,
@@ -32,7 +34,17 @@ from gaussdiff import (
     wk_member,
 )
 
-from oracles import agrees_3sig, eval_grid_64, mc_l0_gauge, mc_lp_gauge, mc_oracle, nu_quad
+from gaussdiff.simplefn import ZERO_TOL
+from oracles import (
+    agrees_3sig,
+    eval_grid_64,
+    mc_l0_gauge,
+    mc_lp_gauge,
+    mc_oracle,
+    nu_quad,
+    reference_grid_atoms,
+    reference_radial_atoms,
+)
 
 INF = float("inf")
 
@@ -325,3 +337,81 @@ def test_json_serialization():
     assert d["family"] == "grid"
     assert len(d["atoms"]) == len(f.atoms)
     assert all({"re", "im", "region"} <= set(a) for a in d["atoms"])
+
+
+# ---------------------------------------------------------------------------
+# the overlay kernel against the per-cell reference loop
+# ---------------------------------------------------------------------------
+
+# A small endpoint pool makes pieces share breakpoints; it holds both zeros
+# and the infinite ends of quadrants, strips and half-planes.
+_GRID_END = st.one_of(
+    st.sampled_from([-INF, -1.0, -0.0, 0.0, 0.5, 1.0, INF]),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+_RADIUS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.5, 1.0, INF]),
+    st.floats(0.0, 3.0, allow_nan=False),
+)
+_TERM_COEFF = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+def _side(ends):
+    return st.tuples(ends, ends).map(lambda p: Interval(*sorted(p)))
+
+
+_GRID_REGION = st.lists(st.tuples(_side(_GRID_END), _side(_GRID_END)), min_size=1, max_size=3).map(
+    lambda cells: GridRegion(tuple(cells))
+)
+_RADIAL_REGION = st.lists(_side(_RADIUS), min_size=1, max_size=3).map(
+    lambda rings: RadialRegion(tuple(rings))
+)
+
+
+@st.composite
+def _overlay_terms(draw, regions):
+    """Terms with exact cancellations (c, -c) and residues near zero_tol * |c|."""
+    base = draw(st.lists(st.tuples(_TERM_COEFF, regions), min_size=1, max_size=6))
+    terms = list(base)
+    for c, reg in base:
+        kind = draw(st.sampled_from(("plain", "cancel", "residue")))
+        if kind == "cancel":
+            terms.append((-c, reg))
+        elif kind == "residue":
+            k = draw(st.sampled_from((0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0)))
+            terms.append((-c + c * (ZERO_TOL * k), reg))
+    order = draw(st.permutations(range(len(terms))))
+    return tuple(terms[i] for i in order)
+
+
+def _assert_matches_reference(family, terms, zero_tol, reference):
+    f = SimpleFunction(family, terms, zero_tol)
+    tol = zero_tol * max(abs(complex(c)) for c, _ in terms)
+    assert repr(f.atoms) == repr(reference(f.terms, tol))
+    assert len(f.masses) == len(f.atoms)
+    for (_, reg), m in zip(f.atoms, f.masses):
+        assert m.hex() == region_measure(reg).hex()
+
+
+@given(_overlay_terms(_GRID_REGION), st.sampled_from((ZERO_TOL, 0.0)))
+@settings(max_examples=200)
+def test_grid_kernel_matches_reference(terms, zero_tol):
+    _assert_matches_reference("grid", terms, zero_tol, reference_grid_atoms)
+
+
+@given(_overlay_terms(_RADIAL_REGION), st.sampled_from((ZERO_TOL, 0.0)))
+@settings(max_examples=200)
+def test_radial_kernel_matches_reference(terms, zero_tol):
+    _assert_matches_reference("radial", terms, zero_tol, reference_radial_atoms)
+
+
+def test_threshold_follows_python_abs():
+    # numpy's complex abs differs from Python's in the last ulp for some
+    # values; a cell sitting exactly at zero_tol * cmax by Python's abs is
+    # dropped, whichever way numpy would round it.
+    rng = np.random.default_rng(0)
+    samples = [complex(z) for z in rng.standard_normal(2000) + 1j * rng.standard_normal(2000)]
+    v = next((z for z in samples if abs(z) < 4.0 and float(np.abs(z)) > abs(z)), samples[0])
+    kept = (4.0 + 0j, rect(0, 1, 0, 1))
+    f = SimpleFunction("grid", (kept, (v, rect(2, 3, 0, 1))), zero_tol=abs(v) / 4.0)
+    assert f.atoms == (kept,)
