@@ -53,6 +53,7 @@ __all__ = [
     "symmetry_check",
     "ShrinkSchedule",
     "LimitReport",
+    "monotone_tail",
     "classify_trace",
     "derivative_by_limit",
     "CONVERGED_TO_ZERO",
@@ -307,6 +308,17 @@ class LimitReport:
     estimate: SimpleFunction | None
 
 
+def monotone_tail(trace: Sequence[float], decreasing: bool) -> bool:
+    """True iff the tail of `trace` is nonincreasing (`decreasing`) or nondecreasing.
+
+    The tail is the last quarter of the trace, and at least three values.
+    """
+    tail = trace[-min(len(trace), max(3, len(trace) // 4)):]
+    if decreasing:
+        return all(a >= b for a, b in zip(tail, tail[1:]))
+    return all(a <= b for a, b in zip(tail, tail[1:]))
+
+
 def classify_trace(
     trace: Sequence[float], convergence_tol: float, divergence_ceiling: float
 ) -> str:
@@ -318,10 +330,9 @@ def classify_trace(
     """
     if len(trace) < 2:
         return INCONCLUSIVE
-    tail = list(trace[-min(len(trace), max(3, len(trace) // 4)):])
-    if all(a >= b for a, b in zip(tail, tail[1:])) and tail[-1] <= convergence_tol:
+    if monotone_tail(trace, decreasing=True) and trace[-1] <= convergence_tol:
         return CONVERGED_TO_ZERO
-    if all(a <= b for a, b in zip(tail, tail[1:])) and tail[-1] >= divergence_ceiling:
+    if monotone_tail(trace, decreasing=False) and trace[-1] >= divergence_ceiling:
         return DIVERGENT
     return INCONCLUSIVE
 

@@ -37,6 +37,7 @@ from .divdiff import (
     NodeTuple,
     ShrinkSchedule,
     divided_diff,
+    monotone_tail,
     node_bounds,
     support_bound_of,
 )
@@ -253,16 +254,6 @@ def _nodes_json(nodes: NodeTuple | Sequence[complex]) -> list:
     return [[complex(z).real, complex(z).imag] for z in zs]
 
 
-def _nonincreasing_tail(trace: Sequence[float]) -> bool:
-    tail = trace[-min(len(trace), max(3, len(trace) // 4)):]
-    return all(a >= b for a, b in zip(tail, tail[1:]))
-
-
-def _nondecreasing_tail(trace: Sequence[float]) -> bool:
-    tail = trace[-min(len(trace), max(3, len(trace) // 4)):]
-    return all(a <= b for a, b in zip(tail, tail[1:]))
-
-
 def _constants(cfg: ExperimentConfig) -> dict:
     if cfg.example is not None and coerce_example(cfg.example) is ExampleId.HALFPLANE:
         bc = BlowupConstants.for_p(cfg.p)
@@ -317,12 +308,18 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         center = complex(center.real, 0.0)
     make = ShrinkSchedule.real_offsets if real_axis else ShrinkSchedule.roots_of_unity
     sched = make(cfg.k, cfg.rho, steps)
+    tuples = [sched.tuple_at(center, n) for n in range(1, steps + 1)]
+    for n, nt in enumerate(tuples, start=1):
+        if not nt.pairwise_distinct:
+            raise ConfigError(
+                f"step {n} of {steps} puts two nodes on the same float at center "
+                f"{center}; use fewer steps, a larger rho or a center nearer 0"
+            )
 
     rows: list[dict] = []
     trace: list[float] = []
     all_ok = True
-    for n in range(1, steps + 1):
-        nt = sched.tuple_at(center, n)
+    for n, nt in enumerate(tuples, start=1):
         g = divided_diff(curve, nt, cfg.zero_tol)
         gauge = l0_gauge(g)
         sb = support_bound_of(nt, curve.family)
@@ -347,7 +344,7 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         trace.append(gauge)
         all_ok = all_ok and ok
 
-    decreasing = _nonincreasing_tail(trace)
+    decreasing = monotone_tail(trace, decreasing=True)
     converged = trace[-1] <= cfg.convergence_tol and decreasing
     if not all_ok:
         verdict = FAIL
@@ -673,7 +670,7 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     )
     expected = 1.0 - 2.0 * p
     slope_ok = abs(slope - expected) <= 0.05
-    increasing = _nondecreasing_tail(trace_b)
+    increasing = monotone_tail(trace_b, decreasing=False)
     ceiling_crossed = trace_b[-1] >= cfg.divergence_ceiling and increasing
 
     checks_ok = phase_a_ok and identity_ok and dominance_ok and slope_ok and increasing
@@ -709,21 +706,13 @@ def exp_real_restriction(cfg: ExperimentConfig) -> ExperimentReport:
 
     The quadrant curve restricted to the reals stays smooth with vanishing
     derivative and stays injective (checked by sampling); the half-plane
-    curve restricted to the reals still fails at second order.  A schedule
-    shorter than 8 steps yields INCONCLUSIVE rather than an error.
+    curve restricted to the reals still fails at second order.
     """
     t0 = time.perf_counter()
+    cfg.validate()
     ex = coerce_example(cfg.example)
     if ex not in (ExampleId.QUADRANT, ExampleId.HALFPLANE):
         raise ConfigError("real-restriction runs on example1 or example3")
-    if cfg.resolved_steps() < 8:
-        return _report(
-            cfg,
-            [],
-            INCONCLUSIVE,
-            {"reason": "schedule too short to certify a limit", "real_axis": True},
-            t0,
-        )
 
     if ex is ExampleId.HALFPLANE:
         return _c1_not_c2(cfg, real_axis=True)

@@ -13,6 +13,30 @@ equality is therefore set equality, and Boolean operations never accumulate
 redundant pieces.  Interval endpoints are only ever copied, never combined
 arithmetically, so the set algebra is exact.
 
+One overlay kernel (the coordinate-compressed sweep of Klee's rectangle
+problem) computes all of it.  It sorts the distinct x and y endpoints of
+a list of weighted pieces once (radii for rings: the same kernel in one
+dimension); each piece covers a contiguous block of elementary cells and
+adds its weight to that block as one slice of a complex grid, in piece
+order.  A predicate on the cell sums keeps some cells; runs of kept,
+equal neighbours merge along y, then equal whole columns along x.  The
+result is the canonical cell list, and it is used three ways:
+
+* construction weights every non-empty piece 1 and keeps sums != 0; a
+  single non-empty rectangle or ring is canonical already and is kept
+  as given;
+* a Boolean weights the left operand's pieces 1 and the right's 2.  Both
+  are canonical, so a cell sums to 0 (in neither), 1 (left only), 2
+  (right only) or 3 (both): union keeps != 0, intersection == 3,
+  difference == 1 and symmetric difference 1 or 2.  The complement is
+  the difference from the full plane, and inclusion an empty difference;
+* simple functions (simplefn.py) weight each piece with its term's
+  complex coefficient and keep the cells whose modulus clears a
+  threshold; the merged runs are their atoms.
+
+A zero spelled -0.0 in one piece and 0.0 in another is one breakpoint of
+the sweep, so the result spells it the same way everywhere.
+
 Measures: on the line, nu has density exp(-x*x)/sqrt(pi), hence
 nu(]a, b]) = (erf(b) - erf(a)) / 2 with erf(+-inf) = +-1.  On the plane,
 mu is the product nu (x) nu, so rectangles factorise, and an annulus with
@@ -30,7 +54,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "NEG_INF",
@@ -113,76 +139,108 @@ class Interval:
 
 FULL_LINE = Interval(NEG_INF, POS_INF)
 
-
-def _canon_1d(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    """Union of arbitrary intervals as a sorted, disjoint, separated tuple."""
-    live = sorted((iv for iv in intervals if not iv.is_empty), key=lambda iv: (iv.lo, iv.hi))
-    out: list[Interval] = []
-    for iv in live:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return tuple(out)
+#: A rectangle (x-side, y-side) of a grid region, or a ring of a radial one.
+Piece = Union[tuple[Interval, Interval], Interval]
 
 
-def _covers_1d(intervals: Sequence[Interval], lo: float, hi: float) -> bool:
-    # elementary slab ]lo, hi] never straddles an endpoint of `intervals`
-    return any(iv.lo <= lo and hi <= iv.hi for iv in intervals)
+# ---------------------------------------------------------------------------
+# the overlay kernel
+# ---------------------------------------------------------------------------
 
 
-def _combine_1d(
-    a: Sequence[Interval],
-    b: Sequence[Interval],
-    keep: Callable[[bool, bool], bool],
-) -> tuple[Interval, ...]:
-    """Pointwise Boolean combination of two disjoint-interval sets.
+def _cell_sums(
+    pieces: Sequence[tuple[complex, Piece]],
+) -> tuple[list[list[float]], np.ndarray]:
+    """Sorted distinct endpoints per axis, and every elementary cell's sum.
 
-    The result only contains points covered by a or b, so `keep` must map
-    (False, False) to False; complements are taken against an explicit
-    universe interval passed as one of the operands.
+    A piece covers a contiguous block of elementary cells, so its weight is
+    added to that block as one slice; cells receive their additions in
+    piece order, starting from 0j, exactly as a per-cell loop would.
     """
-    pts = sorted({p for iv in (*a, *b) for p in (iv.lo, iv.hi)})
-    out: list[Interval] = []
-    for lo, hi in zip(pts, pts[1:]):
-        if keep(_covers_1d(a, lo, hi), _covers_1d(b, lo, hi)):
-            if out and out[-1].hi == lo:
-                out[-1] = Interval(out[-1].lo, hi)
-            else:
-                out.append(Interval(lo, hi))
-    return tuple(out)
+    # `block += c` on a view; `sums[...] += c` would also copy the block back
+    if isinstance(pieces[0][1], Interval):
+        rs = sorted({p for _, ring in pieces for p in (ring.lo, ring.hi)})
+        ir = {p: i for i, p in enumerate(rs)}
+        sums = np.zeros(len(rs) - 1, dtype=complex)
+        for c, ring in pieces:
+            block = sums[ir[ring.lo] : ir[ring.hi]]
+            block += c
+        return [rs], sums
+    xs = sorted({p for _, (cx, _) in pieces for p in (cx.lo, cx.hi)})
+    ys = sorted({p for _, (_, cy) in pieces for p in (cy.lo, cy.hi)})
+    ix = {p: i for i, p in enumerate(xs)}
+    iy = {p: i for i, p in enumerate(ys)}
+    sums = np.zeros((len(xs) - 1, len(ys) - 1), dtype=complex)
+    for c, (cx, cy) in pieces:
+        block = sums[ix[cx.lo] : ix[cx.hi], iy[cy.lo] : iy[cy.hi]]
+        block += c
+    return [xs, ys], sums
+
+
+def _runs(edges: Sequence[float], values: Sequence, tol: float) -> list[list]:
+    """[lo, hi, v] runs of consecutive kept cells (abs(v) > tol) with equal values."""
+    runs: list[list] = []
+    for lo, hi, v in zip(edges, edges[1:], values):
+        if abs(v) <= tol:
+            continue
+        if runs and runs[-1][1] == lo and runs[-1][2] == v:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, v])
+    return runs
+
+
+def _merged(axes: list[list[float]], values: list, tol: float) -> list[list]:
+    """Runs of the kept cells (1-D), or [x_lo, x_hi, y-runs] columns (2-D).
+
+    Kept neighbouring cells with equal values merge into y-runs, then
+    neighbouring columns with equal runs merge.
+    """
+    if len(axes) == 1:
+        return _runs(axes[0], values, tol)
+    xs, ys = axes
+    columns: list[list] = []
+    for xlo, xhi, column in zip(xs, xs[1:], values):
+        profile = _runs(ys, column, tol)
+        if not profile:
+            continue
+        if columns and columns[-1][1] == xlo and columns[-1][2] == profile:
+            columns[-1][1] = xhi
+        else:
+            columns.append([xlo, xhi, profile])
+    return columns
+
+
+def _sweep(pieces: list, keep: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """Canonical pieces of the union of the cells whose weight sum `keep` accepts."""
+    if not pieces:
+        return ()
+    axes, sums = _cell_sums(pieces)
+    # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
+    merged = _merged(axes, keep(sums).tolist(), 0.0)
+    if len(axes) == 1:
+        return tuple(Interval(lo, hi) for lo, hi, _ in merged)
+    cells = []
+    for xlo, xhi, profile in merged:
+        cx = Interval(xlo, xhi)
+        cells.extend((cx, Interval(ylo, yhi)) for ylo, yhi, _ in profile)
+    return tuple(cells)
+
+
+def _nonzero(sums: np.ndarray) -> np.ndarray:
+    return sums != 0
+
+
+def _canon(live: list) -> tuple:
+    """Canonical form of the union of non-empty pieces."""
+    if len(live) == 1:
+        return tuple(live)
+    return _sweep([(1, piece) for piece in live], _nonzero)
 
 
 # ---------------------------------------------------------------------------
 # regions
 # ---------------------------------------------------------------------------
-
-
-def _canon_grid(
-    cells: Iterable[tuple[Interval, Interval]],
-) -> tuple[tuple[Interval, Interval], ...]:
-    """Canonical form of a union of rectangles.
-
-    Vertical-slab decomposition: sort all x-endpoints, compute the 1-D union
-    of y-sides over each slab, then merge adjacent slabs with identical
-    y-profiles.  The output is the unique maximally merged, sorted, disjoint
-    cell list for the underlying point set.
-    """
-    live = [(cx, cy) for cx, cy in cells if not cx.is_empty and not cy.is_empty]
-    if not live:
-        return ()
-    xs = sorted({p for cx, _ in live for p in (cx.lo, cx.hi)})
-    cols: list[tuple[Interval, tuple[Interval, ...]]] = []
-    for lo, hi in zip(xs, xs[1:]):
-        profile = _canon_1d(cy for cx, cy in live if cx.lo <= lo and hi <= cx.hi)
-        if not profile:
-            continue
-        if cols and cols[-1][0].hi == lo and cols[-1][1] == profile:
-            cols[-1] = (Interval(cols[-1][0].lo, hi), profile)
-        else:
-            cols.append((Interval(lo, hi), profile))
-    return tuple((cx, cy) for cx, prof in cols for cy in prof)
 
 
 @dataclass(frozen=True)
@@ -194,7 +252,8 @@ class GridRegion:
     family: ClassVar[str] = GRID
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", _canon_grid(self.cells))
+        live = [(cx, cy) for cx, cy in self.cells if not cx.is_empty and not cy.is_empty]
+        object.__setattr__(self, "cells", _canon(live))
 
     @property
     def is_empty(self) -> bool:
@@ -217,7 +276,8 @@ class RadialRegion:
         for ring in self.rings:
             if ring.lo < 0:
                 raise ValueError(f"annulus radius bound {ring.lo} is negative")
-        object.__setattr__(self, "rings", _canon_1d(self.rings))
+        live = [ring for ring in self.rings if not ring.is_empty]
+        object.__setattr__(self, "rings", _canon(live))
 
     @property
     def is_empty(self) -> bool:
@@ -252,56 +312,36 @@ def _require_same_family(a: Region, b: Region) -> None:
         )
 
 
-def _grid_profile(r: GridRegion, lo: float, hi: float) -> tuple[Interval, ...]:
-    return tuple(cy for cx, cy in r.cells if cx.lo <= lo and hi <= cx.hi)
-
-
-def _grid_combine(a: GridRegion, b: GridRegion, keep) -> GridRegion:
-    xs = sorted(
-        {p for cx, _ in (*a.cells, *b.cells) for p in (cx.lo, cx.hi)}
-        | {NEG_INF, POS_INF}
-    )
-    cells: list[tuple[Interval, Interval]] = []
-    for lo, hi in zip(xs, xs[1:]):
-        prof = _combine_1d(_grid_profile(a, lo, hi), _grid_profile(b, lo, hi), keep)
-        cx = Interval(lo, hi)
-        cells.extend((cx, cy) for cy in prof)
-    return GridRegion(tuple(cells))
-
-
-def _radial_combine(a: RadialRegion, b: RadialRegion, keep) -> RadialRegion:
-    return RadialRegion(_combine_1d(a.rings, b.rings, keep))
+def _pieces(r: Region) -> tuple[Piece, ...]:
+    return r.cells if isinstance(r, GridRegion) else r.rings
 
 
 def _combine(a: Region, b: Region, keep) -> Region:
+    # both operands are canonical (disjoint pieces), so a cell sums to
+    # 0 (in neither), 1 (only in a), 2 (only in b) or 3 (in both)
     _require_same_family(a, b)
-    if isinstance(a, GridRegion):
-        return _grid_combine(a, b, keep)
-    return _radial_combine(a, b, keep)
+    pieces = [(1, p) for p in _pieces(a)] + [(2, p) for p in _pieces(b)]
+    return _canonical_region(type(a), _sweep(pieces, keep))
 
 
 def region_union(a: Region, b: Region) -> Region:
-    return _combine(a, b, lambda ia, ib: ia or ib)
+    return _combine(a, b, _nonzero)
 
 
 def region_intersect(a: Region, b: Region) -> Region:
-    return _combine(a, b, lambda ia, ib: ia and ib)
+    return _combine(a, b, lambda s: s == 3)
 
 
 def region_difference(a: Region, b: Region) -> Region:
-    return _combine(a, b, lambda ia, ib: ia and not ib)
+    return _combine(a, b, lambda s: s == 1)
 
 
 def region_symdiff(a: Region, b: Region) -> Region:
-    return _combine(a, b, lambda ia, ib: ia != ib)
+    return _combine(a, b, lambda s: (s == 1) | (s == 2))
 
 
 def region_complement(a: Region) -> Region:
-    if isinstance(a, GridRegion):
-        return _grid_combine(a, full_plane(GRID), lambda ia, ib: ib and not ia)
-    return _radial_combine(
-        a, RadialRegion((_RADIAL_UNIVERSE,)), lambda ia, ib: ib and not ia
-    )
+    return region_difference(full_plane(a.family), a)
 
 
 def region_contains(outer: Region, inner: Region) -> bool:

@@ -7,19 +7,11 @@ coefficient each, together with the Gaussian mass of each atom.  Point
 values, level-set masses and the gauges below then reduce to sums over
 atoms.
 
-The overlay kernel (the sweep of Klee's rectangle-measure problem) sorts
-the distinct x and y endpoints of all term pieces once (radii for rings,
-the same kernel in one dimension).  Every piece covers a contiguous block
-of elementary cells; its coefficient is added to that block as one slice
-of a complex grid, piece by piece in term order, so each cell holds the
-same float sum, built in the same order from 0j, as a per-cell loop over
-all pieces.  Cells whose modulus is negligible are dropped, runs of
-bitwise-equal neighbours are merged along y and then whole equal columns
-along x.  Each atom's region is a single rectangle and thus already
-canonical; the masses are nu(column side) * nu(row side), which is exactly
-what `mu_grid` computes for that region.  The threshold takes Python's
-`abs` of each cell value: numpy's complex `abs` can differ from it in the
-last ulp, which would move the cells dropped at the threshold.
+Atoms are the merged cells of the overlay kernel of measure.py, with each
+term's coefficient as the weight of its pieces.  A cell is dropped when
+Python's `abs` of its value is <= the threshold below (numpy's complex
+`abs` can differ in the last ulp); an atom's mass nu(column side) *
+nu(row side) is bitwise what `mu_grid` gives its region.
 
 Why drop "negligible" coefficients at all: divided-difference arithmetic
 cancels coefficients on shared atoms, and when the combination is formed in
@@ -43,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .measure import (
     GRID,
     RADIAL,
@@ -54,6 +44,9 @@ from .measure import (
     RadialRegion,
     Region,
     _canonical_region,
+    _cell_sums,
+    _merged,
+    _pieces,
     mu_radial,
     nu_mass,
     region_contains,
@@ -79,79 +72,25 @@ ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
 _Term = tuple[complex, Region]
 
 
-def _cell_sums(
-    pieces: Sequence[tuple[complex, tuple[Interval, ...]]], dims: int
-) -> tuple[list[list[float]], list]:
-    """Sorted distinct endpoints per axis, and every elementary cell's sum.
-
-    A piece covers a contiguous block of elementary cells, so its coefficient
-    is added to that block as one slice; cells receive their additions in
-    term order, starting from 0j, exactly as a per-cell loop would.
-    """
-    axes = [
-        sorted({p for _, box in pieces for p in (box[k].lo, box[k].hi)})
-        for k in range(dims)
-    ]
-    index = [{p: i for i, p in enumerate(axis)} for axis in axes]
-    sums = np.zeros([len(axis) - 1 for axis in axes], dtype=complex)
-    # `block += c` on a view; `sums[...] += c` would also copy the block back
-    if dims == 1:
-        (ir,) = index
-        for c, (ring,) in pieces:
-            block = sums[ir[ring.lo] : ir[ring.hi]]
-            block += c
-    else:
-        ix, iy = index
-        for c, (cx, cy) in pieces:
-            block = sums[ix[cx.lo] : ix[cx.hi], iy[cy.lo] : iy[cy.hi]]
-            block += c
-    return axes, sums.tolist()
-
-
-def _runs(edges: Sequence[float], values: Sequence[complex], tol: float) -> list[list]:
-    """[lo, hi, v] runs of consecutive kept cells with equal values."""
-    runs: list[list] = []
-    for lo, hi, v in zip(edges, edges[1:], values):
-        if abs(v) <= tol:
-            continue
-        if runs and runs[-1][1] == lo and runs[-1][2] == v:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi, v])
-    return runs
-
-
 def _atoms(
     family: str, terms: Sequence[_Term], tol: float
 ) -> tuple[tuple[_Term, ...], tuple[float, ...]]:
     """Canonical atoms of `terms` and the Gaussian mass of each atom."""
-    if family == RADIAL:
-        pieces = [(c, (ring,)) for c, reg in terms for ring in reg.rings]
-    else:
-        pieces = [(c, cell) for c, reg in terms for cell in reg.cells]
+    pieces = [(c, piece) for c, reg in terms for piece in _pieces(reg)]
     if not pieces:
         return (), ()
+    axes, sums = _cell_sums(pieces)
+    merged = _merged(axes, sums.tolist(), tol)
     atoms: list[_Term] = []
     masses: list[float] = []
     if family == RADIAL:
-        (rs,), values = _cell_sums(pieces, 1)
-        for lo, hi, v in _runs(rs, values, tol):
+        for lo, hi, v in merged:
             reg = _canonical_region(RadialRegion, (Interval(lo, hi),))
             atoms.append((v, reg))
             masses.append(mu_radial(reg))
         return tuple(atoms), tuple(masses)
-    (xs, ys), rows = _cell_sums(pieces, 2)
-    columns: list[list] = []  # [x_lo, x_hi, runs of the column]
-    for xlo, xhi, values in zip(xs, xs[1:], rows):
-        profile = _runs(ys, values, tol)
-        if not profile:
-            continue
-        if columns and columns[-1][1] == xlo and columns[-1][2] == profile:
-            columns[-1][1] = xhi
-        else:
-            columns.append([xlo, xhi, profile])
     sides: dict[tuple[float, float], tuple[Interval, float]] = {}  # y-run -> (side, nu)
-    for xlo, xhi, profile in columns:
+    for xlo, xhi, profile in merged:
         cx = Interval(xlo, xhi)
         nx = nu_mass(cx)
         for ylo, yhi, v in profile:
@@ -297,6 +236,7 @@ class SupportBound:
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
     """True iff every atom lies inside the bound region (exact inclusion).
 
+    The atoms' pieces form one support region, checked by one inclusion.
     Atoms below the zero tolerance were already dropped at construction, so
     this is the thresholded support of the function.  The zero function has
     empty support and is contained in every bound.
@@ -305,7 +245,8 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
         raise FamilyMismatchError(
             f"function family {f.family!r} != bound family {bound.family!r}"
         )
-    return all(region_contains(bound.region, reg) for _, reg in f.atoms)
+    support = type(bound.region)(tuple(p for _, reg in f.atoms for p in _pieces(reg)))
+    return region_contains(bound.region, support)
 
 
 def simple_function_to_json(f: SimpleFunction) -> dict:

@@ -3,19 +3,31 @@
 Adaptive quadrature of the raw densities (never of the erf/exp closed
 forms) plus the package's Monte-Carlo sampler provide measurement routes
 that share no code path with the values under test.  The reference atom
-overlays at the end re-scan every piece for every elementary cell; the
-package's slice-accumulation kernel must reproduce their atoms exactly.
+overlays re-scan every piece for every elementary cell; the package's
+slice-accumulation kernel must reproduce their atoms exactly.  The region
+sweeps at the end (per-slab 1-D unions and per-slab Boolean profiles, one
+sweep each for canonicalisation, grid and radial combination) must give
+the same point sets and cell order as the kernel's 1/2-weighted overlay.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 
-from gaussdiff import GridRegion, Interval, RadialRegion, Region, mc_measure, plane_samples
+from gaussdiff import (
+    GridRegion,
+    Interval,
+    RadialRegion,
+    Region,
+    full_plane,
+    mc_measure,
+    plane_samples,
+)
+from gaussdiff.measure import NEG_INF, POS_INF, _canonical_region
 
 _Term = tuple[complex, Region]
 
@@ -166,4 +178,113 @@ def reference_radial_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, .
             merged.append([lo, hi, v])
     return tuple(
         (v, RadialRegion((Interval(lo, hi),))) for lo, hi, v in merged
+    )
+
+
+def reference_canon_1d(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Union of arbitrary intervals as a sorted, disjoint, separated tuple."""
+    live = sorted((iv for iv in intervals if not iv.is_empty), key=lambda iv: (iv.lo, iv.hi))
+    out: list[Interval] = []
+    for iv in live:
+        if out and iv.lo <= out[-1].hi:
+            if iv.hi > out[-1].hi:
+                out[-1] = Interval(out[-1].lo, iv.hi)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def _covers_1d(intervals: Sequence[Interval], lo: float, hi: float) -> bool:
+    # elementary slab ]lo, hi] never straddles an endpoint of `intervals`
+    return any(iv.lo <= lo and hi <= iv.hi for iv in intervals)
+
+
+def _combine_1d(
+    a: Sequence[Interval],
+    b: Sequence[Interval],
+    keep: Callable[[bool, bool], bool],
+) -> tuple[Interval, ...]:
+    """Pointwise Boolean combination of two disjoint-interval sets.
+
+    The result only contains points covered by a or b, so `keep` must map
+    (False, False) to False; complements are taken against an explicit
+    universe interval passed as one of the operands.
+    """
+    pts = sorted({p for iv in (*a, *b) for p in (iv.lo, iv.hi)})
+    out: list[Interval] = []
+    for lo, hi in zip(pts, pts[1:]):
+        if keep(_covers_1d(a, lo, hi), _covers_1d(b, lo, hi)):
+            if out and out[-1].hi == lo:
+                out[-1] = Interval(out[-1].lo, hi)
+            else:
+                out.append(Interval(lo, hi))
+    return tuple(out)
+
+
+def reference_canon_grid(
+    cells: Iterable[tuple[Interval, Interval]],
+) -> tuple[tuple[Interval, Interval], ...]:
+    """Canonical form of a union of rectangles.
+
+    Vertical-slab decomposition: sort all x-endpoints, compute the 1-D union
+    of y-sides over each slab, then merge adjacent slabs with identical
+    y-profiles.  The output is the unique maximally merged, sorted, disjoint
+    cell list for the underlying point set.
+    """
+    live = [(cx, cy) for cx, cy in cells if not cx.is_empty and not cy.is_empty]
+    if not live:
+        return ()
+    xs = sorted({p for cx, _ in live for p in (cx.lo, cx.hi)})
+    cols: list[tuple[Interval, tuple[Interval, ...]]] = []
+    for lo, hi in zip(xs, xs[1:]):
+        profile = reference_canon_1d(cy for cx, cy in live if cx.lo <= lo and hi <= cx.hi)
+        if not profile:
+            continue
+        if cols and cols[-1][0].hi == lo and cols[-1][1] == profile:
+            cols[-1] = (Interval(cols[-1][0].lo, hi), profile)
+        else:
+            cols.append((Interval(lo, hi), profile))
+    return tuple((cx, cy) for cx, prof in cols for cy in prof)
+
+
+def _grid_profile(r: GridRegion, lo: float, hi: float) -> tuple[Interval, ...]:
+    return tuple(cy for cx, cy in r.cells if cx.lo <= lo and hi <= cx.hi)
+
+
+def reference_grid_combine(a: GridRegion, b: GridRegion, keep) -> GridRegion:
+    """Boolean `keep(in a, in b)` of two grid regions, slab by slab."""
+    xs = sorted(
+        {p for cx, _ in (*a.cells, *b.cells) for p in (cx.lo, cx.hi)}
+        | {NEG_INF, POS_INF}
+    )
+    cells: list[tuple[Interval, Interval]] = []
+    for lo, hi in zip(xs, xs[1:]):
+        prof = _combine_1d(_grid_profile(a, lo, hi), _grid_profile(b, lo, hi), keep)
+        cx = Interval(lo, hi)
+        cells.extend((cx, cy) for cy in prof)
+    return _canonical_region(GridRegion, reference_canon_grid(cells))
+
+
+def reference_radial_combine(a: RadialRegion, b: RadialRegion, keep) -> RadialRegion:
+    """Boolean `keep(in a, in b)` of two radial regions."""
+    return _canonical_region(
+        RadialRegion, reference_canon_1d(_combine_1d(a.rings, b.rings, keep))
+    )
+
+
+def reference_combine(a: Region, b: Region, keep) -> Region:
+    if isinstance(a, GridRegion):
+        return reference_grid_combine(a, b, keep)
+    return reference_radial_combine(a, b, keep)
+
+
+def reference_complement(a: Region) -> Region:
+    return reference_combine(a, full_plane(a.family), lambda ia, ib: ib and not ia)
+
+
+def reference_supported_in(f, bound) -> bool:
+    """One reference difference per atom: each atom minus the bound is empty."""
+    return all(
+        reference_combine(reg, bound.region, lambda ia, ib: ia and not ib).is_empty
+        for _, reg in f.atoms
     )

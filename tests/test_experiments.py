@@ -227,12 +227,11 @@ def test_real_restriction_halfplane():
     assert rep.extras["real_axis"] is True
 
 
-def test_real_restriction_degenerate_schedule():
-    rep = exp_real_restriction(
-        ExperimentConfig(experiment="real-restriction", example="example1", steps=1)
-    )
-    assert rep.verdict == "INCONCLUSIVE"
-    assert rep.steps == []
+def test_real_restriction_short_schedule_rejected():
+    with pytest.raises(ConfigError):
+        exp_real_restriction(
+            ExperimentConfig(experiment="real-restriction", example="example1", steps=1)
+        )
 
 
 def test_measure_identities_fast():
@@ -340,6 +339,9 @@ def test_cli_requires_example(capsys):
         ["smoothness", "--example", "example1", "--rho", "1.5"],
         ["identity-failure", "--example", "example1"],
         ["all", "--steps", "3"],
+        ["real-restriction", "--example", "example1", "--steps", "3"],
+        # step 53 puts two nodes of the seed-42 center on one float
+        ["smoothness", "--example", "example1", "--steps", "80"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):

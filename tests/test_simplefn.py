@@ -1,5 +1,6 @@
 """Simple-function arithmetic, gauges, and support tests."""
 
+import functools
 import math
 
 import numpy as np
@@ -44,6 +45,7 @@ from oracles import (
     nu_quad,
     reference_grid_atoms,
     reference_radial_atoms,
+    reference_supported_in,
 )
 
 INF = float("inf")
@@ -403,6 +405,23 @@ def test_grid_kernel_matches_reference(terms, zero_tol):
 @settings(max_examples=200)
 def test_radial_kernel_matches_reference(terms, zero_tol):
     _assert_matches_reference("radial", terms, zero_tol, reference_radial_atoms)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("grid"), _overlay_terms(_GRID_REGION), _GRID_REGION),
+        st.tuples(st.just("radial"), _overlay_terms(_RADIAL_REGION), _RADIAL_REGION),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_supported_in_matches_per_atom_reference(case, widen):
+    family, terms, region = case
+    f = SimpleFunction(family, terms)
+    if widen:  # the union of the term regions holds the support
+        region = functools.reduce(region_union, [reg for _, reg in terms], region)
+    bound = SupportBound(region)
+    assert supported_in(f, bound) == reference_supported_in(f, bound)
 
 
 def test_threshold_follows_python_abs():
