@@ -185,24 +185,32 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
     if len(nt.nodes) > 1 and not nt.pairwise_distinct:
         raise RepeatedNodeError(f"nodes {nt.nodes} are not pairwise distinct")
     zs = nt.nodes
-    memo: dict[tuple[int, ...], SimpleFunction] = {}
+    return _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, {})
 
-    def rec(idx: tuple[int, ...]) -> SimpleFunction:
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        if len(idx) == 1:
-            out = f(zs[idx[0]])
-        else:
-            rest = idx[2:]
-            left = rec((idx[0],) + rest)
-            right = rec((idx[1],) + rest)
-            w = 1.0 / (zs[idx[0]] - zs[idx[1]])
-            out = linear_combine([w, -w], [left, right], zero_tol)
-        memo[idx] = out
-        return out
 
-    return rec(tuple(range(len(zs))))
+def _memo_diff(
+    f: CurveMap,
+    zs: tuple[complex, ...],
+    idx: tuple[int, ...],
+    zero_tol: float,
+    memo: dict[tuple[int, ...], SimpleFunction],
+) -> SimpleFunction:
+    # A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle, and `memo` with every sub-difference
+    # would wait for the cyclic garbage collector to be freed.
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    if len(idx) == 1:
+        out = f(zs[idx[0]])
+    else:
+        rest = idx[2:]
+        left = _memo_diff(f, zs, (idx[0],) + rest, zero_tol, memo)
+        right = _memo_diff(f, zs, (idx[1],) + rest, zero_tol, memo)
+        w = 1.0 / (zs[idx[0]] - zs[idx[1]])
+        out = linear_combine([w, -w], [left, right], zero_tol)
+    memo[idx] = out
+    return out
 
 
 def divided_diff_lagrange(
@@ -232,11 +240,7 @@ def coefficient_distance(f: SimpleFunction, g: SimpleFunction) -> float:
     """
     if f.family != g.family:
         raise ValueError("cannot compare functions of different families")
-    diff = SimpleFunction(
-        f.family,
-        f.atoms + tuple((-c, reg) for c, reg in g.atoms),
-        zero_tol=0.0,
-    )
+    diff = linear_combine([1.0, -1.0], [f, g], zero_tol=0.0)
     scale = max(f.max_coeff(), g.max_coeff())
     if scale == 0.0:
         return diff.max_coeff()

@@ -14,13 +14,18 @@ redundant pieces.  Interval endpoints are only ever copied, never combined
 arithmetically, so the set algebra is exact.
 
 One overlay kernel (the coordinate-compressed sweep of Klee's rectangle
-problem) computes all of it.  It sorts the distinct x and y endpoints of
-a list of weighted pieces once (radii for rings: the same kernel in one
-dimension); each piece covers a contiguous block of elementary cells and
-adds its weight to that block as one slice of a complex grid, in piece
-order.  A predicate on the cell sums keeps some cells; runs of kept,
-equal neighbours merge along y, then equal whole columns along x.  The
-result is the canonical cell list, and it is used three ways:
+problem) computes all of it.  Its pieces are endpoint tuples, not
+Intervals: a rectangle is (x_lo, x_hi, y_lo, y_hi) and a ring (lo, hi).
+They are passed column-wise, one flat lo, hi, lo, hi, ... sequence per
+axis; `_ends` lays region pieces out that way, and simple functions
+store their terms and atoms that way.  The kernel sorts the distinct x
+and y endpoints of a list of weighted pieces once (radii for rings: the
+same kernel in one dimension); each piece covers a contiguous block of
+elementary cells and adds its weight to that block as one slice of a
+complex grid, in piece order.  A predicate on the cell sums keeps some
+cells; runs of kept, equal neighbours merge along y, then equal whole
+columns along x.  The result is the canonical cell list, and it is used
+four ways:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -32,7 +37,9 @@ result is the canonical cell list, and it is used three ways:
   the difference from the full plane, and inclusion an empty difference;
 * simple functions (simplefn.py) weight each piece with its term's
   complex coefficient and keep the cells whose modulus clears a
-  threshold; the merged runs are their atoms.
+  threshold; the merged runs are their atoms;
+* a support check weights a function's (disjoint) atoms 1 and the
+  bound's pieces 2; the support lies inside iff no cell sums to 1.
 
 A zero spelled -0.0 in one piece and 0.0 in another is one breakpoint of
 the sweep, so the result spells it the same way everywhere.
@@ -108,7 +115,7 @@ class FamilyMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open interval ]lo, hi] of extended reals; lo == hi is empty."""
 
@@ -148,33 +155,59 @@ Piece = Union[tuple[Interval, Interval], Interval]
 # ---------------------------------------------------------------------------
 
 
+def _ends(pieces: Sequence[Piece], family: str) -> list[list[float]]:
+    """The kernel's form of rectangles (cx, cy) or rings: endpoints per axis.
+
+    Piece i spans ]e[2i], e[2i+1]] on the axis of sequence e.
+    """
+    if family == RADIAL:
+        return [[p for ring in pieces for p in (ring.lo, ring.hi)]]
+    return [
+        [p for cx, _ in pieces for p in (cx.lo, cx.hi)],
+        [p for _, cy in pieces for p in (cy.lo, cy.hi)],
+    ]
+
+
+def _from_ends(ends: Sequence[Sequence[float]]) -> list[Piece]:
+    """The rectangles or rings of the kernel's endpoint sequences (inverse of `_ends`)."""
+    if len(ends) == 1:
+        (re,) = ends
+        return [Interval(lo, hi) for lo, hi in zip(re[::2], re[1::2])]
+    xe, ye = ends
+    return [
+        (Interval(xlo, xhi), Interval(ylo, yhi))
+        for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
+    ]
+
+
 def _cell_sums(
-    pieces: Sequence[tuple[complex, Piece]],
+    weights: Sequence[complex], ends: Sequence[Sequence[float]]
 ) -> tuple[list[list[float]], np.ndarray]:
     """Sorted distinct endpoints per axis, and every elementary cell's sum.
 
-    A piece covers a contiguous block of elementary cells, so its weight is
-    added to that block as one slice; cells receive their additions in
-    piece order, starting from 0j, exactly as a per-cell loop would.
+    `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
+    `_ends` lays them out.  A piece covers a contiguous block of elementary
+    cells, so its weight is added to that block as one slice; cells receive
+    their additions in piece order, starting from 0j, exactly as a per-cell
+    loop would.  Each axis keeps the spelling of a zero it meets first.
     """
     # `block += c` on a view; `sums[...] += c` would also copy the block back
-    if isinstance(pieces[0][1], Interval):
-        rs = sorted({p for _, ring in pieces for p in (ring.lo, ring.hi)})
-        ir = {p: i for i, p in enumerate(rs)}
-        sums = np.zeros(len(rs) - 1, dtype=complex)
-        for c, ring in pieces:
-            block = sums[ir[ring.lo] : ir[ring.hi]]
+    axes = [sorted(set(e)) for e in ends]
+    sums = np.zeros([len(a) - 1 for a in axes], dtype=complex)
+    if len(axes) == 1:
+        (rs,), (re,) = axes, ends
+        ir = dict(zip(rs, range(len(rs))))
+        for c, lo, hi in zip(weights, re[::2], re[1::2]):
+            block = sums[ir[lo] : ir[hi]]
             block += c
-        return [rs], sums
-    xs = sorted({p for _, (cx, _) in pieces for p in (cx.lo, cx.hi)})
-    ys = sorted({p for _, (_, cy) in pieces for p in (cy.lo, cy.hi)})
-    ix = {p: i for i, p in enumerate(xs)}
-    iy = {p: i for i, p in enumerate(ys)}
-    sums = np.zeros((len(xs) - 1, len(ys) - 1), dtype=complex)
-    for c, (cx, cy) in pieces:
-        block = sums[ix[cx.lo] : ix[cx.hi], iy[cy.lo] : iy[cy.hi]]
+        return axes, sums
+    (xs, ys), (xe, ye) = axes, ends
+    ix = dict(zip(xs, range(len(xs))))
+    iy = dict(zip(ys, range(len(ys))))
+    for c, xlo, xhi, ylo, yhi in zip(weights, xe[::2], xe[1::2], ye[::2], ye[1::2]):
+        block = sums[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]]
         block += c
-    return [xs, ys], sums
+    return axes, sums
 
 
 def _runs(edges: Sequence[float], values: Sequence, tol: float) -> list[list]:
@@ -211,19 +244,29 @@ def _merged(axes: list[list[float]], values: list, tol: float) -> list[list]:
     return columns
 
 
-def _sweep(pieces: list, keep: Callable[[np.ndarray], np.ndarray]) -> tuple:
+def _sweep(
+    weights: Sequence[int],
+    ends: Sequence[Sequence[float]],
+    keep: Callable[[np.ndarray], np.ndarray],
+) -> tuple:
     """Canonical pieces of the union of the cells whose weight sum `keep` accepts."""
-    if not pieces:
+    if not weights:
         return ()
-    axes, sums = _cell_sums(pieces)
+    axes, sums = _cell_sums(weights, ends)
     # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
     merged = _merged(axes, keep(sums).tolist(), 0.0)
     if len(axes) == 1:
         return tuple(Interval(lo, hi) for lo, hi, _ in merged)
+    # one y-side per distinct run; an axis spells each endpoint one way
+    sides: dict[tuple[float, float], Interval] = {}
     cells = []
     for xlo, xhi, profile in merged:
         cx = Interval(xlo, xhi)
-        cells.extend((cx, Interval(ylo, yhi)) for ylo, yhi, _ in profile)
+        for ylo, yhi, _ in profile:
+            cy = sides.get((ylo, yhi))
+            if cy is None:
+                cy = sides[ylo, yhi] = Interval(ylo, yhi)
+            cells.append((cx, cy))
     return tuple(cells)
 
 
@@ -231,11 +274,11 @@ def _nonzero(sums: np.ndarray) -> np.ndarray:
     return sums != 0
 
 
-def _canon(live: list) -> tuple:
+def _canon(live: list, family: str) -> tuple:
     """Canonical form of the union of non-empty pieces."""
     if len(live) == 1:
         return tuple(live)
-    return _sweep([(1, piece) for piece in live], _nonzero)
+    return _sweep([1] * len(live), _ends(live, family), _nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +286,7 @@ def _canon(live: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridRegion:
     """Finite union of half-open rectangles, kept canonical."""
 
@@ -253,7 +296,7 @@ class GridRegion:
 
     def __post_init__(self) -> None:
         live = [(cx, cy) for cx, cy in self.cells if not cx.is_empty and not cy.is_empty]
-        object.__setattr__(self, "cells", _canon(live))
+        object.__setattr__(self, "cells", _canon(live, GRID))
 
     @property
     def is_empty(self) -> bool:
@@ -264,7 +307,7 @@ class GridRegion:
         return any(cx.contains(x) and cy.contains(y) for cx, cy in self.cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadialRegion:
     """Finite union of origin-centred annuli ]lo, hi] in the radius."""
 
@@ -277,7 +320,7 @@ class RadialRegion:
             if ring.lo < 0:
                 raise ValueError(f"annulus radius bound {ring.lo} is negative")
         live = [ring for ring in self.rings if not ring.is_empty]
-        object.__setattr__(self, "rings", _canon(live))
+        object.__setattr__(self, "rings", _canon(live, RADIAL))
 
     @property
     def is_empty(self) -> bool:
@@ -320,8 +363,9 @@ def _combine(a: Region, b: Region, keep) -> Region:
     # both operands are canonical (disjoint pieces), so a cell sums to
     # 0 (in neither), 1 (only in a), 2 (only in b) or 3 (in both)
     _require_same_family(a, b)
-    pieces = [(1, p) for p in _pieces(a)] + [(2, p) for p in _pieces(b)]
-    return _canonical_region(type(a), _sweep(pieces, keep))
+    pa, pb = _pieces(a), _pieces(b)
+    weights = [1] * len(pa) + [2] * len(pb)
+    return _canonical_region(type(a), _sweep(weights, _ends(pa + pb, a.family), keep))
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -403,9 +447,13 @@ def empty_region(family: str) -> Region:
 # ---------------------------------------------------------------------------
 
 
+def _nu(lo: float, hi: float) -> float:
+    return 0.5 * (math.erf(hi) - math.erf(lo))
+
+
 def nu_mass(iv: Interval) -> float:
     """Mass of ]lo, hi] under the line measure with density exp(-x*x)/sqrt(pi)."""
-    return 0.5 * (math.erf(iv.hi) - math.erf(iv.lo))
+    return _nu(iv.lo, iv.hi)
 
 
 def mu_grid(r: GridRegion) -> float:
@@ -413,13 +461,13 @@ def mu_grid(r: GridRegion) -> float:
     return sum(nu_mass(cx) * nu_mass(cy) for cx, cy in r.cells)
 
 
-def _ring_mass(ring: Interval) -> float:
-    return math.exp(-ring.lo * ring.lo) - math.exp(-ring.hi * ring.hi)
+def _ring(lo: float, hi: float) -> float:
+    return math.exp(-lo * lo) - math.exp(-hi * hi)
 
 
 def mu_radial(r: RadialRegion) -> float:
     """Plane Gaussian mass of a radial region."""
-    return sum(_ring_mass(ring) for ring in r.rings)
+    return sum(_ring(ring.lo, ring.hi) for ring in r.rings)
 
 
 def region_measure(r: Region) -> float:

@@ -7,11 +7,19 @@ coefficient each, together with the Gaussian mass of each atom.  Point
 values, level-set masses and the gauges below then reduce to sums over
 atoms.
 
-Atoms are the merged cells of the overlay kernel of measure.py, with each
-term's coefficient as the weight of its pieces.  A cell is dropped when
-Python's `abs` of its value is <= the threshold below (numpy's complex
-`abs` can differ in the last ulp); an atom's mass nu(column side) *
-nu(row side) is bitwise what `mu_grid` gives its region.
+A function is stored as columns of plain floats, not as regions: per term
+its coefficient, its number of pieces and their endpoints; per atom its
+coefficient, endpoints and mass.  Endpoints are laid out as the overlay
+kernel of measure.py takes them (one flat lo, hi, ... sequence per axis),
+so `linear_combine` feeds its inputs' atom columns straight into the
+kernel.  The (coefficient, region) tuples of `terms` and `atoms` are views,
+built only when read.
+
+Atoms are the merged cells of the overlay kernel, with each term's
+coefficient as the weight of its pieces.  A cell is dropped when Python's
+`abs` of its value is <= the threshold below (numpy's complex `abs` can
+differ in the last ulp); an atom's mass nu(column side) * nu(row side) is
+bitwise what `mu_grid` gives its region.
 
 Why drop "negligible" coefficients at all: divided-difference arithmetic
 cancels coefficients on shared atoms, and when the combination is formed in
@@ -32,24 +40,25 @@ Gauges on a function f with atoms (c_i, A_i):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 from .measure import (
     GRID,
     RADIAL,
     FamilyMismatchError,
     GridRegion,
-    Interval,
     RadialRegion,
     Region,
     _canonical_region,
     _cell_sums,
+    _ends,
+    _from_ends,
     _merged,
+    _nu,
     _pieces,
-    mu_radial,
-    nu_mass,
-    region_contains,
+    _ring,
     region_to_json,
 )
 
@@ -70,86 +79,184 @@ __all__ = [
 ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
 
 _Term = tuple[complex, Region]
+_Ends = tuple[list[float], ...]  # one flat endpoint sequence per axis
 
 
-def _atoms(
-    family: str, terms: Sequence[_Term], tol: float
-) -> tuple[tuple[_Term, ...], tuple[float, ...]]:
-    """Canonical atoms of `terms` and the Gaussian mass of each atom."""
-    pieces = [(c, piece) for c, reg in terms for piece in _pieces(reg)]
-    if not pieces:
-        return (), ()
-    axes, sums = _cell_sums(pieces)
-    merged = _merged(axes, sums.tolist(), tol)
-    atoms: list[_Term] = []
-    masses: list[float] = []
-    if family == RADIAL:
-        for lo, hi, v in merged:
-            reg = _canonical_region(RadialRegion, (Interval(lo, hi),))
-            atoms.append((v, reg))
-            masses.append(mu_radial(reg))
-        return tuple(atoms), tuple(masses)
-    sides: dict[tuple[float, float], tuple[Interval, float]] = {}  # y-run -> (side, nu)
-    for xlo, xhi, profile in merged:
-        cx = Interval(xlo, xhi)
-        nx = nu_mass(cx)
-        for ylo, yhi, v in profile:
-            side = sides.get((ylo, yhi))
-            if side is None:
-                cy = Interval(ylo, yhi)
-                side = sides[ylo, yhi] = (cy, nu_mass(cy))
-            cy, ny = side
-            atoms.append((v, _canonical_region(GridRegion, ((cx, cy),))))
-            masses.append(nx * ny)  # == mu_grid of the atom, bitwise
-    return tuple(atoms), tuple(masses)
+def _view(
+    family: str, coeffs: Sequence[complex], sizes: Iterable[int], ends: _Ends
+) -> tuple[_Term, ...]:
+    """(coefficient, region) pairs; term i owns the next `sizes[i]` pieces of `ends`."""
+    cls = GridRegion if family == GRID else RadialRegion
+    pieces = _from_ends(ends)
+    view, i = [], 0
+    for c, n in zip(coeffs, sizes):
+        view.append((c, _canonical_region(cls, tuple(pieces[i : i + n]))))
+        i += n
+    return tuple(view)
 
 
-@dataclass(frozen=True)
 class SimpleFunction:
     """Canonicalised finite linear combination of region indicators.
 
     `terms` is kept exactly as given (the construction history); `atoms` is
     the canonical disjoint decomposition everything else is computed from,
     and `masses[i]` is the Gaussian measure of the region of `atoms[i]`.
-    Immutable; both caches are built here, never lazily.
+    Terms and atoms are stored as columns (coefficients and piece
+    endpoints), and the masses are computed here.  The `terms` and `atoms`
+    tuples of (coefficient, region) pairs are views built from the columns
+    on first access and cached.  Immutable; `==`, `hash` and `repr` are
+    those of the (family, terms, zero_tol, atoms) record.
     """
 
-    family: str
-    terms: tuple[_Term, ...] = ()
-    zero_tol: float = ZERO_TOL
-    atoms: tuple[_Term, ...] = field(init=False, default=())
-    masses: tuple[float, ...] = field(init=False, default=(), compare=False, repr=False)
+    __slots__ = (
+        "family",
+        "zero_tol",
+        "masses",
+        "_term_coeffs",
+        "_term_sizes",
+        "_term_ends",
+        "_atom_coeffs",
+        "_atom_ends",
+        "_terms",
+        "_atoms",
+    )
 
-    def __post_init__(self) -> None:
-        if self.family not in (GRID, RADIAL):
-            raise ValueError(f"unknown function family {self.family!r}")
-        terms = tuple((complex(c), reg) for c, reg in self.terms)
+    def __init__(
+        self, family: str, terms: Iterable[tuple[complex, Region]] = (), zero_tol: float = ZERO_TOL
+    ) -> None:
+        if family not in (GRID, RADIAL):
+            raise ValueError(f"unknown function family {family!r}")
+        terms = [(complex(c), reg) for c, reg in terms]
         for _, reg in terms:
-            if reg.family != self.family:
+            if reg.family != family:
                 raise FamilyMismatchError(
-                    f"term region family {reg.family!r} != function family {self.family!r}"
+                    f"term region family {reg.family!r} != function family {family!r}"
                 )
-        object.__setattr__(self, "terms", terms)
-        cmax = max((abs(c) for c, _ in terms), default=0.0)
-        tol = self.zero_tol * cmax
-        atoms, masses = _atoms(self.family, terms, tol)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
+        coeffs = [c for c, _ in terms]
+        pieces = [_pieces(reg) for _, reg in terms]
+        sizes = [len(ps) for ps in pieces]
+        ends = tuple(_ends([p for ps in pieces for p in ps], family))
+        weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
+        self._fill(family, zero_tol, coeffs, sizes, ends, weights)
+
+    def _fill(
+        self,
+        family: str,
+        zero_tol: float,
+        coeffs: list[complex],
+        sizes: list[int],
+        ends: _Ends,
+        weights: Sequence[complex],
+    ) -> None:
+        """Set every column from the term columns: overlay the pieces, keep the atoms.
+
+        The columns are private lists, never handed out.  Short tuples would
+        do as well, but CPython keeps up to 2000 dead tuples of each length
+        below 20 on free lists until a full garbage collection, and with so
+        few container allocations those collections are rare: tuple columns
+        raised the peak RSS of a `verify all` loop by about 2 MB.
+        """
+        tol = zero_tol * max(map(abs, coeffs), default=0.0)
+        merged: list = []
+        if weights:
+            axes, sums = _cell_sums(weights, ends)
+            merged = _merged(axes, sums.tolist(), tol)
+        atom_coeffs: list[complex] = []
+        masses: list[float] = []
+        if family == RADIAL:
+            re: list[float] = []
+            for lo, hi, v in merged:
+                atom_coeffs.append(v)
+                re += (lo, hi)
+                masses.append(_ring(lo, hi))
+            atom_ends: _Ends = (re,)
+        else:
+            xe: list[float] = []
+            ye: list[float] = []
+            for xlo, xhi, profile in merged:
+                nx = _nu(xlo, xhi)
+                for ylo, yhi, v in profile:
+                    atom_coeffs.append(v)
+                    xe += (xlo, xhi)
+                    ye += (ylo, yhi)
+                    masses.append(nx * _nu(ylo, yhi))  # == mu_grid of the atom, bitwise
+            atom_ends = (xe, ye)
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "zero_tol", zero_tol)
+        init(self, "masses", tuple(masses))
+        init(self, "_term_coeffs", coeffs)
+        init(self, "_term_sizes", sizes)
+        init(self, "_term_ends", ends)
+        init(self, "_atom_coeffs", atom_coeffs)
+        init(self, "_atom_ends", atom_ends)
+        init(self, "_terms", None)  # the views, built on first access
+        init(self, "_atoms", None)
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
         return cls(family)
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the function from its terms
+        return SimpleFunction, (self.family, self.terms, self.zero_tol)
+
+    @property
+    def terms(self) -> tuple[_Term, ...]:
+        if self._terms is None:
+            view = _view(self.family, self._term_coeffs, self._term_sizes, self._term_ends)
+            object.__setattr__(self, "_terms", view)
+        return self._terms
+
+    @property
+    def atoms(self) -> tuple[_Term, ...]:
+        if self._atoms is None:
+            view = _view(self.family, self._atom_coeffs, repeat(1), self._atom_ends)
+            object.__setattr__(self, "_atoms", view)
+        return self._atoms
+
+    def _record(self) -> tuple:
+        return (self.family, self.terms, self.zero_tol, self.atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._record() == other._record()
+
+    def __hash__(self) -> int:
+        return hash(self._record())
+
+    def __repr__(self) -> str:
+        return (
+            f"SimpleFunction(family={self.family!r}, terms={self.terms!r}, "
+            f"zero_tol={self.zero_tol!r}, atoms={self.atoms!r})"
+        )
+
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self._atom_coeffs
 
     def max_coeff(self) -> float:
-        return max((abs(c) for c, _ in self.atoms), default=0.0)
+        return max(map(abs, self._atom_coeffs), default=0.0)
 
     def value_at(self, w: complex) -> complex:
-        for c, reg in self.atoms:
-            if reg.contains_point(w):
+        if self.family == RADIAL:
+            r = abs(w)
+            (re,) = self._atom_ends
+            for c, lo, hi in zip(self._atom_coeffs, re[::2], re[1::2]):
+                if lo < r <= hi:
+                    return c
+            return 0j
+        x, y = w.real, w.imag
+        xe, ye = self._atom_ends
+        for c, xlo, xhi, ylo, yhi in zip(self._atom_coeffs, xe[::2], xe[1::2], ye[::2], ye[1::2]):
+            if xlo < x <= xhi and ylo < y <= yhi:
                 return c
         return 0j
 
@@ -171,7 +278,11 @@ def linear_combine(
     fns: Sequence[SimpleFunction],
     zero_tol: float = ZERO_TOL,
 ) -> SimpleFunction:
-    """Pointwise sum(coeffs[i] * fns[i]), refined over all breakpoints."""
+    """Pointwise sum(coeffs[i] * fns[i]), refined over all breakpoints.
+
+    The terms of the result are the inputs' atoms, scaled; they are read
+    from the inputs' columns, and no region is built.
+    """
     if len(coeffs) != len(fns):
         raise ValueError("coefficient and function counts differ")
     if not fns:
@@ -180,10 +291,11 @@ def linear_combine(
     for f in fns[1:]:
         if f.family != family:
             raise FamilyMismatchError("cannot combine functions of different families")
-    terms = tuple(
-        (complex(k) * c, reg) for k, f in zip(coeffs, fns) for c, reg in f.atoms
-    )
-    return SimpleFunction(family, terms, zero_tol)
+    weights = [k * c for k, f in zip(map(complex, coeffs), fns) for c in f._atom_coeffs]
+    ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*(f._atom_ends for f in fns)))
+    out = object.__new__(SimpleFunction)
+    out._fill(family, zero_tol, weights, [1] * len(weights), ends, weights)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +307,7 @@ def gauge_in_measure(f: SimpleFunction, eps: float) -> float:
     """mu({w : |f(w)| >= eps}), the level-set mass at height eps."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    return sum(m for (c, _), m in zip(f.atoms, f.masses) if abs(c) >= eps)
+    return sum(m for c, m in zip(f._atom_coeffs, f.masses) if abs(c) >= eps)
 
 
 def wk_member(f: SimpleFunction, k: int) -> bool:
@@ -207,14 +319,14 @@ def wk_member(f: SimpleFunction, k: int) -> bool:
 
 def l0_gauge(f: SimpleFunction) -> float:
     """integral of min(1, |f|) dmu; zero exactly for the zero function."""
-    return sum(min(1.0, abs(c)) * m for (c, _), m in zip(f.atoms, f.masses))
+    return sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
 
 
 def lp_gauge(f: SimpleFunction, p: float) -> float:
     """integral of |f|**p dmu for an exponent 1/2 < p < 1."""
     if not 0.5 < p < 1.0:
         raise ValueError(f"exponent p={p} outside ]1/2, 1[")
-    return sum(abs(c) ** p * m for (c, _), m in zip(f.atoms, f.masses))
+    return sum(abs(c) ** p * m for c, m in zip(f._atom_coeffs, f.masses))
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +348,24 @@ class SupportBound:
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
     """True iff every atom lies inside the bound region (exact inclusion).
 
-    The atoms' pieces form one support region, checked by one inclusion.
-    Atoms below the zero tolerance were already dropped at construction, so
-    this is the thresholded support of the function.  The zero function has
-    empty support and is contained in every bound.
+    One sweep: the atoms (disjoint) weigh 1 and the bound's pieces
+    (disjoint) 2, so a cell sums to exactly 1 iff an atom covers it and
+    the bound does not.  Atoms below the zero tolerance were already
+    dropped at construction, so this is the thresholded support of the
+    function.  The zero function has empty support and is contained in
+    every bound.
     """
     if f.family != bound.family:
         raise FamilyMismatchError(
             f"function family {f.family!r} != bound family {bound.family!r}"
         )
-    support = type(bound.region)(tuple(p for _, reg in f.atoms for p in _pieces(reg)))
-    return region_contains(bound.region, support)
+    if f.is_zero:
+        return True
+    pieces = _pieces(bound.region)
+    weights = [1] * len(f._atom_coeffs) + [2] * len(pieces)
+    ends = [atoms + b for atoms, b in zip(f._atom_ends, _ends(pieces, f.family))]
+    _, sums = _cell_sums(weights, ends)
+    return not (sums == 1).any()
 
 
 def simple_function_to_json(f: SimpleFunction) -> dict:

@@ -433,6 +433,17 @@ def test_union_spells_a_shared_zero_one_way():
     assert region_measure(got) == region_measure(slab)
 
 
+def test_sweep_shares_one_y_side_per_run():
+    # two columns with the same y-run get one y-side Interval, as simple
+    # function atoms do; regions keep no per-instance __dict__
+    got = region_union(rect(0, 1, 0, 1), rect(2, 3, 0, 1))
+    (_, cy0), (_, cy1) = got.cells
+    assert cy0 is cy1
+    assert got == GridRegion(((Interval(0, 1), Interval(0, 1)), (Interval(2, 3), Interval(0, 1))))
+    for obj in (cy0, got, annulus(0, 1)):
+        assert not hasattr(obj, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # quantitative sweeps
 # ---------------------------------------------------------------------------

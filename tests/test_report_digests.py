@@ -5,9 +5,12 @@ hashed with SHA-256, exactly as `perfbench.workloads.report_digest` does.
 Seed 22 is one where an identity-failure sample rounds onto the unit
 circle.  A change that is meant to change reports regenerates the data file
 with `PYTHONPATH=src python tests/test_report_digests.py` and names the
-entries that moved.
+entries that moved.  `--seeds 0-159 --out PATH` writes the digests of a
+seed range to another file instead, so two source trees can be compared
+byte for byte (point PYTHONPATH at each tree's `src/`).
 """
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -37,6 +40,19 @@ def test_verify_all_reports_match_recorded_digests(seed):
     assert _digests(seed) == want
 
 
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
 if __name__ == "__main__":
-    digests = {key: d for seed in SEEDS for key, d in _digests(seed).items()}
-    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    parser = argparse.ArgumentParser(description="Write verify_all report digests as JSON.")
+    parser.add_argument(
+        "--seeds", type=_seed_range, default=SEEDS, help="inclusive range A-B (default: 0, 22, 42)"
+    )
+    parser.add_argument(
+        "--out", type=pathlib.Path, default=DIGESTS, help="default: the pinned data file"
+    )
+    args = parser.parse_args()
+    digests = {key: d for seed in args.seeds for key, d in _digests(seed).items()}
+    args.out.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")

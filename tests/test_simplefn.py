@@ -1,7 +1,11 @@
 """Simple-function arithmetic, gauges, and support tests."""
 
+import collections
+import copy
 import functools
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from gaussdiff import (
     SimpleFunction,
     SupportBound,
     annulus,
+    coefficient_distance,
     empty_region,
     gauge_in_measure,
     horizontal_strip,
@@ -434,3 +439,119 @@ def test_threshold_follows_python_abs():
     kept = (4.0 + 0j, rect(0, 1, 0, 1))
     f = SimpleFunction("grid", (kept, (v, rect(2, 3, 0, 1))), zero_tol=abs(v) / 4.0)
     assert f.atoms == (kept,)
+
+
+# ---------------------------------------------------------------------------
+# float columns and their (coefficient, region) views
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _combine_cases(draw):
+    """Coefficients and input functions of one family for `linear_combine`.
+
+    Inputs come from `_overlay_terms`; a drawn input may repeat with the
+    negated coefficient, so whole functions cancel exactly.
+    """
+    family, regions = draw(st.sampled_from((("grid", _GRID_REGION), ("radial", _RADIAL_REGION))))
+    fns, ks = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        f = SimpleFunction(family, draw(_overlay_terms(regions)))
+        k = draw(_TERM_COEFF)
+        fns.append(f)
+        ks.append(k)
+        if draw(st.booleans()):
+            fns.append(f)
+            ks.append(-k)
+    return family, ks, fns, draw(st.sampled_from((ZERO_TOL, 0.0)))
+
+
+def _bits(x):
+    # repr tells floats apart bit for bit (and -0.0 from 0.0); an empty sum is the int 0
+    return type(x), repr(x)
+
+
+def _points(family):
+    # endpoints of the pools and points between them, so boundaries are hit
+    ends = [-1.0, -0.0, 0.0, 0.5, 1.0, 0.25, 1.75, -1.5, 3.5]
+    if family == "radial":
+        return [complex(r, 0.0) for r in ends if r >= 0] + [0.3 + 0.4j, 0.6 + 0.8j]
+    return [complex(x, y) for x in ends for y in ends[::2]]
+
+
+@given(_combine_cases())
+@settings(max_examples=150)
+def test_linear_combine_columns_match_views(case):
+    family, ks, fns, zero_tol = case
+    g = linear_combine(ks, fns, zero_tol)
+    terms = tuple((complex(k) * c, reg) for k, f in zip(ks, fns) for c, reg in f.atoms)
+    assert g.terms == terms
+    assert repr(g.terms) == repr(terms)
+    assert g.atoms is g.atoms and g.terms is g.terms
+    reference = reference_grid_atoms if family == "grid" else reference_radial_atoms
+    tol = zero_tol * max((abs(c) for c, _ in terms), default=0.0)
+    assert repr(g.atoms) == repr(reference(terms, tol))
+    assert [m.hex() for m in g.masses] == [region_measure(reg).hex() for _, reg in g.atoms]
+    # each gauge is the per-atom Python sum over the view, bit for bit
+    mass = [region_measure(reg) for _, reg in g.atoms]
+    cs = [c for c, _ in g.atoms]
+    assert _bits(l0_gauge(g)) == _bits(sum(min(1.0, abs(c)) * m for c, m in zip(cs, mass)))
+    assert _bits(lp_gauge(g, 0.75)) == _bits(sum(abs(c) ** 0.75 * m for c, m in zip(cs, mass)))
+    for eps in {0.5, 1.0, *map(abs, cs)} - {0.0}:
+        level = sum(m for c, m in zip(cs, mass) if abs(c) >= eps)
+        assert _bits(gauge_in_measure(g, eps)) == _bits(level)
+    for k in (1, 2, 5):
+        assert wk_member(g, k) == (sum(m for c, m in zip(cs, mass) if abs(c) >= 1.0 / k) < 1.0 / k)
+    assert g.max_coeff() == max(map(abs, cs), default=0.0)
+    assert g.is_zero == (not g.atoms)
+    for w in _points(family):
+        scan = next((c for c, reg in g.atoms if reg.contains_point(w)), 0j)
+        assert g.value_at(w) == scan
+    # the same record built from regions: equal, same hash, same repr
+    again = SimpleFunction(family, g.terms, zero_tol)
+    assert again == g and hash(again) == hash(g)
+    assert repr(again) == repr(g)
+
+
+def test_linear_combine_and_gauges_build_no_region(monkeypatch):
+    grid = [indicator(rect(0, 1, 0, 1)), indicator(lower_left_quadrant(0.5, 0.5))]
+    grid.append(quadrant_map(1 + 1j))
+    radial = [indicator(annulus(0.2, 1.0)), indicator(annulus(0.5, 2.0))]
+    grid_bound = SupportBound(rect(-INF, 1.0, -INF, 1.0))
+    built = collections.Counter()
+    for cls in (Interval, GridRegion, RadialRegion):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for fns in (grid, radial):
+        g = linear_combine([1.0, -2.5j] + [0.5] * (len(fns) - 2), fns)
+        h = linear_combine([3.0], [g])
+        l0_gauge(h), lp_gauge(h, 0.75), gauge_in_measure(h, 0.5), wk_member(h, 2)
+        h.value_at(0.6 + 0.6j), h.max_coeff(), h.is_zero
+        coefficient_distance(g, h)
+    supported_in(linear_combine([1.0], [grid[0]]), grid_bound)
+    assert not built
+    assert h.atoms and built["Interval"] > 0  # the views do build regions
+
+
+def test_simple_function_is_immutable_and_copies():
+    f = linear_combine([1.0, 2j], [indicator(rect(0, 1, 0, 1)), indicator(rect(0.5, 2, 0, 1))])
+    with pytest.raises(FrozenInstanceError):
+        f.family = "radial"
+    with pytest.raises(FrozenInstanceError):
+        del f.masses
+    for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert again == f and repr(again) == repr(f) and again.masses == f.masses
+
+
+def test_supported_in_radial_rings():
+    f = linear_combine([1.0, 2.0], [indicator(annulus(0.5, 1.0)), indicator(annulus(1.5, 2.0))])
+    assert supported_in(f, SupportBound(annulus(0.5, 2.0)))
+    assert supported_in(f, SupportBound(RadialRegion((Interval(0.5, 1.0), Interval(1.5, 2.0)))))
+    assert not supported_in(f, SupportBound(annulus(0.5, 1.9)))  # the outer ring's edge
+    assert not supported_in(f, SupportBound(annulus(0.6, 2.0)))  # the inner ring's edge
+    assert not supported_in(f, SupportBound(empty_region("radial")))
+    assert supported_in(SimpleFunction.zero("radial"), SupportBound(empty_region("radial")))
