@@ -244,18 +244,37 @@ def _merged(axes: list[list[float]], values: list, tol: float) -> list[list]:
     return columns
 
 
+def _overlay(
+    weights: Sequence[complex],
+    ends: Sequence[Sequence[float]],
+    tol: float,
+    keep: Callable = lambda sums: sums,
+) -> list[list]:
+    """`_merged` runs or columns of the cells whose value `keep(sum)` has abs > tol.
+
+    With fewer than two pieces numpy is skipped: a single (non-empty)
+    piece is its own elementary cell, valued 0j + w as `_cell_sums` would
+    value it.  This is the endpoint form of `_canon`'s rule that a single
+    piece is canonical as given.
+    """
+    if not weights:
+        return []
+    if len(weights) == 1:
+        value = keep(0j + weights[0])
+        return _merged([list(e) for e in ends], [value] if len(ends) == 1 else [[value]], tol)
+    axes, sums = _cell_sums(weights, ends)
+    return _merged(axes, keep(sums).tolist(), tol)
+
+
 def _sweep(
     weights: Sequence[int],
     ends: Sequence[Sequence[float]],
     keep: Callable[[np.ndarray], np.ndarray],
 ) -> tuple:
     """Canonical pieces of the union of the cells whose weight sum `keep` accepts."""
-    if not weights:
-        return ()
-    axes, sums = _cell_sums(weights, ends)
     # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
-    merged = _merged(axes, keep(sums).tolist(), 0.0)
-    if len(axes) == 1:
+    merged = _overlay(weights, ends, 0.0, keep)
+    if len(ends) == 1:
         return tuple(Interval(lo, hi) for lo, hi, _ in merged)
     # one y-side per distinct run; an axis spells each endpoint one way
     sides: dict[tuple[float, float], Interval] = {}

@@ -55,8 +55,8 @@ from .measure import (
     _cell_sums,
     _ends,
     _from_ends,
-    _merged,
     _nu,
+    _overlay,
     _pieces,
     _ring,
     region_to_json,
@@ -157,10 +157,7 @@ class SimpleFunction:
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
         tol = zero_tol * max(map(abs, coeffs), default=0.0)
-        merged: list = []
-        if weights:
-            axes, sums = _cell_sums(weights, ends)
-            merged = _merged(axes, sums.tolist(), tol)
+        merged = _overlay(weights, ends, tol)
         atom_coeffs: list[complex] = []
         masses: list[float] = []
         if family == RADIAL:

@@ -20,7 +20,9 @@ from gaussdiff import (
     run_experiment,
     verify_all,
 )
+from gaussdiff import experiments
 from gaussdiff.cli import main
+from gaussdiff.divdiff import monotone_tail
 
 # keep unit runs quick; acceptance exercises the full sizes.  The Monte-Carlo
 # sample count stays at 10**6: the three-digit tolerance needs that margin.
@@ -54,6 +56,8 @@ def test_blowup_constants():
         {"k": 0},
         {"convergence_tol": 0.0},
         {"example": "example3", "p": 0.4},
+        {"mc_samples": 0},
+        {"grid_points": 0},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -205,6 +209,54 @@ def test_c1_not_c2_short_run_inconclusive():
     )
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.extras["slope_ok"]
+
+
+@pytest.mark.parametrize("rho", [0.95, 0.99])
+def test_smoothness_unsettled_trace_inconclusive(rho):
+    # every support check holds; the short trace just is not monotone yet
+    rep = run_experiment(
+        ExperimentConfig(experiment="smoothness", example="example2", k=2, steps=8, rho=rho)
+    )
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.extras["all_support_ok"]
+    assert not monotone_tail([r["gauge"] for r in rep.steps], decreasing=True)
+
+
+@pytest.mark.parametrize(
+    "rho,steps", [(0.7, 8), (0.8, 8), (0.9, 8), (0.99, 8), (0.999999, 8), (0.9, 20)]
+)
+def test_c1_not_c2_pre_asymptotic_inconclusive(rho, steps):
+    # phase A, the closed form and the dominance bound all hold; only the
+    # fitted slope or the monotone tail has not settled
+    rep = run_experiment(
+        ExperimentConfig(experiment="c1-not-c2", example="example3", steps=steps, rho=rho)
+    )
+    assert rep.verdict == "INCONCLUSIVE"
+    ex = rep.extras
+    assert ex["phase_a_ok"] and ex["phase_b_identity_ok"] and ex["phase_b_dominance_ok"]
+    trace = [r["gauge"] for r in rep.steps if r.get("phase") == "B"]
+    assert not (ex["slope_ok"] and monotone_tail(trace, decreasing=False))
+
+
+def test_failed_support_check_is_fail(monkeypatch):
+    monkeypatch.setattr(experiments, "supported_in", lambda f, bound: False)
+    rep = run_experiment(ExperimentConfig(experiment="smoothness", example="example1", k=1))
+    assert rep.verdict == "FAIL"
+    assert not rep.extras["all_support_ok"]
+
+
+@pytest.mark.parametrize("broken", ["identity", "dominance"])
+def test_failed_blowup_claim_is_fail(monkeypatch, broken):
+    if broken == "identity":
+        nu = experiments.nu_mass
+        monkeypatch.setattr(experiments, "nu_mass", lambda iv: 2.0 * nu(iv))
+    else:
+        monkeypatch.setattr(experiments, "BLOWUP_C", 1e9)
+    rep = run_experiment(ExperimentConfig(experiment="c1-not-c2", example="example3", seed=3))
+    assert rep.verdict == "FAIL"
+    assert rep.extras["phase_a_ok"]
+    assert rep.extras["phase_b_identity_ok"] == (broken != "identity")
+    assert rep.extras["phase_b_dominance_ok"] == (broken != "dominance")
 
 
 def test_real_restriction_quadrant():

@@ -40,6 +40,7 @@ from gaussdiff import (
     wk_member,
 )
 
+from gaussdiff.measure import _cell_sums, _ends, _merged, _overlay, _pieces
 from gaussdiff.simplefn import ZERO_TOL
 from oracles import (
     agrees_3sig,
@@ -535,6 +536,34 @@ def test_linear_combine_and_gauges_build_no_region(monkeypatch):
     supported_in(linear_combine([1.0], [grid[0]]), grid_bound)
     assert not built
     assert h.atoms and built["Interval"] > 0  # the views do build regions
+
+
+_SINGLE_PIECES = [
+    rect(0.0, 1.0, -0.5, 2.0),
+    lower_left_quadrant(-0.0, 0.25),
+    left_half_plane(0.3),
+    rect(-INF, INF, -INF, INF),
+    annulus(0.25, 1.0),
+    annulus(0.0, INF),
+]
+_SINGLE_COEFFS = [1.0 + 0j, complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0), -3e-12 + 0j]
+
+
+@pytest.mark.parametrize("region", _SINGLE_PIECES, ids=repr)
+def test_single_piece_function_matches_the_kernel(region):
+    # one piece skips numpy: its own atom, valued 0j + c, kept iff abs > tol
+    ends = _ends(_pieces(region), region.family)
+    reference = reference_grid_atoms if region.family == "grid" else reference_radial_atoms
+    assert repr(indicator(region).atoms) == repr(reference(((1.0 + 0j, region),), 1e-9))
+    for coeff in _SINGLE_COEFFS:
+        for zero_tol in (ZERO_TOL, 0.0, 0.999, 1.0, 2.0):
+            tol = zero_tol * abs(coeff)
+            axes, sums = _cell_sums([coeff], ends)
+            assert repr(_overlay([coeff], ends, tol)) == repr(_merged(axes, sums.tolist(), tol))
+            f = SimpleFunction(region.family, ((coeff, region),), zero_tol)
+            assert repr(f.atoms) == repr(reference(f.terms, tol))
+            assert [m.hex() for m in f.masses] == [region_measure(r).hex() for _, r in f.atoms]
+            assert f.is_zero == (zero_tol >= 1.0 or coeff == 0)
 
 
 def test_simple_function_is_immutable_and_copies():
