@@ -59,7 +59,7 @@ def _parse_center(text: str) -> complex:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
     except ValueError:
-        raise SystemExit(f"--center expects RE,IM, got {text!r}") from None
+        raise ConfigError(f"--center expects RE,IM, got {text!r}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -8,8 +8,11 @@ by the recursion
     dd_k(z1, z2, z3, ...) = (dd_{k-1}(z1, z3, ...) - dd_{k-1}(z2, z3, ...))
                             / (z1 - z2),
 
-which is symmetric in the nodes, and k! times its value on a collapsing
-tuple tends to the k-th derivative whenever that derivative exists.  The
+which is symmetric in the nodes.  On a tuple collapsing to z it tends to
+f^(k)(z) / k! whenever that derivative exists.  Gauge traces gauge the
+difference itself: a constant k! cannot change whether a trace tends to
+zero or diverges, so it enters only the estimate `derivative_by_limit`
+returns.  The
 recursion is undefined on coincident nodes; rather than extending it by
 continuity, `derivative_by_limit` drives the tuple toward a diagonal point
 along an explicit shrink schedule and classifies the gauge trace.
@@ -99,6 +102,13 @@ def _as_node_tuple(nodes: Nodes) -> NodeTuple:
     return nodes if isinstance(nodes, NodeTuple) else NodeTuple(tuple(nodes))
 
 
+def _distinct_nodes(nodes: Nodes) -> tuple[complex, ...]:
+    nt = _as_node_tuple(nodes)
+    if not nt.pairwise_distinct:
+        raise RepeatedNodeError(f"nodes {nt.nodes} are not pairwise distinct")
+    return nt.nodes
+
+
 @dataclass(frozen=True)
 class CurveMap:
     """A deterministic map from complex nodes to simple functions."""
@@ -181,10 +191,7 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
     Sub-tuples are memoised (the standard triangular-table reuse), so each
     distinct sub-difference is built once.
     """
-    nt = _as_node_tuple(nodes)
-    if len(nt.nodes) > 1 and not nt.pairwise_distinct:
-        raise RepeatedNodeError(f"nodes {nt.nodes} are not pairwise distinct")
-    zs = nt.nodes
+    zs = _distinct_nodes(nodes)
     return _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, {})
 
 
@@ -217,10 +224,7 @@ def divided_diff_lagrange(
     f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9
 ) -> SimpleFunction:
     """Same value as `divided_diff` via the one-pass barycentric identity."""
-    nt = _as_node_tuple(nodes)
-    if len(nt.nodes) > 1 and not nt.pairwise_distinct:
-        raise RepeatedNodeError(f"nodes {nt.nodes} are not pairwise distinct")
-    zs = nt.nodes
+    zs = _distinct_nodes(nodes)
     weights = []
     for i, zi in enumerate(zs):
         w = 1.0 + 0j
@@ -305,7 +309,7 @@ class ShrinkSchedule:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Outcome of driving k! * divided_diff along a shrink schedule."""
+    """Gauges of the plain divided differences, their verdict, k! times the last."""
 
     verdict: str
     gauge_trace: tuple[float, ...]
@@ -353,8 +357,8 @@ def derivative_by_limit(
     """Estimate the k-th derivative at z as a limit of k! * divided_diff.
 
     Evaluates over the schedule's shrinking tuples, records the gauge of
-    each scaled difference, and classifies the trace.  The estimate field
-    carries the last scaled difference; read it through the verdict.
+    each divided difference, and classifies the trace.  The estimate field
+    carries k! times the last difference; read it through the verdict.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -362,12 +366,10 @@ def derivative_by_limit(
         raise ValueError(
             f"schedule provides {len(schedule.offsets)} offsets, order {k} needs {k + 1}"
         )
-    kfact = float(math.factorial(k))
     trace: list[float] = []
-    last: SimpleFunction | None = None
     for n in range(1, schedule.steps + 1):
-        h = linear_combine([kfact], [divided_diff(f, schedule.tuple_at(complex(z), n))])
-        trace.append(gauge(h))
-        last = h
+        g = divided_diff(f, schedule.tuple_at(complex(z), n))
+        trace.append(gauge(g))
     verdict = classify_trace(trace, convergence_tol, divergence_ceiling)
-    return LimitReport(verdict=verdict, gauge_trace=tuple(trace), estimate=last)
+    estimate = linear_combine([float(math.factorial(k))], [g])
+    return LimitReport(verdict=verdict, gauge_trace=tuple(trace), estimate=estimate)

@@ -14,8 +14,9 @@ Verdicts:
 * INCONCLUSIVE          the schedule was too short to certify either way;
 * FAIL                  a quantitative claim was violated.
 
-The blow-up experiment tracks the second-order quotient
-(1/t) * (dd1(t, 2t) - dd1(0, 2t)) whose p-th-power gauge equals
+The blow-up experiment tracks the order-2 divided difference over the
+nodes (t, 0, 2t), which the recursion forms as
+(1/t) * (dd1(t, 2t) - dd1(0, 2t)); its p-th-power gauge equals
 (1/(2 t^2))**p * nu(]0, 2t]) exactly and is bounded below by
 2**(1-p) * t**(1-2p) / (e sqrt(pi)); the fitted log2 slope of the trace
 against log2 t must match the exponent 1 - 2p.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -34,10 +36,12 @@ import numpy as np
 
 from .curves import DEFAULT_P, ExampleId, coerce_example, curve_for
 from .divdiff import (
+    CONVERGED_TO_ZERO,
+    DIVERGENT,
     NodeTuple,
     ShrinkSchedule,
+    classify_trace,
     divided_diff,
-    monotone_tail,
     node_bounds,
     support_bound_of,
 )
@@ -56,7 +60,7 @@ from .measure import (
     region_symdiff,
 )
 from .montecarlo import mc_measures, plane_samples
-from .simplefn import l0_gauge, linear_combine, lp_gauge, supported_in
+from .simplefn import l0_gauge, lp_gauge, supported_in
 
 __all__ = [
     "PASS",
@@ -169,6 +173,8 @@ class ExperimentConfig:
             raise ConfigError("sampling box half-width must be positive")
         if self.convergence_tol <= 0 or self.divergence_ceiling <= 0 or self.zero_tol <= 0:
             raise ConfigError("tolerances must be positive")
+        if self.convergence_tol >= self.divergence_ceiling:
+            raise ConfigError("the convergence tolerance must lie below the divergence ceiling")
         if self.mc_samples < 1 or self.grid_points < 1:
             raise ConfigError("sample and grid point counts must be positive")
         if self.example is not None:
@@ -348,7 +354,8 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         trace.append(gauge)
         all_ok = all_ok and ok
 
-    converged = trace[-1] <= cfg.convergence_tol and monotone_tail(trace, decreasing=True)
+    trace_verdict = classify_trace(trace, cfg.convergence_tol, cfg.divergence_ceiling)
+    converged = trace_verdict == CONVERGED_TO_ZERO
     if not all_ok:
         verdict = FAIL
     elif converged:
@@ -365,6 +372,29 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         "converged": converged,
     }
     return _report(cfg, rows, verdict, extras, t0)
+
+
+def _derivative_trace(
+    cfg: ExperimentConfig, center: complex, k: int, n: int
+) -> tuple[dict, dict, bool]:
+    """Rerun smoothness of order k at `center`: (summary, row n, passed)."""
+    sub = _smoothness(
+        dataclasses.replace(cfg, experiment="smoothness", center=center, k=k),
+        real_axis=False,
+    )
+    passed = sub.verdict == PASS
+    gauge = sub.extras["final_gauge"]
+    summary = {"center": [center.real, center.imag], "verdict": sub.verdict, "final_gauge": gauge}
+    row = {
+        "n": n,
+        "kind": "derivative-trace",
+        "k": k,
+        "nodes": _nodes_json([center]),
+        "gauge": gauge,
+        "bound": cfg.convergence_tol,
+        "support_ok": passed,
+    }
+    return summary, row, passed
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +445,10 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
     derivatives_ok = True
     for z0 in centers:
         for k in range(1, _MAX_DERIVATIVE_ORDER + 1):
-            sub = _smoothness(
-                dataclasses.replace(cfg, experiment="smoothness", center=z0, k=k),
-                real_axis=False,
-            )
-            converged = sub.verdict == PASS
-            derivative_side.append(
-                {
-                    "center": [z0.real, z0.imag],
-                    "k": k,
-                    "verdict": sub.verdict,
-                    "final_gauge": sub.extras["final_gauge"],
-                }
-            )
             n += 1
-            rows.append(
-                {
-                    "n": n,
-                    "kind": "derivative-trace",
-                    "k": k,
-                    "nodes": _nodes_json([z0]),
-                    "gauge": sub.extras["final_gauge"],
-                    "bound": cfg.convergence_tol,
-                    "support_ok": converged,
-                }
-            )
+            summary, row, converged = _derivative_trace(cfg, z0, k, n)
+            derivative_side.append({**summary, "k": k})
+            rows.append(row)
             derivatives_ok = derivatives_ok and converged
 
     verdict = PASS if (witnesses_ok and derivatives_ok) else FAIL
@@ -538,30 +547,10 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     subs = []
     smooth_ok = True
     for center in (inside_center, outside_center):
-        sub = _smoothness(
-            dataclasses.replace(cfg, experiment="smoothness", center=center),
-            real_axis=False,
-        )
-        converged = sub.verdict == PASS
-        subs.append(
-            {
-                "center": [center.real, center.imag],
-                "verdict": sub.verdict,
-                "final_gauge": sub.extras["final_gauge"],
-            }
-        )
         n += 1
-        rows.append(
-            {
-                "n": n,
-                "kind": "derivative-trace",
-                "k": cfg.k,
-                "nodes": _nodes_json([center]),
-                "gauge": sub.extras["final_gauge"],
-                "bound": cfg.convergence_tol,
-                "support_ok": converged,
-            }
-        )
+        summary, row, converged = _derivative_trace(cfg, center, cfg.k, n)
+        subs.append(summary)
+        rows.append(row)
         smooth_ok = smooth_ok and converged
 
     verdict = PASS if (zero_outside and nonzero_inside and smooth_ok) else FAIL
@@ -584,13 +573,14 @@ def exp_c1_not_c2(cfg: ExperimentConfig) -> ExperimentReport:
 
     Phase A: first-order quotients over random pairs at shrinking distance
     d; the gauge must stay below d**(1-p), which tends to zero.  Phase B:
-    the second-order quotient built from dd1(t, 2t) and dd1(0, 2t) at
+    the order-2 divided difference over the nodes (t, 0, 2t) at
     t = rho**m; its gauge must match the closed form
     (1/(2 t**2))**p * nu(]0, 2t]) to 1e-10 relative, dominate the power-law
     lower bound at every step, cross the divergence ceiling, and show a
     fitted log2-slope of 1 - 2p over the last ten steps.  A failed phase-A,
     identity or dominance check is a FAIL; a trace below the ceiling, or
-    one whose slope or monotone tail has not settled, is INCONCLUSIVE.
+    one whose slope or monotone tail has not settled, is INCONCLUSIVE.  A
+    schedule whose t**2 leaves the normal floats is a ConfigError.
     """
     return _c1_not_c2(cfg, real_axis=False)
 
@@ -602,6 +592,11 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         raise ConfigError("c1-not-c2 runs on example3")
     p = cfg.p
     steps = cfg.resolved_steps()
+    if (cfg.rho**steps) ** 2 < sys.float_info.min:
+        raise ConfigError(
+            f"rho={cfg.rho} over {steps} steps makes t**2 subnormal, where the "
+            "closed form loses its precision; use fewer steps or a larger rho"
+        )
     curve = curve_for(cfg.example)
     rng = np.random.default_rng(cfg.seed)
     rows: list[dict] = []
@@ -637,16 +632,15 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         phase_a_ok = phase_a_ok and ok
 
     # Phase B
+    sched_b = ShrinkSchedule((1.0, 0.0, 2.0), cfg.rho, steps)
     identity_ok = True
     dominance_ok = True
     trace_b: list[float] = []
     ts: list[float] = []
     for m in range(1, steps + 1):
         t = cfg.rho**m
-        d1 = divided_diff(curve, (t, 2.0 * t), cfg.zero_tol)
-        d2 = divided_diff(curve, (0.0, 2.0 * t), cfg.zero_tol)
-        h = linear_combine([1.0 / t, -1.0 / t], [d1, d2], cfg.zero_tol)
-        gauge = lp_gauge(h, p)
+        nt = sched_b.tuple_at(0j, m)
+        gauge = lp_gauge(divided_diff(curve, nt, cfg.zero_tol), p)
         closed = (1.0 / (2.0 * t * t)) ** p * nu_mass(Interval(0.0, 2.0 * t))
         lower = 2.0 ** (1.0 - p) * t ** (1.0 - 2.0 * p) * BLOWUP_C
         id_ok = abs(gauge - closed) <= 1e-10 * closed
@@ -656,7 +650,7 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
                 "n": steps_a + m,
                 "phase": "B",
                 "t": t,
-                "nodes": _nodes_json([t, 0.0, 2.0 * t]),
+                "nodes": _nodes_json(nt),
                 "gauge": gauge,
                 "closed_form": closed,
                 "bound": lower,
@@ -674,8 +668,8 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     )
     expected = 1.0 - 2.0 * p
     slope_ok = abs(slope - expected) <= 0.05
-    increasing = monotone_tail(trace_b, decreasing=False)
-    ceiling_crossed = trace_b[-1] >= cfg.divergence_ceiling and increasing
+    trace_verdict = classify_trace(trace_b, cfg.convergence_tol, cfg.divergence_ceiling)
+    ceiling_crossed = trace_verdict == DIVERGENT
 
     if not (phase_a_ok and identity_ok and dominance_ok):
         verdict = FAIL

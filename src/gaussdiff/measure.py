@@ -139,10 +139,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo < x <= self.hi
 
-    def covers(self, other: "Interval") -> bool:
-        """Set inclusion other <= self."""
-        return other.is_empty or (self.lo <= other.lo and other.hi <= self.hi)
-
 
 FULL_LINE = Interval(NEG_INF, POS_INF)
 

@@ -1,5 +1,6 @@
 """Divided-difference engine tests: recursion, symmetry, supports, limits."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -20,9 +21,12 @@ from gaussdiff import (
     annulus,
     classify_trace,
     coefficient_distance,
+    curve_for,
     derivative_by_limit,
     divided_diff,
     divided_diff_lagrange,
+    gauge_for,
+    linear_combine,
     lp_gauge,
     node_bounds,
     scalar_curve,
@@ -298,6 +302,38 @@ def test_annulus_derivatives_converge_inside_and_outside():
             ANNULUS_CURVE, center, 2, ShrinkSchedule.roots_of_unity(2)
         )
         assert rep.verdict == "CONVERGED-TO-ZERO"
+
+
+@pytest.mark.parametrize("example", ["example1", "example2", "example3"])
+def test_limit_trace_gauges_the_plain_difference(example):
+    # the trace gauges divided_diff itself; k! enters only the estimate
+    curve, gauge, k = curve_for(example), gauge_for(example), 3
+    sched = ShrinkSchedule.roots_of_unity(k, steps=12)
+    z = 0.5 - 0.2j
+    rep = derivative_by_limit(curve, z, k, sched, gauge=gauge)
+    diffs = [divided_diff(curve, sched.tuple_at(z, n)) for n in range(1, sched.steps + 1)]
+    assert [gauge(g).hex() for g in diffs] == [float(x).hex() for x in rep.gauge_trace]
+    assert rep.estimate == linear_combine([math.factorial(k)], [diffs[-1]])
+
+
+_VERDICT_CENTERS = {
+    "example1": (0.3 + 0.7j, -1.1 - 0.4j),
+    "example2": (0.4 + 0.1j, -1.2 + 0.9j),  # inside and outside the unit disc
+    "example3": (0.5 - 0.2j, -1.3 + 1.1j),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_derivative_verdicts_up_to_order_10(k):
+    for example, centers in _VERDICT_CENTERS.items():
+        if example == "example3" and k < 3:
+            continue  # INCONCLUSIVE on 40 steps: the ceiling is not reached
+        expected = "DIVERGENT" if example == "example3" else "CONVERGED-TO-ZERO"
+        for z in centers:
+            rep = derivative_by_limit(
+                curve_for(example), z, k, ShrinkSchedule.roots_of_unity(k), gauge=gauge_for(example)
+            )
+            assert rep.verdict == expected, (example, z)
 
 
 def test_single_step_schedule_inconclusive():

@@ -8,15 +8,20 @@ import pytest
 
 from gaussdiff import (
     BLOWUP_C,
+    HALFPLANE_CURVE,
     BlowupConstants,
     ConfigError,
+    CurveMap,
     ExperimentConfig,
+    curve_for,
+    divided_diff,
     exp_c1_not_c2,
     exp_identity_theorem_failure,
     exp_measure_identities,
     exp_real_restriction,
     exp_smoothness,
     exp_taylor_failure,
+    lp_gauge,
     run_experiment,
     verify_all,
 )
@@ -58,6 +63,9 @@ def test_blowup_constants():
         {"example": "example3", "p": 0.4},
         {"mc_samples": 0},
         {"grid_points": 0},
+        # a flat trace between the two would be both converged and divergent
+        {"convergence_tol": 1e7, "divergence_ceiling": 1e6},
+        {"convergence_tol": 1.0, "divergence_ceiling": 1.0},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -238,6 +246,36 @@ def test_c1_not_c2_pre_asymptotic_inconclusive(rho, steps):
     assert not (ex["slope_ok"] and monotone_tail(trace, decreasing=False))
 
 
+@pytest.mark.parametrize("experiment", ["c1-not-c2", "real-restriction"])
+def test_phase_b_is_one_divided_difference(monkeypatch, experiment):
+    # one order-2 difference over (t, 0, 2t): three curve values per step
+    evaluated = []
+
+    def counting_curve(example):
+        curve = curve_for(example)
+        return CurveMap(curve.family, lambda z: evaluated.append(z) or curve(z))
+
+    monkeypatch.setattr(experiments, "curve_for", counting_curve)
+    rep = run_experiment(
+        ExperimentConfig(experiment=experiment, example="example3", steps=40, seed=3)
+    )
+    phase_b = [r for r in rep.steps if r.get("phase") == "B"]
+    assert len(evaluated) == 2 * rep.extras["phase_a_steps"] + 3 * len(phase_b)
+    for row in phase_b:
+        t = row["t"]
+        assert row["nodes"] == [[t, 0.0], [0.0, 0.0], [2.0 * t, 0.0]]
+        want = lp_gauge(divided_diff(HALFPLANE_CURVE, (t, 0.0, 2.0 * t)), 0.75)
+        assert row["gauge"].hex() == want.hex()
+
+
+def test_blowup_last_normal_t_squared_diverges():
+    # 0.5**1022 is the smallest normal float; one more step is a ConfigError
+    rep = run_experiment(
+        ExperimentConfig(experiment="c1-not-c2", example="example3", rho=0.5, steps=511)
+    )
+    assert rep.verdict == "DIVERGENT-AS-EXPECTED"
+
+
 def test_failed_support_check_is_fail(monkeypatch):
     monkeypatch.setattr(experiments, "supported_in", lambda f, bound: False)
     rep = run_experiment(ExperimentConfig(experiment="smoothness", example="example1", k=1))
@@ -394,6 +432,16 @@ def test_cli_requires_example(capsys):
         ["real-restriction", "--example", "example1", "--steps", "3"],
         # step 53 puts two nodes of the seed-42 center on one float
         ["smoothness", "--example", "example1", "--steps", "80"],
+        ["smoothness", "--example", "example1", "--tol", "1e7"],
+        # t**2 = rho**(2 * steps) is subnormal
+        ["c1-not-c2", "--example", "example3", "--steps", "512"],
+        ["c1-not-c2", "--example", "example3", "--steps", "540"],
+        ["real-restriction", "--example", "example3", "--steps", "520"],
+        ["c1-not-c2", "--example", "example3", "--rho", "0.3", "--steps", "295"],
+        ["c1-not-c2", "--example", "example3", "--rho", "0.9", "--steps", "3362"],
+        ["smoothness", "--example", "example1", "--center", "abc"],
+        ["smoothness", "--example", "example1", "--center", "1,2,3"],
+        ["smoothness", "--example", "example1", "--center", "1,x"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
