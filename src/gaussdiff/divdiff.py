@@ -12,34 +12,57 @@ which is symmetric in the nodes.  On a tuple collapsing to z it tends to
 f^(k)(z) / k! whenever that derivative exists.  Gauge traces gauge the
 difference itself: a constant k! cannot change whether a trace tends to
 zero or diverges, so it enters only the estimate `derivative_by_limit`
-returns.  The
-recursion is undefined on coincident nodes; rather than extending it by
-continuity, `derivative_by_limit` drives the tuple toward a diagonal point
-along an explicit shrink schedule and classifies the gauge trace.
+returns.  The recursion is undefined on coincident nodes; rather than
+extending it by continuity, `derivative_by_limit` drives the tuple toward
+a diagonal point along an explicit shrink schedule and classifies the
+gauge trace.
 
-Two independent evaluation orders are provided: the memoised recursion
-(shared sub-tuples are computed once, keeping cancellations local) and the
-single-pass barycentric form sum_i f(z_i) / prod_{j != i} (z_i - z_j), kept
-as a cross-check oracle.
+Two independent evaluation orders are provided.  `divided_diff` runs the
+recursion's triangle, each distinct sub-tuple once (keeping cancellations
+local), on one grid of cells: per axis the sorted union of the curve
+values' atom endpoints (radii for rings).  Level j, row a of the triangle
+is the difference over (a, m, ..., n-1) with m = n - j, held as a flat
+list of per-cell Python complex values.  A cell is summed as
+`linear_combine([w, -w], [left, right])` would sum it, w = 1/(z_a - z_m),
+and set to 0j under the same zero_tol threshold.  Canonical atoms do not
+depend on how fine the grid is, so only the result and its two children
+are merged into atoms, and the result is bitwise the function one
+`linear_combine` per sub-tuple would build, as long as the arithmetic
+stays finite (nodes a subnormal apart overflow w, and NaN cells never
+merge).  The cells use Python's complex arithmetic, not numpy's: numpy's
+complex multiply (fused multiply-add) and `abs` can differ in the last
+bit.  `divided_diff_lagrange`, the single-pass barycentric form
+sum_i f(z_i) / prod_{j != i} (z_i - z_j), runs through the overlay kernel
+and is kept as a cross-check oracle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence, Union
 
 from .measure import (
     GRID,
     RADIAL,
+    _merged,
     annulus,
     horizontal_strip,
     region_union,
     vertical_strip,
     full_plane,
 )
-from .simplefn import SimpleFunction, SupportBound, l0_gauge, linear_combine
+from .simplefn import (
+    SimpleFunction,
+    SupportBound,
+    _atom_columns,
+    _combination,
+    l0_gauge,
+    linear_combine,
+)
 
 __all__ = [
     "RepeatedNodeError",
@@ -188,36 +211,169 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
 def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFunction:
     """Order-k divided difference over pairwise distinct nodes, recursively.
 
-    Sub-tuples are memoised (the standard triangular-table reuse), so each
-    distinct sub-difference is built once.
+    Every sub-difference of the recursion's triangle is a list of cell
+    values on one grid; only the result and its two children are merged
+    into atoms (see the module docstring).
     """
     zs = _distinct_nodes(nodes)
-    return _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, {})
-
-
-def _memo_diff(
-    f: CurveMap,
-    zs: tuple[complex, ...],
-    idx: tuple[int, ...],
-    zero_tol: float,
-    memo: dict[tuple[int, ...], SimpleFunction],
-) -> SimpleFunction:
-    # A module-level function, not a closure that calls itself: such a
-    # closure is a reference cycle, and `memo` with every sub-difference
-    # would wait for the cyclic garbage collector to be freed.
-    got = memo.get(idx)
-    if got is not None:
-        return got
-    if len(idx) == 1:
-        out = f(zs[idx[0]])
+    values = [f(z) for z in zs]
+    n = len(zs)
+    if n == 1:
+        return values[0]
+    grid = _CellGrid(values)
+    level = list(map(grid.cells, values))
+    spell = grid.zero_spellings(values)
+    # level j, row a is the difference over (a, m, ..., n-1), m = n - j
+    for m in range(n - 1, 0, -1):
+        children, child_spell = level, spell
+        right = level[m]
+        level = [_cell_step(1.0 / (zs[a] - zs[m]), level[a], right, zero_tol) for a in range(m)]
+        if spell:
+            spell = grid.next_spellings(spell, level, m)
+    # the result's terms are its children's atoms scaled by w and -w, in
+    # the order `linear_combine([w, -w], [left, right])` lists them
+    family = grid.family
+    if n == 2:  # the children are the curve values
+        cols = [(v._atom_coeffs, v._atom_ends) for v in values]
     else:
-        rest = idx[2:]
-        left = _memo_diff(f, zs, (idx[0],) + rest, zero_tol, memo)
-        right = _memo_diff(f, zs, (idx[1],) + rest, zero_tol, memo)
-        w = 1.0 / (zs[idx[0]] - zs[idx[1]])
-        out = linear_combine([w, -w], [left, right], zero_tol)
-    memo[idx] = out
+        cols = [_atom_columns(family, grid.merged(children[a], child_spell, a)) for a in (0, 1)]
+    (lc, le), (rc, re) = cols
+    w = 1.0 / (zs[0] - zs[1])
+    weights = [w * c for c in lc] + [-w * c for c in rc]
+    ends = tuple(map(operator.add, le, re))
+    return _combination(family, zero_tol, weights, ends, grid.merged(level[0], spell, 0))
+
+
+def _cell_step(w: complex, left: list, right: list, zero_tol: float) -> list:
+    """Cell values of `linear_combine([w, -w], [left, right], zero_tol)`.
+
+    Bitwise what the overlay kernel sums: from 0j, the left term, then the
+    right one, each only where it has an atom, and 0j where the modulus is
+    at most zero_tol times the largest scaled atom coefficient.
+    """
+    nw = -w
+    tol = zero_tol * max(
+        [abs(w * c) for c in set(left) if c] + [abs(nw * c) for c in set(right) if c],
+        default=0.0,
+    )
+    out = []
+    for x, y in zip(left, right):
+        if x:
+            v = 0j + w * x
+            if y:
+                v += nw * y
+        elif y:
+            v = 0j + nw * y
+        else:
+            out.append(0j)
+            continue
+        out.append(0j if abs(v) <= tol else v)
     return out
+
+
+class _CellGrid:
+    """One grid of elementary cells under the atoms of several functions.
+
+    Its axes are the sorted distinct atom endpoints of all the functions
+    per axis (radii for the radial family).  A function on it is a flat
+    list of cell values, x-major, with 0j where no atom lies; an atom
+    covers a block of cells.  Canonical atoms do not depend on how fine
+    the grid is, so merging a function's cells gives back its atoms.
+
+    The atoms of a function built by the overlay kernel spell a zero
+    endpoint one way per axis, the way the first of its terms to reach
+    the kernel spelled it.  Where the functions on the grid spell it both
+    ways, the grid follows each difference's spelling through the
+    triangle (`zero_spellings`, `next_spellings`).
+    """
+
+    __slots__ = ("family", "axes", "index", "nx", "ny")
+
+    def __init__(self, values: Sequence[SimpleFunction]) -> None:
+        self.family = values[0].family
+        self.axes = [
+            sorted(set(chain.from_iterable(axis))) for axis in zip(*(v._atom_ends for v in values))
+        ]
+        self.index = [dict(zip(axis, range(len(axis)))) for axis in self.axes]
+        sides = [max(len(axis) - 1, 0) for axis in self.axes]
+        self.nx, self.ny = sides if self.family == GRID else (sides[0], 1)
+
+    def cells(self, f: SimpleFunction) -> list:
+        """The cell values of f: each atom's coefficient on its block."""
+        out = [0j] * (self.nx * self.ny)
+        if self.family == RADIAL:
+            (ir,), (re,) = self.index, f._atom_ends
+            for c, lo, hi in zip(f._atom_coeffs, re[::2], re[1::2]):
+                i0, i1 = ir[lo], ir[hi]
+                out[i0:i1] = [c] * (i1 - i0)
+            return out
+        (ix, iy), (xe, ye), ny = self.index, f._atom_ends, self.ny
+        for c, xlo, xhi, ylo, yhi in zip(f._atom_coeffs, xe[::2], xe[1::2], ye[::2], ye[1::2]):
+            j0, j1 = iy[ylo], iy[yhi]
+            run = [c] * (j1 - j0)
+            for s in range(ix[xlo] * ny, ix[xhi] * ny, ny):
+                out[s + j0 : s + j1] = run
+        return out
+
+    def merged(self, cells: list, spell: dict, row: int) -> list:
+        """The kernel's merged atoms of `cells`, which are row `row` of a level.
+
+        Endpoints at 0 are spelled as `spell` (see `next_spellings`) has it
+        for that row.
+        """
+        axes = self.axes
+        if spell:
+            axes = [
+                [spell[d][row] if e == 0 else e for e in axis]
+                if d in spell and spell[d][row] is not None
+                else axis
+                for d, axis in enumerate(axes)
+            ]
+        if self.family == RADIAL or not cells:
+            return _merged(axes, cells, 0.0)
+        ny = self.ny
+        return _merged(axes, [cells[s : s + ny] for s in range(0, len(cells), ny)], 0.0)
+
+    def zero_spellings(self, values: Sequence[SimpleFunction]) -> dict[int, list]:
+        """Per axis on which the values spell 0 both as 0.0 and -0.0, each
+        value's spelling (None if 0 is none of its atom endpoints there)."""
+        spell = {}
+        for d, index in enumerate(self.index):
+            if 0.0 in index:
+                row = [next((e for e in v._atom_ends[d] if e == 0), None) for v in values]
+                if len({math.copysign(1.0, e) for e in row if e is not None}) == 2:
+                    spell[d] = row
+        return spell
+
+    def next_spellings(self, spell: dict, level: list, m: int) -> dict[int, list]:
+        """The spellings of a level from those of the level below it.
+
+        Row a is the difference of rows a and m below, and the kernel
+        meets the atoms of row a first.  A row whose atoms have no
+        endpoint at 0 has no spelling.
+        """
+        return {
+            d: [
+                (sp[a] if sp[a] is not None else sp[m]) if self._zero_edge(level[a], d) else None
+                for a in range(m)
+            ]
+            for d, sp in spell.items()
+        }
+
+    def _zero_edge(self, cells: list, axis: int) -> bool:
+        """True iff the atoms merged from `cells` have an endpoint at 0 on `axis`.
+
+        That is iff the cells on the two sides of the grid line at 0
+        differ; cells outside the grid count as 0j.
+        """
+        i, nx, ny = self.index[axis][0.0], self.nx, self.ny
+        if axis == 0:
+            lo = cells[(i - 1) * ny : i * ny] if i > 0 else [0j] * ny
+            hi = cells[i * ny : (i + 1) * ny] if i < nx else [0j] * ny
+        else:
+            lo = cells[i - 1 :: ny] if i > 0 else [0j] * nx
+            hi = cells[i::ny] if i < ny else [0j] * nx
+        return lo != hi
 
 
 def divided_diff_lagrange(
@@ -345,6 +501,31 @@ def classify_trace(
     return INCONCLUSIVE
 
 
+def _float_grid_fault(schedule: ShrinkSchedule, tuples: Sequence[NodeTuple]) -> str | None:
+    """The first step whose nodes no longer resolve the offsets, said why, or None.
+
+    Once ratio**n * offset drops below half an ulp of the center, nodes
+    round onto one float: two nodes coincide, or offsets whose real
+    (imaginary) parts differ give nodes with one real (imaginary) part,
+    and a curve that reads only that part sees a zero difference.  Parts
+    that differ by a few ulps only are rounding residue, not spread: the
+    imaginary parts 0 and sin(pi) = 1.2e-16 of `roots_of_unity(1)`.
+    """
+    residue = 4 * math.ulp(max(map(abs, schedule.offsets)))
+    spread = []
+    for part in ("real", "imag"):
+        values = [getattr(u, part) for u in schedule.offsets]
+        if max(values) - min(values) > residue:
+            spread.append(part)
+    for n, nt in enumerate(tuples, start=1):
+        if not nt.pairwise_distinct:
+            return f"step {n} of {schedule.steps} puts two nodes on the same float"
+        for part in spread:
+            if len({getattr(z, part) for z in nt.nodes}) == 1:
+                return f"step {n} of {schedule.steps} puts every node's {part} part on the same float"
+    return None
+
+
 def derivative_by_limit(
     f: CurveMap,
     z: complex,
@@ -359,6 +540,8 @@ def derivative_by_limit(
     Evaluates over the schedule's shrinking tuples, records the gauge of
     each divided difference, and classifies the trace.  The estimate field
     carries k! times the last difference; read it through the verdict.
+    Raises ValueError, before tracing, naming the first step whose nodes
+    round onto the float grid of the center (see `_float_grid_fault`).
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -366,9 +549,15 @@ def derivative_by_limit(
         raise ValueError(
             f"schedule provides {len(schedule.offsets)} offsets, order {k} needs {k + 1}"
         )
+    tuples = [schedule.tuple_at(complex(z), n) for n in range(1, schedule.steps + 1)]
+    fault = _float_grid_fault(schedule, tuples)
+    if fault is not None:
+        raise ValueError(
+            f"{fault} at center {complex(z)}; use fewer steps, a larger ratio or a center nearer 0"
+        )
     trace: list[float] = []
-    for n in range(1, schedule.steps + 1):
-        g = divided_diff(f, schedule.tuple_at(complex(z), n))
+    for nt in tuples:
+        g = divided_diff(f, nt)
         trace.append(gauge(g))
     verdict = classify_trace(trace, convergence_tol, divergence_ceiling)
     estimate = linear_combine([float(math.factorial(k))], [g])

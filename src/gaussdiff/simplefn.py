@@ -95,6 +95,36 @@ def _view(
     return tuple(view)
 
 
+def _atom_columns(
+    family: str, merged: list[list], masses: list[float] | None = None
+) -> tuple[list[complex], _Ends]:
+    """Coefficients and endpoint columns of the atoms the overlay kernel merged.
+
+    With a `masses` list, each atom's Gaussian mass nu(column side) *
+    nu(row side), or its ring mass, is appended to it.
+    """
+    coeffs: list[complex] = []
+    if family == RADIAL:
+        re: list[float] = []
+        for lo, hi, v in merged:
+            coeffs.append(v)
+            re += (lo, hi)
+            if masses is not None:
+                masses.append(_ring(lo, hi))
+        return coeffs, (re,)
+    xe: list[float] = []
+    ye: list[float] = []
+    for xlo, xhi, profile in merged:
+        nx = _nu(xlo, xhi) if masses is not None else 0.0
+        for ylo, yhi, v in profile:
+            coeffs.append(v)
+            xe += (xlo, xhi)
+            ye += (ylo, yhi)
+            if masses is not None:
+                masses.append(nx * _nu(ylo, yhi))  # == mu_grid of the atom, bitwise
+    return coeffs, (xe, ye)
+
+
 class SimpleFunction:
     """Canonicalised finite linear combination of region indicators.
 
@@ -137,7 +167,8 @@ class SimpleFunction:
         sizes = [len(ps) for ps in pieces]
         ends = tuple(_ends([p for ps in pieces for p in ps], family))
         weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
-        self._fill(family, zero_tol, coeffs, sizes, ends, weights)
+        merged = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
+        self._fill(family, zero_tol, coeffs, sizes, ends, merged)
 
     def _fill(
         self,
@@ -146,9 +177,9 @@ class SimpleFunction:
         coeffs: list[complex],
         sizes: list[int],
         ends: _Ends,
-        weights: Sequence[complex],
+        merged: list[list],
     ) -> None:
-        """Set every column from the term columns: overlay the pieces, keep the atoms.
+        """Set every column from the term columns and the kernel's merged atoms.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -156,28 +187,8 @@ class SimpleFunction:
         few container allocations those collections are rare: tuple columns
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
-        tol = zero_tol * max(map(abs, coeffs), default=0.0)
-        merged = _overlay(weights, ends, tol)
-        atom_coeffs: list[complex] = []
         masses: list[float] = []
-        if family == RADIAL:
-            re: list[float] = []
-            for lo, hi, v in merged:
-                atom_coeffs.append(v)
-                re += (lo, hi)
-                masses.append(_ring(lo, hi))
-            atom_ends: _Ends = (re,)
-        else:
-            xe: list[float] = []
-            ye: list[float] = []
-            for xlo, xhi, profile in merged:
-                nx = _nu(xlo, xhi)
-                for ylo, yhi, v in profile:
-                    atom_coeffs.append(v)
-                    xe += (xlo, xhi)
-                    ye += (ylo, yhi)
-                    masses.append(nx * _nu(ylo, yhi))  # == mu_grid of the atom, bitwise
-            atom_ends = (xe, ye)
+        atom_coeffs, atom_ends = _atom_columns(family, merged, masses)
         init = object.__setattr__
         init(self, "family", family)
         init(self, "zero_tol", zero_tol)
@@ -290,8 +301,20 @@ def linear_combine(
             raise FamilyMismatchError("cannot combine functions of different families")
     weights = [k * c for k, f in zip(map(complex, coeffs), fns) for c in f._atom_coeffs]
     ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*(f._atom_ends for f in fns)))
+    tol = zero_tol * max(map(abs, weights), default=0.0)
+    return _combination(family, zero_tol, weights, ends, _overlay(weights, ends, tol))
+
+
+def _combination(
+    family: str, zero_tol: float, weights: list[complex], ends: _Ends, merged: list[list]
+) -> SimpleFunction:
+    """A linear combination whose overlay the caller has already run.
+
+    Its terms are the single pieces of `ends` weighted by `weights` (the
+    inputs' atoms, scaled), and its atoms are the kernel's `merged` cells.
+    """
     out = object.__new__(SimpleFunction)
-    out._fill(family, zero_tol, weights, [1] * len(weights), ends, weights)
+    out._fill(family, zero_tol, weights, [1] * len(weights), ends, merged)
     return out
 
 

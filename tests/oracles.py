@@ -8,6 +8,8 @@ slice-accumulation kernel must reproduce their atoms exactly.  The region
 sweeps at the end (per-slab 1-D unions and per-slab Boolean profiles, one
 sweep each for canonicalisation, grid and radial combination) must give
 the same point sets and cell order as the kernel's 1/2-weighted overlay.
+The memoised divided-difference recursion (one `linear_combine` per
+sub-tuple) is the reference for the cell-grid triangle of `divided_diff`.
 """
 
 from __future__ import annotations
@@ -288,3 +290,37 @@ def reference_supported_in(f, bound) -> bool:
         reference_combine(reg, bound.region, lambda ia, ib: ia and not ib).is_empty
         for _, reg in f.atoms
     )
+
+
+def reference_divided_diff(f, nodes, zero_tol: float = 1e-9):
+    """The memoised recursion, one `linear_combine` per sub-difference.
+
+    Sub-tuples are memoised (the standard triangular-table reuse), so each
+    distinct sub-difference is built once.  `divided_diff` must return the
+    same function, by `repr` and by the bits of every atom mass.
+    """
+    from gaussdiff.divdiff import _distinct_nodes
+
+    zs = _distinct_nodes(nodes)
+    return _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, {})
+
+
+def _memo_diff(f, zs, idx, zero_tol, memo):
+    # A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle, and `memo` with every sub-difference
+    # would wait for the cyclic garbage collector to be freed.
+    from gaussdiff import linear_combine
+
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    if len(idx) == 1:
+        out = f(zs[idx[0]])
+    else:
+        rest = idx[2:]
+        left = _memo_diff(f, zs, (idx[0],) + rest, zero_tol, memo)
+        right = _memo_diff(f, zs, (idx[1],) + rest, zero_tol, memo)
+        w = 1.0 / (zs[idx[0]] - zs[idx[1]])
+        out = linear_combine([w, -w], [left, right], zero_tol)
+    memo[idx] = out
+    return out

@@ -1,10 +1,13 @@
 """Divided-difference engine tests: recursion, symmetry, supports, limits."""
 
+import cmath
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdiff import (
     ANNULUS_CURVE,
@@ -26,16 +29,20 @@ from gaussdiff import (
     divided_diff,
     divided_diff_lagrange,
     gauge_for,
+    indicator,
     linear_combine,
     lp_gauge,
     node_bounds,
+    rect,
     scalar_curve,
     support_bound_of,
     supported_in,
     symmetry_check,
 )
 
-from oracles import eval_grid_64, random_nodes
+from gaussdiff import measure
+from gaussdiff.measure import GRID, RADIAL
+from oracles import eval_grid_64, random_nodes, reference_divided_diff
 
 INF = float("inf")
 
@@ -108,6 +115,120 @@ def test_repeated_nodes_rejected():
         divided_diff(QUADRANT_CURVE, (0, 1, 0))
     with pytest.raises(RepeatedNodeError):
         divided_diff_lagrange(QUADRANT_CURVE, (1j, 1j))
+
+
+# ---------------------------------------------------------------------------
+# the cell-grid triangle against the memoised recursion
+# ---------------------------------------------------------------------------
+
+
+def _multi_atom_map(z: complex):
+    """Three overlapping rectangles; a zero endpoint is spelled with z's signs."""
+    zx, zy = math.copysign(0.0, z.real), math.copysign(0.0, z.imag)
+    x, y = min(max(z.real, -2.0), 1.5), min(max(z.imag, -1.5), 2.0)
+    return linear_combine(
+        [1.0, 2j, 0.5 - 0.25j],
+        [
+            indicator(rect(-2.0, zx, -2.0, y)),
+            indicator(rect(x, 1.5, zy, 1.0)),
+            indicator(rect(-0.5, 0.5, -0.5, 0.5)),
+        ],
+    )
+
+
+def _multi_ring_map(z: complex):
+    """Two overlapping rings; a zero radius is spelled with the sign of Re z."""
+    r = min(abs(z), 2.0)
+    return linear_combine(
+        [1.0, 1j], [indicator(annulus(math.copysign(0.0, z.real), r)), indicator(annulus(r / 2, 2.0))]
+    )
+
+
+_CURVES = (
+    QUADRANT_CURVE,
+    ANNULUS_CURVE,
+    HALFPLANE_CURVE,
+    scalar_curve(lambda z: z**3 - 2 * z),
+    CurveMap(GRID, _multi_atom_map),
+    CurveMap(RADIAL, _multi_ring_map),
+)
+_ZERO_TOLS = st.sampled_from([0.0, 1e-9, 1e-3])
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+_SCHEDULES = st.sampled_from([ShrinkSchedule.roots_of_unity, ShrinkSchedule.real_offsets])
+
+
+def _finite(f) -> bool:
+    return all(map(cmath.isfinite, f._term_coeffs + f._atom_coeffs))
+
+
+def _assert_same_difference(curve, nodes, zero_tol):
+    got = divided_diff(curve, nodes, zero_tol)
+    want = reference_divided_diff(curve, nodes, zero_tol)
+    if not _finite(want):
+        # nodes a subnormal apart overflow 1/(z_a - z_b): NaN cells never
+        # merge, so atoms depend on the grid and only the overflow is shared
+        assert not _finite(got)
+        return
+    assert repr(got) == repr(want)
+    assert [m.hex() for m in got.masses] == [m.hex() for m in want.masses]
+
+
+@given(
+    st.sampled_from(_CURVES),
+    st.integers(1, 12),
+    _SCHEDULES,
+    st.floats(0.2, 0.9),
+    st.integers(0, 30),
+    _PARTS,
+    _PARTS,
+    _ZERO_TOLS,
+)
+@settings(max_examples=200, deadline=None)
+def test_triangle_matches_recursion_on_schedules(curve, k, make, ratio, n, re, im, zero_tol):
+    nodes = make(k, ratio).tuple_at(complex(re, im), n)
+    if nodes.pairwise_distinct:
+        _assert_same_difference(curve, nodes, zero_tol)
+
+
+@given(
+    st.sampled_from(_CURVES),
+    st.lists(st.tuples(_PARTS, _PARTS), min_size=2, max_size=8, unique=True),
+    _ZERO_TOLS,
+)
+@settings(max_examples=200, deadline=None)
+def test_triangle_matches_recursion_on_signed_zero_nodes(curve, parts, zero_tol):
+    # explicit nodes spell zero parts both ways, so the custom curves' zero
+    # endpoints do too, and each difference keeps the spelling it met first
+    nodes = NodeTuple(tuple(complex(re, im) for re, im in parts))
+    if nodes.pairwise_distinct:
+        _assert_same_difference(curve, nodes, zero_tol)
+
+
+@given(
+    st.integers(1, 12),
+    _SCHEDULES,
+    st.floats(0.3, 0.9),
+    st.integers(0, 6),
+    st.floats(0.7, 1.3),
+    st.floats(0.0, 2 * math.pi),
+    _ZERO_TOLS,
+)
+@settings(max_examples=100, deadline=None)
+def test_triangle_matches_recursion_across_the_unit_circle(k, make, ratio, n, radius, angle, zero_tol):
+    # example2 values vanish once |z| >= 1: some or all of them are zero
+    center = radius * complex(math.cos(angle), math.sin(angle))
+    nodes = make(k, ratio).tuple_at(center, n)
+    if nodes.pairwise_distinct:
+        _assert_same_difference(ANNULUS_CURVE, nodes, zero_tol)
+
+
+def test_triangle_runs_no_overlay_sweep(monkeypatch):
+    # one linear_combine per sub-difference swept the overlay 55 times at k=10
+    calls = []
+    sweep = measure._cell_sums
+    monkeypatch.setattr(measure, "_cell_sums", lambda *args: calls.append(args) or sweep(*args))
+    divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5))
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +455,23 @@ def test_derivative_verdicts_up_to_order_10(k):
                 curve_for(example), z, k, ShrinkSchedule.roots_of_unity(k), gauge=gauge_for(example)
             )
             assert rep.verdict == expected, (example, z)
+
+
+def test_limit_rejects_nodes_below_the_float_grid():
+    sched = ShrinkSchedule.roots_of_unity(3, steps=80)
+    gauge = gauge_for("example3")
+    # from step 56 every node's real part rounds to 0.3: a false zero trace
+    with pytest.raises(ValueError, match="step 56 of 80 puts every node's real part"):
+        derivative_by_limit(HALFPLANE_CURVE, 0.3, 3, sched, gauge=gauge)
+    with pytest.raises(ValueError, match="step 54 of 80 puts two nodes") as err:
+        derivative_by_limit(HALFPLANE_CURVE, 1.7 + 0.2j, 3, sched, gauge=gauge)
+    assert not isinstance(err.value, RepeatedNodeError)
+    # at the origin the offsets stay resolved
+    assert derivative_by_limit(HALFPLANE_CURVE, 0.0, 3, sched, gauge=gauge).verdict == "DIVERGENT"
+    # the imaginary parts 0 and sin(pi) of roots_of_unity(1) are one value
+    # up to rounding, so their nodes may share one imaginary part
+    rep = derivative_by_limit(QUADRANT_CURVE, 0.3 + 0.7j, 1, ShrinkSchedule.roots_of_unity(1))
+    assert rep.verdict == "CONVERGED-TO-ZERO"
 
 
 def test_single_step_schedule_inconclusive():
