@@ -1,7 +1,7 @@
 """The three built-in counterexample curves.
 
 Each factory sends a complex parameter to the indicator of a parameter-
-dependent region:
+dependent region, built from the region's endpoints (no Region object):
 
 * QUADRANT ("example1"): the lower-left quadrant at z, inside the space of
   all measurable functions with convergence in measure (l0 gauge).  The map
@@ -21,8 +21,8 @@ from functools import partial
 from typing import Callable, Union
 
 from .divdiff import CurveMap
-from .measure import GRID, RADIAL, annulus, left_half_plane, lower_left_quadrant
-from .simplefn import SimpleFunction, indicator, l0_gauge, lp_gauge
+from .measure import GRID, NEG_INF, POS_INF, RADIAL
+from .simplefn import SimpleFunction, _piece_function, l0_gauge, lp_gauge
 
 __all__ = [
     "ExampleId",
@@ -51,7 +51,7 @@ class ExampleId(enum.Enum):
 def quadrant_map(z: complex) -> SimpleFunction:
     """Indicator of the lower-left quadrant with corner z."""
     z = complex(z)
-    return indicator(lower_left_quadrant(z.real, z.imag))
+    return _piece_function(GRID, 1.0 + 0j, (NEG_INF, z.real), (NEG_INF, z.imag))
 
 
 def annulus_map(z: complex) -> SimpleFunction:
@@ -59,12 +59,12 @@ def annulus_map(z: complex) -> SimpleFunction:
     r = abs(complex(z))
     if r >= 1.0:
         return SimpleFunction.zero(RADIAL)
-    return indicator(annulus(r, 1.0))
+    return _piece_function(RADIAL, 1.0 + 0j, (r, 1.0))
 
 
 def halfplane_map(z: complex) -> SimpleFunction:
     """Indicator of the half-plane Re(w) <= Re(z); depends on Re(z) only."""
-    return indicator(left_half_plane(complex(z).real))
+    return _piece_function(GRID, 1.0 + 0j, (NEG_INF, complex(z).real), (NEG_INF, POS_INF))
 
 
 QUADRANT_CURVE = CurveMap(GRID, quadrant_map)

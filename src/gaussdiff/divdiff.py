@@ -27,11 +27,13 @@ list of per-cell Python complex values.  A cell is summed as
 and set to 0j under the same zero_tol threshold.  Canonical atoms do not
 depend on how fine the grid is, so only the result and its two children
 are merged into atoms, and the result is bitwise the function one
-`linear_combine` per sub-tuple would build, as long as the arithmetic
-stays finite (nodes a subnormal apart overflow w, and NaN cells never
-merge).  The cells use Python's complex arithmetic, not numpy's: numpy's
-complex multiply (fused multiply-add) and `abs` can differ in the last
-bit.  `divided_diff_lagrange`, the single-pass barycentric form
+`linear_combine` per sub-tuple would build.  Where that recursion would
+leave the float range (w not a finite non-zero float, as for nodes a
+subnormal distance apart, or a coefficient whose modulus overflows),
+FloatRangeError is raised instead, naming the triangle level.  The cells
+use Python's complex arithmetic, not numpy's: numpy's complex multiply
+(fused multiply-add) and `abs` can differ in the last bit.
+`divided_diff_lagrange`, the single-pass barycentric form
 sum_i f(z_i) / prod_{j != i} (z_i - z_j), runs through the overlay kernel
 and is kept as a cross-check oracle.
 """
@@ -41,31 +43,26 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence, Union
 
-from .measure import (
-    GRID,
-    RADIAL,
-    _merged,
-    annulus,
-    horizontal_strip,
-    region_union,
-    vertical_strip,
-    full_plane,
-)
+from .measure import GRID, NEG_INF, POS_INF, RADIAL, _merged
 from .simplefn import (
     SimpleFunction,
     SupportBound,
     _atom_columns,
-    _combination,
+    _from_columns,
+    _piece_function,
+    _union_bound,
     l0_gauge,
     linear_combine,
 )
 
 __all__ = [
     "RepeatedNodeError",
+    "FloatRangeError",
     "NodeTuple",
     "CurveMap",
     "scalar_curve",
@@ -90,6 +87,20 @@ __all__ = [
 
 class RepeatedNodeError(ValueError):
     """The combinatorial recursion is undefined on coincident nodes."""
+
+
+class FloatRangeError(ValueError):
+    """A divided difference needs a value outside the finite floats.
+
+    Raised for nodes whose reciprocal difference is not a finite non-zero
+    float, and for coefficients whose modulus is not a finite float; the
+    message names the triangle level, and the shrink step where there is
+    one.
+    """
+
+
+# The sum of two values of at most this modulus has finite parts.
+_LARGEST = sys.float_info.max / 2
 
 
 Nodes = Union["NodeTuple", Sequence[complex]]
@@ -148,10 +159,15 @@ class CurveMap:
         return out
 
 
+_PLANE_SIDES = {GRID: ((NEG_INF, POS_INF), (NEG_INF, POS_INF)), RADIAL: ((0.0, POS_INF),)}
+
+
 def scalar_curve(fn: Callable[[complex], complex], family: str = GRID) -> CurveMap:
     """Curve z -> fn(z) * indicator(whole plane); handy for polynomial checks."""
-    plane = full_plane(family)
-    return CurveMap(family, lambda z: SimpleFunction(family, ((complex(fn(z)), plane),)))
+    if family not in _PLANE_SIDES:
+        raise ValueError(f"unknown region family {family!r}")
+    sides = _PLANE_SIDES[family]
+    return CurveMap(family, lambda z: _piece_function(family, complex(fn(z)), *sides))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +207,15 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
     Grid family: union of the vertical strip spanned by the node real parts
     and the horizontal strip spanned by the imaginary parts.  Radial family:
     the annulus between the smallest and largest node modulus.  Under the
-    half-open convention a degenerate strip is empty.
+    half-open convention a degenerate strip is empty.  The bound holds the
+    endpoint columns of the region's canonical pieces; the region itself
+    is built only when its `region` is read.
     """
     b = node_bounds(nodes, family)
     if isinstance(b, GridBounds):
-        return SupportBound(
-            region_union(
-                vertical_strip(b.x_lo, b.x_hi), horizontal_strip(b.y_lo, b.y_hi)
-            )
-        )
-    return SupportBound(annulus(b.r_lo, b.r_hi))
+        line = (NEG_INF, POS_INF)
+        return _union_bound(family, [((b.x_lo, b.x_hi), line), (line, (b.y_lo, b.y_hi))])
+    return _union_bound(family, [((b.r_lo, b.r_hi),)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +228,9 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
 
     Every sub-difference of the recursion's triangle is a list of cell
     values on one grid; only the result and its two children are merged
-    into atoms (see the module docstring).
+    into atoms (see the module docstring).  Raises FloatRangeError, naming
+    the triangle level, when a reciprocal node difference or a coefficient
+    leaves the float range.
     """
     zs = _distinct_nodes(nodes)
     values = [f(z) for z in zs]
@@ -227,7 +244,12 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
     for m in range(n - 1, 0, -1):
         children, child_spell = level, spell
         right = level[m]
-        level = [_cell_step(1.0 / (zs[a] - zs[m]), level[a], right, zero_tol) for a in range(m)]
+        try:
+            level = [
+                _cell_step(_inverse_gap(zs[a], zs[m]), level[a], right, zero_tol) for a in range(m)
+            ]
+        except FloatRangeError as exc:
+            raise FloatRangeError(f"triangle level {n - m} of {n - 1}: {exc}") from None
         if spell:
             spell = grid.next_spellings(spell, level, m)
     # the result's terms are its children's atoms scaled by w and -w, in
@@ -241,7 +263,20 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
     w = 1.0 / (zs[0] - zs[1])
     weights = [w * c for c in lc] + [-w * c for c in rc]
     ends = tuple(map(operator.add, le, re))
-    return _combination(family, zero_tol, weights, ends, grid.merged(level[0], spell, 0))
+    merged = grid.merged(level[0], spell, 0)
+    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, merged)
+
+
+def _inverse_gap(a: complex, b: complex) -> complex:
+    """1/(a - b), which must be a finite non-zero float.
+
+    Nodes a subnormal distance apart overflow it; nodes an infinite
+    distance apart give 0 (or NaN).
+    """
+    w = 1.0 / (a - b)
+    if w and cmath.isfinite(w):
+        return w
+    raise FloatRangeError(f"nodes {a} and {b} give 1/(a - b) = {w}, not a finite non-zero float")
 
 
 def _cell_step(w: complex, left: list, right: list, zero_tol: float) -> list:
@@ -249,25 +284,37 @@ def _cell_step(w: complex, left: list, right: list, zero_tol: float) -> list:
 
     Bitwise what the overlay kernel sums: from 0j, the left term, then the
     right one, each only where it has an atom, and 0j where the modulus is
-    at most zero_tol times the largest scaled atom coefficient.
+    at most zero_tol times the largest scaled atom coefficient.  Raises
+    FloatRangeError where that sum would meet a modulus past the largest
+    float: a scaled coefficient's, or a cell's.  Cells can overflow only
+    when a scaled coefficient exceeds `_LARGEST`, so only then are they
+    checked for finiteness.
     """
     nw = -w
-    tol = zero_tol * max(
-        [abs(w * c) for c in set(left) if c] + [abs(nw * c) for c in set(right) if c],
-        default=0.0,
-    )
-    out = []
-    for x, y in zip(left, right):
-        if x:
-            v = 0j + w * x
-            if y:
-                v += nw * y
-        elif y:
-            v = 0j + nw * y
-        else:
-            out.append(0j)
-            continue
-        out.append(0j if abs(v) <= tol else v)
+    try:
+        cmax = max(
+            [abs(w * c) for c in set(left) if c] + [abs(nw * c) for c in set(right) if c],
+            default=0.0,
+        )
+        if cmax == math.inf:
+            raise OverflowError
+        tol = zero_tol * cmax
+        out = []
+        for x, y in zip(left, right):
+            if x:
+                v = 0j + w * x
+                if y:
+                    v += nw * y
+            elif y:
+                v = 0j + nw * y
+            else:
+                out.append(0j)
+                continue
+            out.append(0j if abs(v) <= tol else v)
+        if cmax > _LARGEST and not all(map(cmath.isfinite, out)):
+            raise OverflowError
+    except OverflowError:  # also what abs() raises for a finite value of too large a modulus
+        raise FloatRangeError("a coefficient's modulus is past the largest float") from None
     return out
 
 
@@ -379,7 +426,11 @@ class _CellGrid:
 def divided_diff_lagrange(
     f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9
 ) -> SimpleFunction:
-    """Same value as `divided_diff` via the one-pass barycentric identity."""
+    """Same value as `divided_diff` via the one-pass barycentric identity.
+
+    Raises FloatRangeError when a barycentric weight is not a finite
+    non-zero float.
+    """
     zs = _distinct_nodes(nodes)
     weights = []
     for i, zi in enumerate(zs):
@@ -387,6 +438,10 @@ def divided_diff_lagrange(
         for j, zj in enumerate(zs):
             if j != i:
                 w /= zi - zj
+        if not (w and cmath.isfinite(w)):
+            raise FloatRangeError(
+                f"the barycentric weight {w} of node {zi} is not a finite non-zero float"
+            )
         weights.append(w)
     return linear_combine(weights, [f(z) for z in zs], zero_tol)
 
@@ -541,7 +596,9 @@ def derivative_by_limit(
     each divided difference, and classifies the trace.  The estimate field
     carries k! times the last difference; read it through the verdict.
     Raises ValueError, before tracing, naming the first step whose nodes
-    round onto the float grid of the center (see `_float_grid_fault`).
+    round onto the float grid of the center (see `_float_grid_fault`), and
+    FloatRangeError naming the step where a difference or the estimate
+    leaves the float range.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -556,9 +613,21 @@ def derivative_by_limit(
             f"{fault} at center {complex(z)}; use fewer steps, a larger ratio or a center nearer 0"
         )
     trace: list[float] = []
-    for nt in tuples:
-        g = divided_diff(f, nt)
+    for n, nt in enumerate(tuples, start=1):
+        try:
+            g = divided_diff(f, nt)
+        except FloatRangeError as exc:
+            raise FloatRangeError(f"step {n} of {schedule.steps}: {exc}") from None
         trace.append(gauge(g))
     verdict = classify_trace(trace, convergence_tol, divergence_ceiling)
-    estimate = linear_combine([float(math.factorial(k))], [g])
+    scale = float(math.factorial(k))
+    try:
+        if g.max_coeff() * scale == math.inf:  # the threshold would drop every atom
+            raise OverflowError
+        estimate = linear_combine([scale], [g])
+    except OverflowError:
+        raise FloatRangeError(
+            f"step {schedule.steps} of {schedule.steps}: a coefficient of the estimate "
+            f"{k}! * difference has a modulus past the largest float"
+        ) from None
     return LimitReport(verdict=verdict, gauge_trace=tuple(trace), estimate=estimate)

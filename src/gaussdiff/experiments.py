@@ -38,6 +38,7 @@ from .curves import DEFAULT_P, ExampleId, coerce_example, curve_for
 from .divdiff import (
     CONVERGED_TO_ZERO,
     DIVERGENT,
+    FloatRangeError,
     NodeTuple,
     ShrinkSchedule,
     classify_trace,
@@ -330,10 +331,15 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     trace: list[float] = []
     all_ok = True
     for n, nt in enumerate(tuples, start=1):
-        g = divided_diff(curve, nt, cfg.zero_tol)
+        try:
+            g = divided_diff(curve, nt, cfg.zero_tol)
+        except FloatRangeError as exc:
+            raise ConfigError(
+                f"step {n} of {steps}: {exc}; use a smaller k, fewer steps or a larger rho"
+            ) from None
         gauge = l0_gauge(g)
         sb = support_bound_of(nt, curve.family)
-        bound = region_measure(sb.region)
+        bound = sb.mass
         ok = supported_in(g, sb)
         max_off = max(abs(z - center) for z in nt.nodes)
         if curve.family == GRID:

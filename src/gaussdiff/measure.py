@@ -115,6 +115,22 @@ class FamilyMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _side(lo: float, hi: float) -> list[float]:
+    """The endpoints of ]lo, hi] as floats [lo, hi]; NaN and lo > hi raise ValueError."""
+    lo = float(lo)
+    hi = float(hi)
+    if lo != lo or hi != hi:  # NaN
+        raise ValueError("interval endpoints must not be NaN")
+    if lo > hi:
+        raise ValueError(f"interval ]{lo}, {hi}] has lo > hi")
+    return [lo, hi]
+
+
+def _nonnegative(r_lo: float) -> None:
+    if r_lo < 0:
+        raise ValueError(f"annulus radius bound {r_lo} is negative")
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Half-open interval ]lo, hi] of extended reals; lo == hi is empty."""
@@ -123,12 +139,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if lo > hi:
-            raise ValueError(f"interval ]{lo}, {hi}] has lo > hi")
+        lo, hi = _side(self.lo, self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -174,6 +185,24 @@ def _from_ends(ends: Sequence[Sequence[float]]) -> list[Piece]:
         (Interval(xlo, xhi), Interval(ylo, yhi))
         for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
     ]
+
+
+def _piece_ends(
+    family: str, sides: Sequence[tuple[float, float]]
+) -> tuple[list[float], ...] | None:
+    """`_ends` of one rectangle (x-side, y-side) or ring given by its sides; None if empty.
+
+    Each side (lo, hi) is checked as Interval checks it, and a ring as
+    RadialRegion checks it, with the same exceptions.  As in a region, a
+    piece with an empty side is empty.
+    """
+    ends = tuple([_side(lo, hi) for lo, hi in sides])
+    if family == RADIAL:
+        _nonnegative(ends[0][0])
+    for lo, hi in ends:
+        if lo == hi:
+            return None
+    return ends
 
 
 def _cell_sums(
@@ -332,8 +361,7 @@ class RadialRegion:
 
     def __post_init__(self) -> None:
         for ring in self.rings:
-            if ring.lo < 0:
-                raise ValueError(f"annulus radius bound {ring.lo} is negative")
+            _nonnegative(ring.lo)
         live = [ring for ring in self.rings if not ring.is_empty]
         object.__setattr__(self, "rings", _canon(live, RADIAL))
 
@@ -483,6 +511,21 @@ def _ring(lo: float, hi: float) -> float:
 def mu_radial(r: RadialRegion) -> float:
     """Plane Gaussian mass of a radial region."""
     return sum(_ring(ring.lo, ring.hi) for ring in r.rings)
+
+
+def _ends_measure(ends: Sequence[Sequence[float]]) -> float:
+    """Gaussian mass of disjoint pieces laid out by `_ends`.
+
+    Bitwise `region_measure` of the region of those pieces, in that order.
+    """
+    if len(ends) == 1:
+        (re,) = ends
+        return sum(_ring(lo, hi) for lo, hi in zip(re[::2], re[1::2]))
+    xe, ye = ends
+    return sum(
+        _nu(xlo, xhi) * _nu(ylo, yhi)
+        for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
+    )
 
 
 def region_measure(r: Region) -> float:

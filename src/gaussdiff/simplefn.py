@@ -15,6 +15,17 @@ so `linear_combine` feeds its inputs' atom columns straight into the
 kernel.  The (coefficient, region) tuples of `terms` and `atoms` are views,
 built only when read.
 
+Every constructor ends in one column constructor (`_from_columns`, or
+`SimpleFunction._fill` for `__init__`).  `SimpleFunction(...)` and
+`indicator` take regions and read their pieces' endpoints;
+`linear_combine` and `divided_diff` take their inputs' atom columns; and
+`_piece_function`, behind the three curve maps and `scalar_curve`, takes
+the endpoints of one rectangle or ring, checked as the region
+constructors check them.  None of them builds a Region.  Support bounds
+are held the same way: `supported_in` sweeps a bound's endpoint columns,
+and a bound from `support_bound_of` builds its region only when `region`
+is read.
+
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
 `abs` of its value is <= the threshold below (numpy's complex `abs` can
@@ -40,7 +51,7 @@ Gauges on a function f with atoms (c_i, A_i):
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -54,9 +65,12 @@ from .measure import (
     _canonical_region,
     _cell_sums,
     _ends,
+    _ends_measure,
     _from_ends,
+    _nonzero,
     _nu,
     _overlay,
+    _piece_ends,
     _pieces,
     _ring,
     region_to_json,
@@ -162,13 +176,9 @@ class SimpleFunction:
                 raise FamilyMismatchError(
                     f"term region family {reg.family!r} != function family {family!r}"
                 )
-        coeffs = [c for c, _ in terms]
         pieces = [_pieces(reg) for _, reg in terms]
-        sizes = [len(ps) for ps in pieces]
         ends = tuple(_ends([p for ps in pieces for p in ps], family))
-        weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
-        merged = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
-        self._fill(family, zero_tol, coeffs, sizes, ends, merged)
+        self._fill(family, zero_tol, [c for c, _ in terms], [len(ps) for ps in pieces], ends)
 
     def _fill(
         self,
@@ -177,9 +187,14 @@ class SimpleFunction:
         coeffs: list[complex],
         sizes: list[int],
         ends: _Ends,
-        merged: list[list],
+        merged: list[list] | None = None,
     ) -> None:
-        """Set every column from the term columns and the kernel's merged atoms.
+        """Set every column from the term columns; every constructor ends here.
+
+        Term i is coeffs[i] times the indicator of the next sizes[i] pieces
+        of `ends`.  `merged` are the overlay kernel's merged cells of the
+        terms if the caller has them; otherwise the overlay runs here, with
+        the threshold zero_tol times the largest term coefficient modulus.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -187,6 +202,9 @@ class SimpleFunction:
         few container allocations those collections are rare: tuple columns
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
+        if merged is None:
+            weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
+            merged = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
         masses: list[float] = []
         atom_coeffs, atom_ends = _atom_columns(family, merged, masses)
         init = object.__setattr__
@@ -277,8 +295,37 @@ class SimpleFunction:
         return v
 
 
+def _from_columns(
+    family: str,
+    coeffs: list[complex],
+    sizes: list[int],
+    ends: _Ends,
+    zero_tol: float = ZERO_TOL,
+    merged: list[list] | None = None,
+) -> SimpleFunction:
+    """The function of these term columns (see `SimpleFunction._fill`); no region is built."""
+    out = object.__new__(SimpleFunction)
+    out._fill(family, zero_tol, coeffs, sizes, ends, merged)
+    return out
+
+
+def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> SimpleFunction:
+    """c times the indicator of one rectangle (x-side, y-side) or ring given by its sides.
+
+    The function `SimpleFunction(family, ((c, <region of the piece>),))`
+    would be, built without a region: the sides are checked as Interval
+    and RadialRegion check them, and a piece with an empty side is the
+    empty term.
+    """
+    ends = _piece_ends(family, sides)
+    if ends is None:
+        return _from_columns(family, [c], [0], tuple([] for _ in sides))
+    return _from_columns(family, [c], [1], ends, ZERO_TOL, _overlay([c], ends, ZERO_TOL * abs(c)))
+
+
 def indicator(r: Region) -> SimpleFunction:
-    return SimpleFunction(r.family, ((1.0 + 0j, r),))
+    pieces = _pieces(r)
+    return _from_columns(r.family, [1.0 + 0j], [len(pieces)], tuple(_ends(pieces, r.family)))
 
 
 def linear_combine(
@@ -301,21 +348,8 @@ def linear_combine(
             raise FamilyMismatchError("cannot combine functions of different families")
     weights = [k * c for k, f in zip(map(complex, coeffs), fns) for c in f._atom_coeffs]
     ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*(f._atom_ends for f in fns)))
-    tol = zero_tol * max(map(abs, weights), default=0.0)
-    return _combination(family, zero_tol, weights, ends, _overlay(weights, ends, tol))
-
-
-def _combination(
-    family: str, zero_tol: float, weights: list[complex], ends: _Ends, merged: list[list]
-) -> SimpleFunction:
-    """A linear combination whose overlay the caller has already run.
-
-    Its terms are the single pieces of `ends` weighted by `weights` (the
-    inputs' atoms, scaled), and its atoms are the kernel's `merged` cells.
-    """
-    out = object.__new__(SimpleFunction)
-    out._fill(family, zero_tol, weights, [1] * len(weights), ends, merged)
-    return out
+    merged = _overlay(weights, ends, zero_tol * max(map(abs, weights), default=0.0))
+    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +388,76 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SupportBound:
-    """A region that a function's support is claimed to lie inside."""
+    """A region that a function's support is claimed to lie inside.
 
-    region: Region
+    Held as the endpoint columns of the region's canonical pieces.
+    `SupportBound(region)` takes them from a region; `_union_bound` (which
+    `support_bound_of` uses) computes them from the pieces' sides, and then
+    the region is built from them only when `region` is first read.
+    Immutable; `==`, `hash` and `repr` are those of a frozen dataclass
+    with the one field `region`.
+    """
+
+    __slots__ = ("family", "_ends", "_region")
+
+    def __init__(self, region: Region) -> None:
+        self._set(region.family, tuple(_ends(_pieces(region), region.family)), region)
+
+    def _set(self, family: str, ends: _Ends, region: Region | None) -> None:
+        init = object.__setattr__
+        init(self, "family", family)
+        init(self, "_ends", ends)
+        init(self, "_region", region)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SupportBound, (self.region,)
 
     @property
-    def family(self) -> str:
-        return self.region.family
+    def region(self) -> Region:
+        if self._region is None:
+            cls = GridRegion if self.family == GRID else RadialRegion
+            region = _canonical_region(cls, tuple(_from_ends(self._ends)))
+            object.__setattr__(self, "_region", region)
+        return self._region
+
+    @property
+    def mass(self) -> float:
+        """Gaussian mass of the region, bitwise `region_measure(self.region)`."""
+        return _ends_measure(self._ends)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.region == other.region
+
+    def __hash__(self) -> int:
+        return hash((self.region,))
+
+    def __repr__(self) -> str:
+        return f"SupportBound(region={self.region!r})"
+
+
+def _union_bound(family: str, pieces: Iterable[Sequence[tuple[float, float]]]) -> SupportBound:
+    """The bound on the union of pieces given by their sides, built without a region.
+
+    Each piece is a rectangle (x-side, y-side) or a ring (radius side),
+    checked as `_piece_function` checks it.  The union's canonical pieces
+    are the merged cells of one unit-weight overlay of the non-empty
+    pieces, exactly as the region constructors and Booleans find them.
+    """
+    live = [ends for sides in pieces if (ends := _piece_ends(family, sides)) is not None]
+    ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*live))
+    _, union = _atom_columns(family, _overlay([1] * len(live), ends, 0.0, _nonzero))
+    bound = object.__new__(SupportBound)
+    bound._set(family, union, None)
+    return bound
 
 
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
@@ -373,7 +468,7 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
     the bound does not.  Atoms below the zero tolerance were already
     dropped at construction, so this is the thresholded support of the
     function.  The zero function has empty support and is contained in
-    every bound.
+    every bound.  No region is built.
     """
     if f.family != bound.family:
         raise FamilyMismatchError(
@@ -381,9 +476,8 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
         )
     if f.is_zero:
         return True
-    pieces = _pieces(bound.region)
-    weights = [1] * len(f._atom_coeffs) + [2] * len(pieces)
-    ends = [atoms + b for atoms, b in zip(f._atom_ends, _ends(pieces, f.family))]
+    weights = [1] * len(f._atom_coeffs) + [2] * (len(bound._ends[0]) // 2)
+    ends = [atoms + b for atoms, b in zip(f._atom_ends, bound._ends)]
     _, sums = _cell_sums(weights, ends)
     return not (sums == 1).any()
 

@@ -9,11 +9,13 @@ sweeps at the end (per-slab 1-D unions and per-slab Boolean profiles, one
 sweep each for canonicalisation, grid and radial combination) must give
 the same point sets and cell order as the kernel's 1/2-weighted overlay.
 The memoised divided-difference recursion (one `linear_combine` per
-sub-tuple) is the reference for the cell-grid triangle of `divided_diff`.
+sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
+and for when it must leave the float range.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -303,6 +305,45 @@ def reference_divided_diff(f, nodes, zero_tol: float = 1e-9):
 
     zs = _distinct_nodes(nodes)
     return _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, {})
+
+
+def _fits(c: complex) -> bool:
+    """True iff c has a finite modulus (abs raises for some finite values)."""
+    try:
+        return math.isfinite(abs(c))
+    except OverflowError:
+        return False
+
+
+def reference_overflows(f, nodes, zero_tol: float = 1e-9) -> bool:
+    """True iff the memoised recursion leaves the float range.
+
+    That is, some 1/(z_a - z_b) is not a finite non-zero float, or some
+    scaled coefficient w * c of a sub-difference or some coefficient of
+    one has no finite modulus.  `divided_diff` must raise FloatRangeError
+    exactly then.
+    """
+    from gaussdiff.divdiff import _distinct_nodes
+
+    zs = _distinct_nodes(nodes)
+    memo: dict = {}
+    try:
+        _memo_diff(f, zs, tuple(range(len(zs))), zero_tol, memo)
+    except OverflowError:  # abs() of a scaled coefficient, inside linear_combine
+        return True
+    for idx, g in memo.items():
+        if not all(map(_fits, g._atom_coeffs)):
+            return True
+        if len(idx) == 1:
+            continue
+        w = 1.0 / (zs[idx[0]] - zs[idx[1]])
+        if not (w and cmath.isfinite(w)):
+            return True
+        left, right = memo[(idx[0],) + idx[2:]], memo[(idx[1],) + idx[2:]]
+        scaled = [w * c for c in left._atom_coeffs] + [-w * c for c in right._atom_coeffs]
+        if not all(map(_fits, scaled)):
+            return True
+    return False
 
 
 def _memo_diff(f, zs, idx, zero_tol, memo):

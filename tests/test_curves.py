@@ -1,25 +1,36 @@
 """Tests of the three example curves."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdiff import (
+    GRID,
+    RADIAL,
     ExampleId,
+    SimpleFunction,
+    annulus,
     annulus_map,
     coerce_example,
     curve_for,
     family_for,
     gauge_for,
+    full_plane,
     halfplane_map,
+    indicator,
     l0_gauge,
+    left_half_plane,
     linear_combine,
     lower_left_quadrant,
     lp_gauge,
     quadrant_map,
     region_measure,
     region_symdiff,
+    scalar_curve,
 )
 
 from oracles import agrees_3sig, mc_oracle, rect_quad
@@ -170,3 +181,60 @@ def test_halfplane_continuity_modulus():
 def test_curve_factories_are_deterministic():
     c = curve_for("example1")
     assert c(0.3 + 0.1j) == c(0.3 + 0.1j)
+
+
+# ---------------------------------------------------------------------------
+# curve values from endpoints, against the region constructors
+# ---------------------------------------------------------------------------
+
+
+def _quadrant_by_region(z):
+    return indicator(lower_left_quadrant(z.real, z.imag))
+
+
+def _annulus_by_region(z):
+    r = abs(z)
+    return SimpleFunction.zero(RADIAL) if r >= 1.0 else indicator(annulus(r, 1.0))
+
+
+def _halfplane_by_region(z):
+    return indicator(left_half_plane(z.real))
+
+
+def _scalar_by_region(family):
+    return lambda z: SimpleFunction(family, ((z, full_plane(family)),))
+
+
+_BY_REGION = [
+    (quadrant_map, _quadrant_by_region),
+    (annulus_map, _annulus_by_region),
+    (halfplane_map, _halfplane_by_region),
+    (scalar_curve(lambda z: z, GRID), _scalar_by_region(GRID)),
+    (scalar_curve(lambda z: z, RADIAL), _scalar_by_region(RADIAL)),
+]
+_NEAR_ONE = [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.sampled_from(_NEAR_ONE + [-x for x in _NEAR_ONE]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_POINTS = st.one_of(
+    st.builds(complex, _PARTS, _PARTS),
+    # moduli within an ulp of 1, where the annulus curve switches to zero
+    st.builds(cmath.rect, st.sampled_from(_NEAR_ONE), st.floats(0.0, 2 * math.pi)),
+)
+
+
+def _outcome(build, z):
+    try:
+        f = build(z)
+    except Exception as exc:  # compared by type
+        return type(exc)
+    return repr(f), [m.hex() for m in f.masses]
+
+
+@given(st.sampled_from(_BY_REGION), _POINTS)
+@settings(max_examples=400)
+def test_curve_values_match_the_region_constructors(maps, z):
+    by_endpoints, by_region = maps
+    assert _outcome(by_endpoints, z) == _outcome(by_region, z)

@@ -1,7 +1,10 @@
 """Divided-difference engine tests: recursion, symmetry, supports, limits."""
 
 import cmath
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -11,9 +14,11 @@ from hypothesis import strategies as st
 
 from gaussdiff import (
     ANNULUS_CURVE,
+    ExperimentConfig,
     HALFPLANE_CURVE,
     QUADRANT_CURVE,
     CurveMap,
+    FloatRangeError,
     GridBounds,
     GridRegion,
     Interval,
@@ -28,21 +33,34 @@ from gaussdiff import (
     derivative_by_limit,
     divided_diff,
     divided_diff_lagrange,
+    exp_smoothness,
     gauge_for,
+    horizontal_strip,
     indicator,
     linear_combine,
     lp_gauge,
     node_bounds,
+    quadrant_map,
     rect,
+    region_measure,
+    region_union,
     scalar_curve,
     support_bound_of,
     supported_in,
     symmetry_check,
+    vertical_strip,
 )
 
 from gaussdiff import measure
 from gaussdiff.measure import GRID, RADIAL
-from oracles import eval_grid_64, random_nodes, reference_divided_diff
+from gaussdiff.simplefn import SupportBound
+from oracles import (
+    eval_grid_64,
+    random_nodes,
+    reference_divided_diff,
+    reference_overflows,
+    reference_supported_in,
+)
 
 INF = float("inf")
 
@@ -157,18 +175,15 @@ _PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
 _SCHEDULES = st.sampled_from([ShrinkSchedule.roots_of_unity, ShrinkSchedule.real_offsets])
 
 
-def _finite(f) -> bool:
-    return all(map(cmath.isfinite, f._term_coeffs + f._atom_coeffs))
-
-
 def _assert_same_difference(curve, nodes, zero_tol):
+    if reference_overflows(curve, nodes, zero_tol):
+        # nodes a subnormal apart overflow 1/(z_a - z_b), and huge
+        # coefficients overflow their moduli: both are rejected
+        with pytest.raises(FloatRangeError):
+            divided_diff(curve, nodes, zero_tol)
+        return
     got = divided_diff(curve, nodes, zero_tol)
     want = reference_divided_diff(curve, nodes, zero_tol)
-    if not _finite(want):
-        # nodes a subnormal apart overflow 1/(z_a - z_b): NaN cells never
-        # merge, so atoms depend on the grid and only the overflow is shared
-        assert not _finite(got)
-        return
     assert repr(got) == repr(want)
     assert [m.hex() for m in got.masses] == [m.hex() for m in want.masses]
 
@@ -229,6 +244,93 @@ def test_triangle_runs_no_overlay_sweep(monkeypatch):
     monkeypatch.setattr(measure, "_cell_sums", lambda *args: calls.append(args) or sweep(*args))
     divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5))
     assert len(calls) <= 1
+
+
+def test_curve_values_and_support_checks_build_no_interval(monkeypatch):
+    built = []
+    post_init = Interval.__post_init__
+    monkeypatch.setattr(
+        Interval, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    nodes = ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5)
+    divided_diff(QUADRANT_CURVE, nodes)
+    assert len(built) == 0
+    exp_smoothness(ExperimentConfig(experiment="smoothness", example="example1", k=3, steps=40))
+    assert len(built) == 0
+    support_bound_of(nodes, GRID).region  # the region of a bound is built when read
+    assert len(built) > 0
+
+
+# ---------------------------------------------------------------------------
+# the float range
+# ---------------------------------------------------------------------------
+
+
+_SCALAR_SQUARE = scalar_curve(lambda z: z * z)
+
+
+@pytest.mark.parametrize("form", [divided_diff, divided_diff_lagrange])
+@pytest.mark.parametrize("curve", [QUADRANT_CURVE, _SCALAR_SQUARE], ids=["quadrant", "scalar"])
+@pytest.mark.parametrize(
+    "nodes",
+    [(0, 2.225e-309j), (5e-324, 0), (-1e308, 1e308)],
+    ids=["subnormal-imag", "subnormal-real", "infinite-gap"],
+)
+def test_nodes_without_a_finite_reciprocal_difference_are_rejected(form, curve, nodes):
+    # 1/(a - b) overflows for a subnormal distance and is 0 for an infinite
+    # one; both forms used to return nan/inf coefficients or drop every atom
+    with pytest.raises(FloatRangeError, match="finite non-zero float"):
+        form(curve, nodes)
+
+
+def test_estimate_past_the_float_range_is_an_error():
+    # 24! times the step-40 difference overflows; the estimate used to be
+    # the zero function, every atom dropped under an infinite threshold
+    sched = ShrinkSchedule.roots_of_unity(24)
+    with pytest.raises(FloatRangeError, match=r"^step 40 of 40: .*estimate 24! \* difference"):
+        derivative_by_limit(QUADRANT_CURVE, 0.3 + 0.7j, 24, sched)
+
+
+def test_trace_past_the_float_range_is_an_error():
+    # example3 at k = 28 used to trace NaN gauges into an INCONCLUSIVE verdict
+    sched = ShrinkSchedule.roots_of_unity(28)
+    with pytest.raises(FloatRangeError, match=r"^step 37 of 40: triangle level 28 of 28: "):
+        derivative_by_limit(HALFPLANE_CURVE, 0.3, 28, sched, gauge=gauge_for("example3"))
+
+
+@pytest.mark.parametrize(
+    "example, center, k, step",
+    [
+        ("example1", 0.3 + 0.7j, 28, 37),
+        ("example1", 0.3 + 0.7j, 32, 32),
+        ("example2", 0.4 + 0.5j, 32, 32),
+        ("example3", 0.3, 32, 32),
+    ],
+)
+def test_coefficient_modulus_past_the_float_range_is_an_error(example, center, k, step):
+    # these used to end in OverflowError from abs() inside the triangle
+    sched = ShrinkSchedule.roots_of_unity(k)
+    curve = curve_for(example)
+    divided_diff(curve, sched.tuple_at(center, step - 1))
+    with pytest.raises(FloatRangeError, match=f"^triangle level {k} of {k}: "):
+        divided_diff(curve, sched.tuple_at(center, step))
+
+
+@pytest.mark.parametrize(
+    "values, overflows",
+    [
+        ((1e308, -1e308), True),  # a part of the sum overflows
+        ((1.5e308, -1.5e308j), True),  # finite parts, but no finite modulus
+        ((1e308, 1e308), False),  # the sum cancels
+        ((1e308, -1e308j), False),  # modulus 1.41e308 fits
+    ],
+)
+def test_sums_near_the_largest_float(values, overflows):
+    # w = 1 and scaled coefficients past half the largest float: the cells
+    # are checked, and fail exactly where the recursion's would
+    curve = scalar_curve(lambda z: values[0] if z == 1 else values[1])
+    assert reference_overflows(curve, (1, 0)) == overflows
+    _assert_same_difference(curve, (1, 0), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +447,73 @@ def test_support_localisation_random(curve):
         nodes = random_nodes(rng, k + 1, box=1.4)
         dd = divided_diff(curve, nodes)
         assert supported_in(dd, support_bound_of(nodes, curve.family))
+
+
+def _region_bound(nodes, family):
+    """The bound's region as the strip union (or annulus) of region constructors."""
+    b = node_bounds(nodes, family)
+    if family == GRID:
+        return region_union(vertical_strip(b.x_lo, b.x_hi), horizontal_strip(b.y_lo, b.y_hi))
+    return annulus(b.r_lo, b.r_hi)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # compared by type
+        return type(exc)
+
+
+_NODE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, INF, -INF, float("nan")]),
+    st.floats(-2.0, 2.0),
+)
+_NODE_LISTS = st.lists(st.tuples(_NODE_PARTS, _NODE_PARTS), min_size=1, max_size=6)
+
+
+@given(
+    _NODE_LISTS,
+    st.sampled_from(["", "real", "imag"]),
+    st.sampled_from([GRID, RADIAL]),
+)
+@settings(max_examples=300, deadline=None)
+def test_support_bound_matches_the_region_path(parts, degenerate, family):
+    # a degenerate strip (all real or all imaginary parts equal) is empty
+    if degenerate == "real":
+        parts = [(parts[0][0], im) for _, im in parts]
+    elif degenerate == "imag":
+        parts = [(re, parts[0][1]) for re, _ in parts]
+    nodes = NodeTuple(tuple(complex(re, im) for re, im in parts))
+    sb = _outcome(support_bound_of, nodes, family)
+    want = _outcome(_region_bound, nodes, family)
+    if isinstance(want, type):
+        assert sb is want
+        return
+    assert sb.region == want and repr(sb.region) == repr(want)
+    assert sb == SupportBound(want) and hash(sb) == hash(SupportBound(want))
+    assert repr(sb) == repr(SupportBound(want))
+    mass = region_measure(want)
+    assert type(sb.mass) is type(mass) and repr(sb.mass) == repr(mass)
+    zs = [z for z in nodes.nodes if cmath.isfinite(z)]
+    fns = [ANNULUS_CURVE(z) for z in zs] if family == RADIAL else [quadrant_map(z) for z in zs]
+    if nodes.pairwise_distinct and all(map(cmath.isfinite, nodes.nodes)):
+        curve = ANNULUS_CURVE if family == RADIAL else QUADRANT_CURVE
+        fns.append(_outcome(divided_diff, curve, nodes))
+    for f in fns:
+        if isinstance(f, type):
+            continue
+        assert supported_in(f, sb) == supported_in(f, SupportBound(want))
+        assert supported_in(f, sb) == reference_supported_in(f, SupportBound(want))
+
+
+def test_support_bound_is_immutable_and_copies():
+    sb = support_bound_of((0.25, 1 + 0.5j, -0.0), GRID)
+    with pytest.raises(FrozenInstanceError):
+        sb.family = RADIAL
+    with pytest.raises(FrozenInstanceError):
+        del sb.region
+    for again in (copy.copy(sb), copy.deepcopy(sb), pickle.loads(pickle.dumps(sb))):
+        assert again == sb and repr(again) == repr(sb) and again.mass == sb.mass
 
 
 # ---------------------------------------------------------------------------

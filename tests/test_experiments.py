@@ -451,6 +451,15 @@ def test_cli_config_error_exits_2(argv, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_cli_derivative_order_past_the_float_range_exits_2(capsys):
+    # used to end in OverflowError from abs() inside the divided difference
+    argv = ["smoothness", "--example", "example1", "--k", "28", "--center", "0.3,0.7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: step 37 of 40: triangle level 28 of 28: ")
+
+
 def test_cli_csv_format(tmp_path):
     out = tmp_path / "rep.csv"
     code = main(

@@ -41,7 +41,7 @@ from gaussdiff import (
 )
 
 from gaussdiff.measure import _cell_sums, _ends, _merged, _overlay, _pieces
-from gaussdiff.simplefn import ZERO_TOL
+from gaussdiff.simplefn import ZERO_TOL, _piece_function
 from oracles import (
     agrees_3sig,
     eval_grid_64,
@@ -564,6 +564,35 @@ def test_single_piece_function_matches_the_kernel(region):
             assert repr(f.atoms) == repr(reference(f.terms, tol))
             assert [m.hex() for m in f.masses] == [region_measure(r).hex() for _, r in f.atoms]
             assert f.is_zero == (zero_tol >= 1.0 or coeff == 0)
+
+
+_ENDPOINTS = st.sampled_from([-INF, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, INF, float("nan")])
+
+
+@given(
+    st.sampled_from(["grid", "radial"]),
+    st.sampled_from(_SINGLE_COEFFS),
+    st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), min_size=2, max_size=2),
+)
+@settings(max_examples=300)
+def test_piece_function_matches_the_region_constructors(family, coeff, sides):
+    # the checks of Interval and RadialRegion, with the same exception types
+    def by_region():
+        if family == "grid":
+            region = rect(*sides[0], *sides[1])
+        else:
+            region = annulus(*sides[0])
+        return SimpleFunction(family, ((coeff, region),))
+
+    def outcome(build):
+        try:
+            f = build()
+        except Exception as exc:  # compared by type
+            return type(exc)
+        return repr(f), [m.hex() for m in f.masses]
+
+    n = 2 if family == "grid" else 1
+    assert outcome(lambda: _piece_function(family, coeff, *sides[:n])) == outcome(by_region)
 
 
 def test_simple_function_is_immutable_and_copies():
