@@ -21,10 +21,26 @@ axis; `_ends` lays region pieces out that way, and simple functions
 store their terms and atoms that way.  The kernel sorts the distinct x
 and y endpoints of a list of weighted pieces once (radii for rings: the
 same kernel in one dimension); each piece covers a contiguous block of
-elementary cells and adds its weight to that block as one slice of a
-complex grid, in piece order.  A predicate on the cell sums keeps some
-cells; runs of kept, equal neighbours merge along y, then equal whole
-columns along x.  The result is the canonical cell list, and it is used
+elementary cells.  A predicate on the cell sums keeps some cells; runs
+of kept, equal neighbours merge along y, then equal whole columns along
+x.  The result is the canonical cell list.
+
+The kernel has two forms, chosen by grid size alone.  A grid of fewer
+than `_ARRAY_CELLS` elementary cells adds each piece's weight to its
+block as one slice of a complex grid and merges the cells in Python,
+whose fixed cost is lower.  A larger grid is summed and merged on numpy
+arrays.  There, integer weights (every region operation and support
+check) are summed by a summed-area table (Crow 1984): each piece adds
+its weight at the corners of its block in a difference grid, and two
+running sums give every cell's cover count, exactly.  Complex weights
+(simple functions) keep the slice adds on every grid, in piece order
+from 0j: the rounding of a float sum depends on the order of its
+additions, and piece order is the order a per-cell loop adds in.  The
+array merge finds the kept cells (Python's abs decides those within a
+few ulp of the threshold), the ends of the y-runs by comparing each cell
+with its neighbour and the equal columns by comparing whole columns;
+Python then builds only the output runs, with the sorted axes' own
+endpoints.  Both forms give repr-equal merged cells.  They are used
 four ways:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
@@ -161,6 +177,13 @@ Piece = Union[tuple[Interval, Interval], Interval]
 # the overlay kernel
 # ---------------------------------------------------------------------------
 
+#: Elementary cells from which the kernel sums integer weights and merges
+#: runs on numpy arrays; smaller grids keep the Python loops.  Set where the
+#: two forms break even on the benchmark workloads' own overlays (2 vCPU
+#: Xeon): the array form took about 80% of the loops' time on their 64-127
+#: cell grids, the same on 32-63 cells and about a third more on 16-31.
+_ARRAY_CELLS = 64
+
 
 def _ends(pieces: Sequence[Piece], family: str) -> list[list[float]]:
     """The kernel's form of rectangles (cx, cy) or rings: endpoints per axis.
@@ -212,13 +235,20 @@ def _cell_sums(
 
     `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
     `_ends` lays them out.  A piece covers a contiguous block of elementary
-    cells, so its weight is added to that block as one slice; cells receive
-    their additions in piece order, starting from 0j, exactly as a per-cell
-    loop would.  Each axis keeps the spelling of a zero it meets first.
+    cells.  On a grid of at least `_ARRAY_CELLS` cells, Python int weights
+    are summed exactly by `_cover_counts` into an int64 grid; their callers
+    read the sums only through comparisons with small integers, where an
+    int64 sum and its complex twin agree.  Otherwise each weight is added
+    to its block as one slice of a complex grid; cells receive their
+    additions in piece order, starting from 0j, exactly as a per-cell loop
+    would.  Each axis keeps the spelling of a zero it meets first.
     """
-    # `block += c` on a view; `sums[...] += c` would also copy the block back
     axes = [sorted(set(e)) for e in ends]
-    sums = np.zeros([len(a) - 1 for a in axes], dtype=complex)
+    shape = [len(a) - 1 for a in axes]
+    if math.prod(shape) >= _ARRAY_CELLS and set(map(type, weights)) == {int}:
+        return axes, _cover_counts(weights, axes, ends)
+    # `block += c` on a view; `sums[...] += c` would also copy the block back
+    sums = np.zeros(shape, dtype=complex)
     if len(axes) == 1:
         (rs,), (re,) = axes, ends
         ir = dict(zip(rs, range(len(rs))))
@@ -233,6 +263,35 @@ def _cell_sums(
         block = sums[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]]
         block += c
     return axes, sums
+
+
+def _cover_counts(
+    weights: Sequence[int], axes: list[list[float]], ends: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """The int64 cell sums of integer weights, by a summed-area table.
+
+    Each piece adds its weight at its block's low corner and subtracts it
+    past each high side (inclusion-exclusion on the 2**d corners of a
+    difference grid one larger per axis); a running sum along every axis
+    then leaves each cell the sum of the weights of the pieces covering it.
+    Integer sums are exact, so the order of the additions does not matter;
+    the callers' weights are 1 and 2, far from the int64 range.
+    """
+    w = np.array(weights, dtype=np.int64)[:, None]
+    # the [lo, hi] indices of each piece on each axis, shape (pieces, 2)
+    at = [np.searchsorted(np.array(a), np.array(e)).reshape(-1, 2) for a, e in zip(axes, ends)]
+    diff = np.zeros([len(a) for a in axes], dtype=np.int64)
+    if len(axes) == 1:
+        np.add.at(diff, at[0], w * _SIGNS_1D)
+        return diff.cumsum()[:-1]
+    # flat corner indices [lo, lo], [lo, hi], [hi, lo], [hi, hi] (x, y) of each piece
+    corners = at[0][:, _CORNER_X] * diff.shape[1] + at[1][:, _CORNER_Y]
+    np.add.at(diff.reshape(-1), corners, w * _SIGNS_2D)
+    return diff.cumsum(0).cumsum(1)[:-1, :-1]
+
+
+_SIGNS_1D = np.array([1, -1])
+_CORNER_X, _CORNER_Y, _SIGNS_2D = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, -1, -1, 1]])
 
 
 def _runs(edges: Sequence[float], values: Sequence, tol: float) -> list[list]:
@@ -280,7 +339,9 @@ def _overlay(
     With fewer than two pieces numpy is skipped: a single (non-empty)
     piece is its own elementary cell, valued 0j + w as `_cell_sums` would
     value it.  This is the endpoint form of `_canon`'s rule that a single
-    piece is canonical as given.
+    piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
+    is merged on arrays by `_array_merged`, a smaller one by `_merged`;
+    both give the same runs.
     """
     if not weights:
         return []
@@ -288,7 +349,89 @@ def _overlay(
         value = keep(0j + weights[0])
         return _merged([list(e) for e in ends], [value] if len(ends) == 1 else [[value]], tol)
     axes, sums = _cell_sums(weights, ends)
-    return _merged(axes, keep(sums).tolist(), tol)
+    if sums.size < _ARRAY_CELLS:
+        return _merged(axes, keep(sums).tolist(), tol)
+    return _array_merged(axes, keep(sums), tol)
+
+
+def _kept(values: np.ndarray, tol: float) -> np.ndarray:
+    """The cells `_runs` keeps, abs(v) > tol or NaN, decided as Python's abs decides them.
+
+    numpy's complex modulus may differ from Python's by a few ulp, so
+    Python's abs re-decides the cells within 16 ulp of tol.  It also
+    re-decides the cells whose numpy modulus is infinite: there Python's
+    abs raises OverflowError for finite parts, as `_runs` would.
+    """
+    mag = np.abs(values)
+    kept = ~(mag <= tol)
+    if values.dtype.kind == "c":
+        recheck = (np.abs(mag - tol) <= 16 * np.spacing(tol)) | np.isinf(mag)
+        for at in zip(*np.nonzero(recheck)):
+            kept[at] = not abs(values[at].item()) <= tol
+    return kept
+
+
+def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> list[list]:
+    """`_merged(axes, values.tolist(), tol)`, with every cell visited by numpy.
+
+    Unkept cells read as 0, which no kept cell equals (its abs exceeds tol
+    >= 0, or it is NaN; with tol < 0 or NaN every cell is kept).  On those
+    masked values a kept cell continues the y-run below it iff it equals
+    that cell; == is transitive here (a NaN equals nothing), so this is
+    `_runs`' comparison with the run's first value.  A column continues
+    the one to its left iff the two are equal as a whole, which is
+    `_merged`'s comparison of their runs.  Python then builds only the
+    output runs; their endpoints are the axes' own floats and their values
+    the first cells' `.tolist()` values.
+    """
+    kept = _kept(values, tol)
+    masked = np.where(kept, values, np.zeros((), values.dtype))
+    if len(axes) == 1:
+        masked, kept = masked[None], kept[None]
+    else:
+        # the first column of each group of equal columns, then the end
+        edges = np.ones(len(kept) + 1, dtype=bool)
+        edges[1:-1] = (masked[1:] != masked[:-1]).any(axis=1)
+        edges = np.flatnonzero(edges)
+        nonempty = kept[edges[:-1]].any(axis=1)
+        heads, tails = edges[:-1][nonempty], edges[1:][nonempty]
+        masked, kept = masked[heads], kept[heads]
+    # change[:, j]: no run continues from cell j - 1 to cell j
+    change = np.ones((len(kept), kept.shape[1] + 1), dtype=bool)
+    change[:, 1:-1] = masked[:, 1:] != masked[:, :-1]
+    rows, lo = np.nonzero(kept & change[:, :-1])
+    _, hi = np.nonzero(kept & change[:, 1:])
+    ys = axes[-1]
+    runs = [
+        [ys[a], ys[b], v]
+        for a, b, v in zip(lo.tolist(), (hi + 1).tolist(), masked[rows, lo].tolist())
+    ]
+    if len(axes) == 1:
+        return runs
+    xs = axes[0]
+    counts = np.bincount(rows, minlength=len(heads)).tolist()
+    columns: list[list] = []
+    at = 0
+    for i, j, n in zip(heads.tolist(), tails.tolist(), counts):
+        columns.append([xs[i], xs[j], runs[at : at + n]])
+        at += n
+    return columns
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _unchecked_interval(lo: float, hi: float) -> Interval:
+    """Interval(lo, hi) without its checks, for endpoints read off the kernel's axes.
+
+    The axes hold only float endpoints of checked pieces, sorted, so lo
+    <= hi and neither is NaN; this skips only the work of `__post_init__`.
+    """
+    iv = _new_object(Interval)
+    _set_field(iv, "lo", lo)
+    _set_field(iv, "hi", hi)
+    return iv
 
 
 def _sweep(
@@ -300,16 +443,16 @@ def _sweep(
     # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
     merged = _overlay(weights, ends, 0.0, keep)
     if len(ends) == 1:
-        return tuple(Interval(lo, hi) for lo, hi, _ in merged)
+        return tuple(_unchecked_interval(lo, hi) for lo, hi, _ in merged)
     # one y-side per distinct run; an axis spells each endpoint one way
     sides: dict[tuple[float, float], Interval] = {}
     cells = []
     for xlo, xhi, profile in merged:
-        cx = Interval(xlo, xhi)
+        cx = _unchecked_interval(xlo, xhi)
         for ylo, yhi, _ in profile:
             cy = sides.get((ylo, yhi))
             if cy is None:
-                cy = sides[ylo, yhi] = Interval(ylo, yhi)
+                cy = sides[ylo, yhi] = _unchecked_interval(ylo, yhi)
             cells.append((cx, cy))
     return tuple(cells)
 

@@ -10,16 +10,20 @@ sweep each for canonicalisation, grid and radial combination) must give
 the same point sets and cell order as the kernel's 1/2-weighted overlay.
 The memoised divided-difference recursion (one `linear_combine` per
 sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
-and for when it must leave the float range.
+and for when it must leave the float range.  `kernel_paths` records which
+form of the overlay kernel ran, so a test can show that it reached the
+array form.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import pytest
 from scipy.integrate import dblquad, quad
 
 from gaussdiff import (
@@ -31,6 +35,7 @@ from gaussdiff import (
     mc_measure,
     plane_samples,
 )
+from gaussdiff import measure
 from gaussdiff.measure import NEG_INF, POS_INF, _canonical_region
 
 _Term = tuple[complex, Region]
@@ -365,3 +370,37 @@ def _memo_diff(f, zs, idx, zero_tol, memo):
         out = linear_combine([w, -w], [left, right], zero_tol)
     memo[idx] = out
     return out
+
+
+@contextmanager
+def kernel_paths():
+    """Record which form of the overlay kernel runs, while the context is open.
+
+    Yields {"grids": cell counts of the grids `_overlay` sums, "merges":
+    merges on the array form, "counts": integer sums on the array form}.
+    """
+    seen = {"grids": [], "merges": 0, "counts": 0}
+    cell_sums, array_merged, cover_counts = (
+        measure._cell_sums,
+        measure._array_merged,
+        measure._cover_counts,
+    )
+
+    def counted_sums(*args):
+        axes, sums = cell_sums(*args)
+        seen["grids"].append(sums.size)
+        return axes, sums
+
+    def counted_merge(*args):
+        seen["merges"] += 1
+        return array_merged(*args)
+
+    def counted_counts(*args):
+        seen["counts"] += 1
+        return cover_counts(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_cell_sums", counted_sums)
+        mp.setattr(measure, "_array_merged", counted_merge)
+        mp.setattr(measure, "_cover_counts", counted_counts)
+        yield seen

@@ -5,7 +5,7 @@ import copy
 import math
 import pickle
 from dataclasses import FrozenInstanceError
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -44,6 +44,7 @@ from gaussdiff import (
     rect,
     region_measure,
     region_union,
+    run_experiment,
     scalar_curve,
     support_bound_of,
     supported_in,
@@ -52,10 +53,12 @@ from gaussdiff import (
 )
 
 from gaussdiff import measure
+from gaussdiff.experiments import VERIFY_ALL_SUITE
 from gaussdiff.measure import GRID, RADIAL
 from gaussdiff.simplefn import SupportBound
 from oracles import (
     eval_grid_64,
+    kernel_paths,
     random_nodes,
     reference_divided_diff,
     reference_overflows,
@@ -244,6 +247,23 @@ def test_triangle_runs_no_overlay_sweep(monkeypatch):
     monkeypatch.setattr(measure, "_cell_sums", lambda *args: calls.append(args) or sweep(*args))
     divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5))
     assert len(calls) <= 1
+
+
+def test_small_overlays_stay_off_the_array_path():
+    # divided differences and smoothness traces overlay a few pieces at a
+    # time, below _ARRAY_CELLS cells; a union of many rectangles does not
+    nodes = ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5)
+    experiment, example, extra = VERIFY_ALL_SUITE[1]
+    assert (experiment, example) == ("smoothness", "example1")
+    with kernel_paths() as seen:
+        divided_diff(QUADRANT_CURVE, nodes)
+        run_experiment(ExperimentConfig(experiment=experiment, example=example, seed=42, **extra))
+    assert seen["merges"] == seen["counts"] == 0
+    rng = np.random.default_rng(12)
+    rects = [rect(*np.sort(rng.uniform(-2, 2, 2)), *np.sort(rng.uniform(-2, 2, 2))) for _ in range(128)]
+    with kernel_paths() as seen:
+        reduce(region_union, rects)
+    assert seen["merges"] >= 1 and seen["counts"] >= 1
 
 
 def test_curve_values_and_support_checks_build_no_interval(monkeypatch):

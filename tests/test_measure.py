@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -34,10 +34,12 @@ from gaussdiff import (
     region_union,
     vertical_strip,
 )
+from gaussdiff import measure
 
 from oracles import (
     agrees_3sig,
     annulus_quad,
+    kernel_paths,
     mc_oracle,
     nu_quad,
     rect_dblquad,
@@ -442,6 +444,68 @@ def test_sweep_shares_one_y_side_per_run():
     assert got == GridRegion(((Interval(0, 1), Interval(0, 1)), (Interval(2, 3), Interval(0, 1))))
     for obj in (cy0, got, annulus(0, 1)):
         assert not hasattr(obj, "__dict__")
+
+
+# Enough distinct endpoints that 12-40 pieces make grids of at least
+# `_ARRAY_CELLS` cells, drawn with repeats; both zeros and the infinite ends.
+_ARRAY_END = st.sampled_from([-INF, -0.0, 0.0, INF] + [k / 8 for k in range(-24, 25) if k])
+_ARRAY_RADIUS = st.sampled_from([-0.0, 0.0, INF] + [k / 32 for k in range(1, 160)])
+
+
+def _ring_sequence(radii) -> list:
+    """Rings between consecutive sorted radii: disjoint, touching where radii repeat.
+
+    Random rings would merge into a few, and a Boolean of two regions of few
+    rings sweeps a small grid; a 1-D grid of `_ARRAY_CELLS` cells needs
+    more distinct radii than 12 rings have.
+    """
+    radii = sorted(radii)
+    return [Interval(lo, hi) for lo, hi in zip(radii[::2], radii[1::2])]
+
+
+_ARRAY_RINGS = st.lists(_ARRAY_RADIUS, min_size=48, max_size=80).map(_ring_sequence)
+_ARRAY_RECTS = st.lists(st.tuples(_side(_ARRAY_END), _side(_ARRAY_END)), min_size=12, max_size=40)
+_ARRAY_CASES = st.one_of(
+    st.tuples(st.just(GridRegion), _ARRAY_RECTS, _ARRAY_RECTS),
+    st.tuples(st.just(RadialRegion), _ARRAY_RINGS, _ARRAY_RINGS),
+)
+
+
+def _live_cells(cls, pieces) -> int:
+    """Elementary cells of the grid the constructor of `cls` sweeps for `pieces`."""
+    if cls is RadialRegion:
+        live = [ring for ring in pieces if not ring.is_empty]
+        return len({p for ring in live for p in (ring.lo, ring.hi)}) - 1 if len(live) > 1 else 0
+    live = [(cx, cy) for cx, cy in pieces if not cx.is_empty and not cy.is_empty]
+    if len(live) < 2:
+        return 0
+    xs = {p for cx, _ in live for p in (cx.lo, cx.hi)}
+    ys = {p for _, cy in live for p in (cy.lo, cy.hi)}
+    return (len(xs) - 1) * (len(ys) - 1)
+
+
+@given(_ARRAY_CASES)
+@settings(max_examples=30, deadline=None)
+def test_region_algebra_on_the_array_path(case):
+    cls, pa, pb = case
+    assume(_live_cells(cls, pa + pb) >= measure._ARRAY_CELLS)
+    canon = reference_canon_grid if cls is GridRegion else reference_canon_1d
+    with kernel_paths() as seen:
+        a, b, both = cls(tuple(pa)), cls(tuple(pb)), cls(tuple(pa + pb))
+        _assert_same(measure._pieces(a), canon(pa))
+        _assert_same(measure._pieces(b), canon(pb))
+        _assert_same(measure._pieces(both), canon(pa + pb))
+        _assert_same(region_union(a, b), both)
+        for op, keep in _BOOLEANS:
+            _assert_same(op(a, b), reference_combine(a, b, keep))
+            _assert_same(op(b, a), reference_combine(b, a, keep))
+        _assert_same(region_complement(a), reference_complement(a))
+        assert region_contains(a, b) == reference_combine(b, a, _BOOLEANS[2][1]).is_empty
+        assert region_contains(both, a) and region_contains(both, b)
+    # the array path ran, exactly on the grids of at least _ARRAY_CELLS cells
+    large = sum(n >= measure._ARRAY_CELLS for n in seen["grids"])
+    assert large >= 1
+    assert seen["merges"] == seen["counts"] == large
 
 
 # ---------------------------------------------------------------------------

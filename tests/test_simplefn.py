@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -40,11 +40,12 @@ from gaussdiff import (
     wk_member,
 )
 
-from gaussdiff.measure import _cell_sums, _ends, _merged, _overlay, _pieces
+from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _ends, _merged, _overlay, _pieces
 from gaussdiff.simplefn import ZERO_TOL, _piece_function
 from oracles import (
     agrees_3sig,
     eval_grid_64,
+    kernel_paths,
     mc_l0_gauge,
     mc_lp_gauge,
     mc_oracle,
@@ -440,6 +441,136 @@ def test_threshold_follows_python_abs():
     kept = (4.0 + 0j, rect(0, 1, 0, 1))
     f = SimpleFunction("grid", (kept, (v, rect(2, 3, 0, 1))), zero_tol=abs(v) / 4.0)
     assert f.atoms == (kept,)
+
+
+# ---------------------------------------------------------------------------
+# the array form of the overlay kernel
+# ---------------------------------------------------------------------------
+
+# Enough distinct endpoints for grids of at least _ARRAY_CELLS cells, drawn
+# with repeats; both zeros and the infinite ends.
+_WIDE_END = st.sampled_from([-INF, -0.0, 0.0, INF] + [k / 8 for k in range(-24, 25) if k])
+_WIDE_RADIUS = st.sampled_from([-0.0, 0.0, INF] + [k / 32 for k in range(1, 160)])
+_WIDE_RECTS = st.lists(st.tuples(_side(_WIDE_END), _side(_WIDE_END)), min_size=12, max_size=40)
+_WIDE_RINGS = st.lists(_side(_WIDE_RADIUS), min_size=36, max_size=64)
+
+
+def _abs_disagreements() -> tuple[complex, complex]:
+    """Values whose modulus numpy rounds above, and below, Python's abs (if found)."""
+    rng = np.random.default_rng(0)
+    samples = [complex(z) for z in rng.standard_normal(2000) + 1j * rng.standard_normal(2000)]
+    up = next((z for z in samples if float(np.abs(z)) > abs(z)), samples[0])
+    down = next((z for z in samples if float(np.abs(z)) < abs(z)), samples[0])
+    return up, down
+
+
+_UP, _DOWN = _abs_disagreements()
+# Python's abs drops a cell holding _UP at the first of these thresholds and
+# keeps one holding _DOWN at the second; numpy's modulus would decide the
+# other way.
+_TOLS = (0.0, 0.75, abs(_UP), math.nextafter(abs(_DOWN), 0.0))
+# A cell covered by one piece holds exactly its weight: weights at each
+# threshold and one ulp either side of it, a NaN, and signed zero parts.
+_EDGE_WEIGHTS = [
+    w
+    for t in _TOLS[1:]
+    for m in (t, math.nextafter(t, 0.0), math.nextafter(t, INF))
+    for w in (complex(m, 0.0), complex(-0.0, -m))
+] + [
+    _UP,
+    -_UP,
+    _DOWN,
+    -_DOWN,
+    complex(float("nan"), 1.0),
+    complex(-0.0, 2.0),
+    complex(2.0, -0.0),
+    0j,
+    1 + 1j,
+    -1 - 1j,
+]
+_KEEPS = (lambda s: s, np.negative, np.conjugate)  # the last two spell zero parts -0.0
+
+
+@st.composite
+def _wide_overlays(draw):
+    """Kernel arguments (weights, ends) of 12-40 rectangles or 36-64 rings."""
+    if draw(st.booleans()):
+        pieces = draw(_WIDE_RECTS)
+        ends = _ends(pieces, "grid")
+    else:
+        pieces = draw(_WIDE_RINGS)
+        ends = _ends(pieces, "radial")
+    weights = draw(st.lists(st.sampled_from(_EDGE_WEIGHTS), min_size=len(pieces), max_size=len(pieces)))
+    return weights, ends
+
+
+def _outcome(merge):
+    try:
+        return repr(merge())
+    except OverflowError as exc:
+        return type(exc)
+
+
+@given(_wide_overlays(), st.sampled_from(_TOLS), st.sampled_from(_KEEPS))
+@settings(max_examples=50, deadline=None)
+def test_array_merge_matches_the_python_merge(overlay, tol, keep):
+    weights, ends = overlay
+    axes, sums = _cell_sums(weights, ends)
+    assume(sums.size >= _ARRAY_CELLS)
+    with kernel_paths() as seen:
+        got = _outcome(lambda: _overlay(weights, ends, tol, keep))
+    assert (seen["merges"], seen["counts"]) == (1, 0)  # complex weights keep the slice adds
+    assert got == _outcome(lambda: _merged(axes, keep(sums).tolist(), tol))
+
+
+def test_array_merge_raises_where_python_abs_overflows():
+    # numpy's modulus of 1.5e308 * (1 + 1j) is inf; Python's abs raises
+    weights = [complex(1.5e308, 1.5e308)] + [1j] * 39
+    ends = [[float(k) for k in range(80)]]  # 40 touching rings, 79 cells
+    axes, sums = _cell_sums(weights, ends)
+    with kernel_paths() as seen, pytest.raises(OverflowError):
+        _overlay(weights, ends, 0.5)
+    assert seen["merges"] == 1
+    with pytest.raises(OverflowError):
+        _merged(axes, sums.tolist(), 0.5)
+
+
+@st.composite
+def _wide_terms(draw):
+    """12 or more terms, single rectangles or rings, with exact cancellations and residues."""
+    family = draw(st.sampled_from(("grid", "radial")))
+    if family == "grid":
+        regions = [GridRegion((cell,)) for cell in draw(_WIDE_RECTS)]
+    else:
+        regions = [RadialRegion((ring,)) for ring in draw(_WIDE_RINGS)]
+    terms = []
+    for reg in regions:
+        c = draw(_TERM_COEFF)
+        terms.append((c, reg))
+        kind = draw(st.sampled_from(("plain", "plain", "cancel", "residue")))
+        if kind == "cancel":
+            terms.append((-c, reg))
+        elif kind == "residue":
+            k = draw(st.sampled_from((1.0 - 1e-6, 1.0, 1.0 + 1e-6)))
+            terms.append((-c + c * (ZERO_TOL * k), reg))
+    return family, terms
+
+
+@given(_wide_terms(), st.sampled_from((ZERO_TOL, 0.0)))
+@settings(max_examples=25, deadline=None)
+def test_linear_combine_on_the_array_path(case, zero_tol):
+    family, terms = case
+    coeffs = [c for c, _ in terms]
+    fns = [indicator(reg) for _, reg in terms]
+    with kernel_paths() as seen:
+        f = linear_combine(coeffs, fns, zero_tol)
+    assume(seen["grids"] and seen["grids"][0] >= _ARRAY_CELLS)
+    assert seen["merges"] == 1
+    reference = reference_grid_atoms if family == "grid" else reference_radial_atoms
+    tol = zero_tol * max(abs(c) for c, _ in f.terms)
+    assert repr(f.atoms) == repr(reference(f.terms, tol))
+    for (_, reg), m in zip(f.atoms, f.masses):
+        assert m.hex() == region_measure(reg).hex()
 
 
 # ---------------------------------------------------------------------------
