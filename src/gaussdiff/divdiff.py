@@ -52,7 +52,6 @@ from .measure import GRID, NEG_INF, POS_INF, RADIAL, _merged
 from .simplefn import (
     SimpleFunction,
     SupportBound,
-    _atom_columns,
     _from_columns,
     _piece_function,
     _union_bound,
@@ -207,9 +206,8 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
     Grid family: union of the vertical strip spanned by the node real parts
     and the horizontal strip spanned by the imaginary parts.  Radial family:
     the annulus between the smallest and largest node modulus.  Under the
-    half-open convention a degenerate strip is empty.  The bound holds the
-    endpoint columns of the region's canonical pieces; the region itself
-    is built only when its `region` is read.
+    half-open convention a degenerate strip is empty.  The bound's region
+    holds the endpoint columns of its canonical pieces, as every region does.
     """
     b = node_bounds(nodes, family)
     if isinstance(b, GridBounds):
@@ -258,13 +256,13 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
     if n == 2:  # the children are the curve values
         cols = [(v._atom_coeffs, v._atom_ends) for v in values]
     else:
-        cols = [_atom_columns(family, grid.merged(children[a], child_spell, a)) for a in (0, 1)]
+        cols = [grid.merged(children[a], child_spell, a) for a in (0, 1)]
     (lc, le), (rc, re) = cols
     w = 1.0 / (zs[0] - zs[1])
     weights = [w * c for c in lc] + [-w * c for c in rc]
     ends = tuple(map(operator.add, le, re))
-    merged = grid.merged(level[0], spell, 0)
-    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, merged)
+    atoms = grid.merged(level[0], spell, 0)
+    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, atoms)
 
 
 def _inverse_gap(a: complex, b: complex) -> complex:
@@ -362,8 +360,9 @@ class _CellGrid:
                 out[s + j0 : s + j1] = run
         return out
 
-    def merged(self, cells: list, spell: dict, row: int) -> list:
-        """The kernel's merged atoms of `cells`, which are row `row` of a level.
+    def merged(self, cells: list, spell: dict, row: int) -> tuple[list, tuple]:
+        """The kernel's merged atoms of `cells`, which are row `row` of a level,
+        as values and endpoint columns.
 
         Endpoints at 0 are spelled as `spell` (see `next_spellings`) has it
         for that row.

@@ -13,17 +13,23 @@ equality is therefore set equality, and Boolean operations never accumulate
 redundant pieces.  Interval endpoints are only ever copied, never combined
 arithmetically, so the set algebra is exact.
 
+A region is held in the overlay kernel's own form, as endpoint columns:
+one flat lo, hi, lo, hi, ... list of floats per axis (x and y for
+rectangles, the radius for rings), piece i spanning ]e[2i], e[2i+1]] on
+the axis of column e.  Simple functions store their terms and atoms the
+same way.  The constructors check their sides with `_piece_ends` and build
+the columns directly; a Boolean concatenates its operands' columns, and
+the kernel hands back the result's columns.  No Interval is built on the
+way.  The `cells` (or `rings`) of a region, a tuple of Intervals, is a view
+built from the columns on first read and cached.
+
 One overlay kernel (the coordinate-compressed sweep of Klee's rectangle
-problem) computes all of it.  Its pieces are endpoint tuples, not
-Intervals: a rectangle is (x_lo, x_hi, y_lo, y_hi) and a ring (lo, hi).
-They are passed column-wise, one flat lo, hi, lo, hi, ... sequence per
-axis; `_ends` lays region pieces out that way, and simple functions
-store their terms and atoms that way.  The kernel sorts the distinct x
-and y endpoints of a list of weighted pieces once (radii for rings: the
-same kernel in one dimension); each piece covers a contiguous block of
-elementary cells.  A predicate on the cell sums keeps some cells; runs
-of kept, equal neighbours merge along y, then equal whole columns along
-x.  The result is the canonical cell list.
+problem) computes all of it.  It sorts the distinct x and y endpoints of a
+list of weighted pieces once (radii for rings: the same kernel in one
+dimension); each piece covers a contiguous block of elementary cells.  A
+predicate on the cell sums keeps some cells; runs of kept, equal
+neighbours merge along y, then equal whole columns along x.  The result is
+the canonical cell list, as values and endpoint columns.
 
 The kernel has two forms, chosen by grid size alone.  A grid of fewer
 than `_ARRAY_CELLS` elementary cells adds each piece's weight to its
@@ -38,10 +44,9 @@ from 0j: the rounding of a float sum depends on the order of its
 additions, and piece order is the order a per-cell loop adds in.  The
 array merge finds the kept cells (Python's abs decides those within a
 few ulp of the threshold), the ends of the y-runs by comparing each cell
-with its neighbour and the equal columns by comparing whole columns;
-Python then builds only the output runs, with the sorted axes' own
-endpoints.  Both forms give repr-equal merged cells.  They are used
-four ways:
+with its neighbour and the equal columns by comparing whole columns; it
+then reads the output columns off the sorted axes by index.  Both forms
+give the same values and columns.  They are used four ways:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -76,8 +81,8 @@ share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -123,7 +128,7 @@ RADIAL = "radial"
 
 
 class FamilyMismatchError(ValueError):
-    """A Boolean operation attempted to mix grid and radial regions."""
+    """An operation mixed grid and radial regions, or got a region of the wrong family."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +174,8 @@ class Interval:
 
 FULL_LINE = Interval(NEG_INF, POS_INF)
 
-#: A rectangle (x-side, y-side) of a grid region, or a ring of a radial one.
-Piece = Union[tuple[Interval, Interval], Interval]
+#: Endpoint columns: one flat lo, hi, lo, hi, ... list of floats per axis.
+_Ends = tuple[list[float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -185,35 +190,8 @@ Piece = Union[tuple[Interval, Interval], Interval]
 _ARRAY_CELLS = 64
 
 
-def _ends(pieces: Sequence[Piece], family: str) -> list[list[float]]:
-    """The kernel's form of rectangles (cx, cy) or rings: endpoints per axis.
-
-    Piece i spans ]e[2i], e[2i+1]] on the axis of sequence e.
-    """
-    if family == RADIAL:
-        return [[p for ring in pieces for p in (ring.lo, ring.hi)]]
-    return [
-        [p for cx, _ in pieces for p in (cx.lo, cx.hi)],
-        [p for _, cy in pieces for p in (cy.lo, cy.hi)],
-    ]
-
-
-def _from_ends(ends: Sequence[Sequence[float]]) -> list[Piece]:
-    """The rectangles or rings of the kernel's endpoint sequences (inverse of `_ends`)."""
-    if len(ends) == 1:
-        (re,) = ends
-        return [Interval(lo, hi) for lo, hi in zip(re[::2], re[1::2])]
-    xe, ye = ends
-    return [
-        (Interval(xlo, xhi), Interval(ylo, yhi))
-        for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
-    ]
-
-
-def _piece_ends(
-    family: str, sides: Sequence[tuple[float, float]]
-) -> tuple[list[float], ...] | None:
-    """`_ends` of one rectangle (x-side, y-side) or ring given by its sides; None if empty.
+def _piece_ends(family: str, sides: Sequence[tuple[float, float]]) -> _Ends | None:
+    """Endpoint columns of one rectangle (x-side, y-side) or ring given by its sides, or None.
 
     Each side (lo, hi) is checked as Interval checks it, and a ring as
     RadialRegion checks it, with the same exceptions.  As in a region, a
@@ -228,13 +206,22 @@ def _piece_ends(
     return ends
 
 
+def _joined(family: str, columns: Iterable[Sequence[Sequence[float]]]) -> _Ends:
+    """The endpoint columns of the pieces of all `columns`, in order, on the axes of `family`."""
+    out = ([], []) if family == GRID else ([],)
+    for ends in columns:
+        for acc, e in zip(out, ends):
+            acc += e
+    return out
+
+
 def _cell_sums(
     weights: Sequence[complex], ends: Sequence[Sequence[float]]
 ) -> tuple[list[list[float]], np.ndarray]:
     """Sorted distinct endpoints per axis, and every elementary cell's sum.
 
     `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
-    `_ends` lays them out.  A piece covers a contiguous block of elementary
+    endpoint columns.  A piece covers a contiguous block of elementary
     cells.  On a grid of at least `_ARRAY_CELLS` cells, Python int weights
     are summed exactly by `_cover_counts` into an int64 grid; their callers
     read the sums only through comparisons with small integers, where an
@@ -307,14 +294,18 @@ def _runs(edges: Sequence[float], values: Sequence, tol: float) -> list[list]:
     return runs
 
 
-def _merged(axes: list[list[float]], values: list, tol: float) -> list[list]:
-    """Runs of the kept cells (1-D), or [x_lo, x_hi, y-runs] columns (2-D).
+def _merged(axes: list[list[float]], values: list, tol: float) -> tuple[list, _Ends]:
+    """Values and endpoint columns of the merged kept cells (abs(v) > tol).
 
-    Kept neighbouring cells with equal values merge into y-runs, then
-    neighbouring columns with equal runs merge.
+    Kept neighbouring cells with equal values merge into runs along the
+    last axis; in 2-D, neighbouring columns (x-slabs) with equal runs then
+    merge.  Piece i of the result has the value values[i] and spans
+    ]e[2i], e[2i+1]] on the axis of column e; pieces are ordered by x, then
+    by y.  This is the kernel's one output format.
     """
     if len(axes) == 1:
-        return _runs(axes[0], values, tol)
+        runs = _runs(axes[0], values, tol)
+        return [v for _, _, v in runs], ([p for lo, hi, _ in runs for p in (lo, hi)],)
     xs, ys = axes
     columns: list[list] = []
     for xlo, xhi, column in zip(xs, xs[1:], values):
@@ -325,7 +316,15 @@ def _merged(axes: list[list[float]], values: list, tol: float) -> list[list]:
             columns[-1][1] = xhi
         else:
             columns.append([xlo, xhi, profile])
-    return columns
+    out: list = []
+    xe: list[float] = []
+    ye: list[float] = []
+    for xlo, xhi, profile in columns:
+        for ylo, yhi, v in profile:
+            out.append(v)
+            xe += (xlo, xhi)
+            ye += (ylo, yhi)
+    return out, (xe, ye)
 
 
 def _overlay(
@@ -333,21 +332,23 @@ def _overlay(
     ends: Sequence[Sequence[float]],
     tol: float,
     keep: Callable = lambda sums: sums,
-) -> list[list]:
-    """`_merged` runs or columns of the cells whose value `keep(sum)` has abs > tol.
+) -> tuple[list, _Ends]:
+    """`_merged` values and columns of the cells whose value `keep(sum)` has abs > tol.
 
     With fewer than two pieces numpy is skipped: a single (non-empty)
     piece is its own elementary cell, valued 0j + w as `_cell_sums` would
     value it.  This is the endpoint form of `_canon`'s rule that a single
     piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
     is merged on arrays by `_array_merged`, a smaller one by `_merged`;
-    both give the same runs.
+    both give the same values and columns.
     """
     if not weights:
-        return []
+        return [], tuple([] for _ in ends)
     if len(weights) == 1:
         value = keep(0j + weights[0])
-        return _merged([list(e) for e in ends], [value] if len(ends) == 1 else [[value]], tol)
+        if abs(value) <= tol:  # dropped as `_runs` drops a cell
+            return [], tuple([] for _ in ends)
+        return [value], tuple(list(e) for e in ends)
     axes, sums = _cell_sums(weights, ends)
     if sums.size < _ARRAY_CELLS:
         return _merged(axes, keep(sums).tolist(), tol)
@@ -371,7 +372,7 @@ def _kept(values: np.ndarray, tol: float) -> np.ndarray:
     return kept
 
 
-def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> list[list]:
+def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> tuple[list, _Ends]:
     """`_merged(axes, values.tolist(), tol)`, with every cell visited by numpy.
 
     Unkept cells read as 0, which no kept cell equals (its abs exceeds tol
@@ -380,9 +381,10 @@ def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> li
     that cell; == is transitive here (a NaN equals nothing), so this is
     `_runs`' comparison with the run's first value.  A column continues
     the one to its left iff the two are equal as a whole, which is
-    `_merged`'s comparison of their runs.  Python then builds only the
-    output runs; their endpoints are the axes' own floats and their values
-    the first cells' `.tolist()` values.
+    `_merged`'s comparison of their runs.  No Python list is built per
+    run: the endpoint columns are read off the axes by index (`_column`;
+    the axes' own floats, so the spelling of zero is kept) and the values
+    are the first cells' `.tolist()` values.
     """
     kept = _kept(values, tol)
     masked = np.where(kept, values, np.zeros((), values.dtype))
@@ -401,71 +403,41 @@ def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> li
     change[:, 1:-1] = masked[:, 1:] != masked[:, :-1]
     rows, lo = np.nonzero(kept & change[:, :-1])
     _, hi = np.nonzero(kept & change[:, 1:])
-    ys = axes[-1]
-    runs = [
-        [ys[a], ys[b], v]
-        for a, b, v in zip(lo.tolist(), (hi + 1).tolist(), masked[rows, lo].tolist())
-    ]
-    if len(axes) == 1:
-        return runs
-    xs = axes[0]
-    counts = np.bincount(rows, minlength=len(heads)).tolist()
-    columns: list[list] = []
-    at = 0
-    for i, j, n in zip(heads.tolist(), tails.tolist(), counts):
-        columns.append([xs[i], xs[j], runs[at : at + n]])
-        at += n
-    return columns
+    ends = (_column(axes[-1], lo, hi + 1),)
+    if len(axes) == 2:
+        ends = (_column(axes[0], heads[rows], tails[rows]),) + ends
+    return masked[rows, lo].tolist(), ends
 
 
-_new_object = object.__new__
-_set_field = object.__setattr__
+def _column(axis: list[float], lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """The endpoint column axis[lo[0]], axis[hi[0]], axis[lo[1]], ... of index arrays.
 
-
-def _unchecked_interval(lo: float, hi: float) -> Interval:
-    """Interval(lo, hi) without its checks, for endpoints read off the kernel's axes.
-
-    The axes hold only float endpoints of checked pieces, sorted, so lo
-    <= hi and neither is NaN; this skips only the work of `__post_init__`.
+    Read through an object array, so the column holds the axis's own float
+    objects, as `_merged`'s columns do, rather than a new float per endpoint.
     """
-    iv = _new_object(Interval)
-    _set_field(iv, "lo", lo)
-    _set_field(iv, "hi", hi)
-    return iv
+    return np.array(axis, dtype=object)[np.stack((lo, hi), axis=1).ravel()].tolist()
 
 
 def _sweep(
     weights: Sequence[int],
     ends: Sequence[Sequence[float]],
     keep: Callable[[np.ndarray], np.ndarray],
-) -> tuple:
-    """Canonical pieces of the union of the cells whose weight sum `keep` accepts."""
+) -> _Ends:
+    """Endpoint columns of the canonical pieces of the cells whose weight sum `keep` accepts."""
     # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
-    merged = _overlay(weights, ends, 0.0, keep)
-    if len(ends) == 1:
-        return tuple(_unchecked_interval(lo, hi) for lo, hi, _ in merged)
-    # one y-side per distinct run; an axis spells each endpoint one way
-    sides: dict[tuple[float, float], Interval] = {}
-    cells = []
-    for xlo, xhi, profile in merged:
-        cx = _unchecked_interval(xlo, xhi)
-        for ylo, yhi, _ in profile:
-            cy = sides.get((ylo, yhi))
-            if cy is None:
-                cy = sides[ylo, yhi] = _unchecked_interval(ylo, yhi)
-            cells.append((cx, cy))
-    return tuple(cells)
+    return _overlay(weights, ends, 0.0, keep)[1]
 
 
 def _nonzero(sums: np.ndarray) -> np.ndarray:
     return sums != 0
 
 
-def _canon(live: list, family: str) -> tuple:
-    """Canonical form of the union of non-empty pieces."""
-    if len(live) == 1:
-        return tuple(live)
-    return _sweep([1] * len(live), _ends(live, family), _nonzero)
+def _canon(ends: _Ends) -> _Ends:
+    """Endpoint columns of the canonical form of the union of non-empty pieces."""
+    n = len(ends[0]) // 2
+    if n < 2:
+        return ends
+    return _sweep([1] * n, ends, _nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -473,65 +445,157 @@ def _canon(live: list, family: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GridRegion:
-    """Finite union of half-open rectangles, kept canonical."""
+class _Region:
+    """What the two region families share: endpoint columns and value semantics.
 
-    cells: tuple[tuple[Interval, Interval], ...] = ()
+    `_ends` holds the canonical pieces as endpoint columns, the overlay
+    kernel's form (see the module docstring); `_view` caches the Interval
+    view of them.  Immutable, slotted, and with the `==`, `hash` and
+    `repr` of a frozen dataclass with the one field `cells` (or `rings`):
+    `==` compares the columns, where -0.0 == 0.0 as between Intervals, so
+    it is set equality.
+    """
+
+    __slots__ = ("_ends", "_view")
+
+    family: ClassVar[str]
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle restore the columns as they are, zero spellings included
+        return _canonical_region, (type(self), self._ends)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ends == other._ends
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self._ends)))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._ends[0]
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _hold(region: _Region, ends: _Ends) -> None:
+    _set_field(region, "_ends", ends)
+    _set_field(region, "_view", None)  # built on first read
+
+
+def _intervals(e: list[float]) -> list[Interval]:
+    """The Intervals ]e[2i], e[2i+1]] of one endpoint column.
+
+    Equal sides share one Interval, keyed on the signs of the endpoints
+    too, so a side spelled -0.0 never stands for one spelled 0.0.
+    """
+    shared: dict[tuple, Interval] = {}
+    out = []
+    for lo, hi in zip(e[::2], e[1::2]):
+        key = (lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
+        iv = shared.get(key)
+        if iv is None:
+            iv = shared[key] = Interval(lo, hi)
+        out.append(iv)
+    return out
+
+
+class GridRegion(_Region):
+    """Finite union of half-open rectangles, kept canonical.
+
+    `GridRegion(cells)` takes (x-side, y-side) Interval pairs and holds the
+    endpoint columns of their union's canonical rectangles.  `cells`, the
+    tuple of those rectangles as Interval pairs, is a view built on first
+    read; a rectangle's x-side is shared by the cells of its column, and
+    equal y-sides share one Interval.
+    """
+
+    __slots__ = ()
 
     family: ClassVar[str] = GRID
 
-    def __post_init__(self) -> None:
-        live = [(cx, cy) for cx, cy in self.cells if not cx.is_empty and not cy.is_empty]
-        object.__setattr__(self, "cells", _canon(live, GRID))
+    def __init__(self, cells: Iterable[tuple[Interval, Interval]] = ()) -> None:
+        live = [(cx, cy) for cx, cy in cells if not cx.is_empty and not cy.is_empty]
+        xe = [p for cx, _ in live for p in (cx.lo, cx.hi)]
+        ye = [p for _, cy in live for p in (cy.lo, cy.hi)]
+        _hold(self, _canon((xe, ye)))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.cells
+    def cells(self) -> tuple[tuple[Interval, Interval], ...]:
+        if self._view is None:
+            xe, ye = self._ends
+            _set_field(self, "_view", tuple(zip(_intervals(xe), _intervals(ye))))
+        return self._view
 
     def contains_point(self, w: complex) -> bool:
         x, y = w.real, w.imag
-        return any(cx.contains(x) and cy.contains(y) for cx, cy in self.cells)
+        xe, ye = self._ends
+        return any(
+            xlo < x <= xhi and ylo < y <= yhi
+            for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
+        )
+
+    def __repr__(self) -> str:
+        return f"GridRegion(cells={self.cells!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class RadialRegion:
-    """Finite union of origin-centred annuli ]lo, hi] in the radius."""
+class RadialRegion(_Region):
+    """Finite union of origin-centred annuli ]lo, hi] in the radius.
 
-    rings: tuple[Interval, ...] = ()
+    `RadialRegion(rings)` takes radius Intervals, none with a negative lo,
+    and holds the endpoint column of their union's canonical rings.
+    `rings`, the tuple of those rings as Intervals, is a view built on
+    first read.
+    """
+
+    __slots__ = ()
 
     family: ClassVar[str] = RADIAL
 
-    def __post_init__(self) -> None:
-        for ring in self.rings:
+    def __init__(self, rings: Iterable[Interval] = ()) -> None:
+        re: list[float] = []
+        for ring in rings:
             _nonnegative(ring.lo)
-        live = [ring for ring in self.rings if not ring.is_empty]
-        object.__setattr__(self, "rings", _canon(live, RADIAL))
+            if not ring.is_empty:
+                re += (ring.lo, ring.hi)
+        _hold(self, _canon((re,)))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.rings
+    def rings(self) -> tuple[Interval, ...]:
+        if self._view is None:
+            _set_field(self, "_view", tuple(_intervals(self._ends[0])))
+        return self._view
 
     def contains_point(self, w: complex) -> bool:
         r = abs(w)
-        return any(ring.contains(r) for ring in self.rings)
+        (re,) = self._ends
+        return any(lo < r <= hi for lo, hi in zip(re[::2], re[1::2]))
+
+    def __repr__(self) -> str:
+        return f"RadialRegion(rings={self.rings!r})"
 
 
 Region = Union[GridRegion, RadialRegion]
 
 
-def _canonical_region(cls: type, pieces: tuple) -> Region:
-    """A region of `cls` whose `pieces` the caller knows to be canonical.
+def _canonical_region(cls: type, ends: _Ends) -> Region:
+    """A region of `cls` held as `ends`, endpoint columns the caller knows to be canonical.
 
-    Skips the canonicalising sweep of `__post_init__`; a single non-empty
+    Skips the canonicalising sweep of `__init__`; a single non-empty
     rectangle or ring is always canonical.  Nothing is checked here.
     """
-    region = object.__new__(cls)
-    object.__setattr__(region, "cells" if cls is GridRegion else "rings", pieces)
+    region = _new_object(cls)
+    _hold(region, ends)
     return region
-
-
-_RADIAL_UNIVERSE = Interval(0.0, POS_INF)
 
 
 def _require_same_family(a: Region, b: Region) -> None:
@@ -541,17 +605,13 @@ def _require_same_family(a: Region, b: Region) -> None:
         )
 
 
-def _pieces(r: Region) -> tuple[Piece, ...]:
-    return r.cells if isinstance(r, GridRegion) else r.rings
-
-
 def _combine(a: Region, b: Region, keep) -> Region:
     # both operands are canonical (disjoint pieces), so a cell sums to
     # 0 (in neither), 1 (only in a), 2 (only in b) or 3 (in both)
     _require_same_family(a, b)
-    pa, pb = _pieces(a), _pieces(b)
-    weights = [1] * len(pa) + [2] * len(pb)
-    return _canonical_region(type(a), _sweep(weights, _ends(pa + pb, a.family), keep))
+    weights = [1] * (len(a._ends[0]) // 2) + [2] * (len(b._ends[0]) // 2)
+    ends = tuple(ea + eb for ea, eb in zip(a._ends, b._ends))
+    return _canonical_region(type(a), _sweep(weights, ends, keep))
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -584,8 +644,14 @@ def region_contains(outer: Region, inner: Region) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _piece_region(cls: type, *sides: tuple[float, float]) -> Region:
+    """The region of one rectangle (x-side, y-side) or ring given by its sides, checked."""
+    ends = _piece_ends(cls.family, sides)
+    return _canonical_region(cls, tuple([] for _ in sides) if ends is None else ends)
+
+
 def rect(x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> GridRegion:
-    return GridRegion(((Interval(x_lo, x_hi), Interval(y_lo, y_hi)),))
+    return _piece_region(GridRegion, (x_lo, x_hi), (y_lo, y_hi))
 
 
 def vertical_strip(x_lo: float, x_hi: float) -> GridRegion:
@@ -605,7 +671,7 @@ def lower_left_quadrant(x: float, y: float) -> GridRegion:
 
 
 def annulus(r_lo: float, r_hi: float) -> RadialRegion:
-    return RadialRegion((Interval(r_lo, r_hi),))
+    return _piece_region(RadialRegion, (r_lo, r_hi))
 
 
 def disk(r: float) -> RadialRegion:
@@ -614,9 +680,9 @@ def disk(r: float) -> RadialRegion:
 
 def full_plane(family: str) -> Region:
     if family == GRID:
-        return GridRegion(((FULL_LINE, FULL_LINE),))
+        return _canonical_region(GridRegion, ([NEG_INF, POS_INF], [NEG_INF, POS_INF]))
     if family == RADIAL:
-        return RadialRegion((_RADIAL_UNIVERSE,))
+        return _canonical_region(RadialRegion, ([0.0, POS_INF],))
     raise ValueError(f"unknown region family {family!r}")
 
 
@@ -642,39 +708,55 @@ def nu_mass(iv: Interval) -> float:
     return _nu(iv.lo, iv.hi)
 
 
-def mu_grid(r: GridRegion) -> float:
-    """Plane Gaussian mass of a grid region (rectangles factorise)."""
-    return sum(nu_mass(cx) * nu_mass(cy) for cx, cy in r.cells)
-
-
 def _ring(lo: float, hi: float) -> float:
     return math.exp(-lo * lo) - math.exp(-hi * hi)
 
 
-def mu_radial(r: RadialRegion) -> float:
-    """Plane Gaussian mass of a radial region."""
-    return sum(_ring(ring.lo, ring.hi) for ring in r.rings)
+def _piece_masses(ends: Sequence[Sequence[float]]) -> list[float]:
+    """The Gaussian mass of each piece held in endpoint columns.
+
+    A rectangle's is nu(x-side) * nu(y-side), and nu(x-side) is computed
+    once for consecutive pieces with the same x-side (the cells of one
+    column); a ring's is its closed form.
+    """
+    # zip(it, it) pairs up a column's endpoints without slicing it
+    if len(ends) == 1:
+        rs = iter(ends[0])
+        return [_ring(lo, hi) for lo, hi in zip(rs, rs)]
+    xs, ys = map(iter, ends)
+    masses = []
+    x0 = x1 = nx = None
+    for xlo, xhi, ylo, yhi in zip(xs, xs, ys, ys):
+        if xlo != x0 or xhi != x1:
+            x0, x1, nx = xlo, xhi, _nu(xlo, xhi)
+        masses.append(nx * _nu(ylo, yhi))
+    return masses
 
 
 def _ends_measure(ends: Sequence[Sequence[float]]) -> float:
-    """Gaussian mass of disjoint pieces laid out by `_ends`.
+    """Gaussian mass of disjoint pieces held in endpoint columns, summed in piece order.
 
-    Bitwise `region_measure` of the region of those pieces, in that order.
+    This is the mass of a region: `region_measure(r)` is `_ends_measure(r._ends)`.
     """
-    if len(ends) == 1:
-        (re,) = ends
-        return sum(_ring(lo, hi) for lo, hi in zip(re[::2], re[1::2]))
-    xe, ye = ends
-    return sum(
-        _nu(xlo, xhi) * _nu(ylo, yhi)
-        for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
-    )
+    return sum(_piece_masses(ends))
+
+
+def mu_grid(r: GridRegion) -> float:
+    """Plane Gaussian mass of a grid region (rectangles factorise)."""
+    if r.family != GRID:
+        raise FamilyMismatchError(f"mu_grid takes a grid region, not a {r.family} one")
+    return _ends_measure(r._ends)
+
+
+def mu_radial(r: RadialRegion) -> float:
+    """Plane Gaussian mass of a radial region."""
+    if r.family != RADIAL:
+        raise FamilyMismatchError(f"mu_radial takes a radial region, not a {r.family} one")
+    return _ends_measure(r._ends)
 
 
 def region_measure(r: Region) -> float:
-    if isinstance(r, GridRegion):
-        return mu_grid(r)
-    return mu_radial(r)
+    return _ends_measure(r._ends)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +780,8 @@ def _endpoint_from_json(v) -> float:
     return float(v)
 
 
-def _interval_to_json(iv: Interval) -> list:
-    return [_endpoint_to_json(iv.lo), _endpoint_to_json(iv.hi)]
+def _sides_to_json(e: list[float]) -> list[list]:
+    return [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in zip(e[::2], e[1::2])]
 
 
 def _interval_from_json(v) -> Interval:
@@ -708,11 +790,10 @@ def _interval_from_json(v) -> Interval:
 
 def region_to_json(r: Region) -> dict:
     if isinstance(r, GridRegion):
-        return {
-            "family": GRID,
-            "cells": [[_interval_to_json(cx), _interval_to_json(cy)] for cx, cy in r.cells],
-        }
-    return {"family": RADIAL, "rings": [_interval_to_json(ring) for ring in r.rings]}
+        xe, ye = r._ends
+        cells = zip(_sides_to_json(xe), _sides_to_json(ye))
+        return {"family": GRID, "cells": [[cx, cy] for cx, cy in cells]}
+    return {"family": RADIAL, "rings": _sides_to_json(r._ends[0])}
 
 
 def region_from_json(d: dict) -> Region:

@@ -18,11 +18,11 @@ and count / n is the same correctly rounded quotient as the mask's mean.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .measure import GridRegion, Piece, Region, _pieces
+from .measure import GridRegion, Region
 
 __all__ = ["plane_samples", "region_mask", "mc_measure", "mc_measures"]
 
@@ -34,20 +34,29 @@ def plane_samples(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return pts[0], pts[1]
 
 
-def _hits(piece: Piece, x: np.ndarray, y: np.ndarray, r: Optional[np.ndarray]) -> np.ndarray:
-    """Boolean membership of the samples in one rectangle, or in one ring given the radii r."""
+def _hits(
+    region: Region, x: np.ndarray, y: np.ndarray, r: Optional[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Boolean membership of the samples in each piece of the region, read off its columns.
+
+    Rectangles test x and y; rings test the radii r, given for a radial region.
+    """
     if r is None:
-        cx, cy = piece
-        return (x > cx.lo) & (x <= cx.hi) & (y > cy.lo) & (y <= cy.hi)
-    return (r > piece.lo) & (r <= piece.hi)
+        xe, ye = region._ends
+        for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2]):
+            yield (x > xlo) & (x <= xhi) & (y > ylo) & (y <= yhi)
+        return
+    (re,) = region._ends
+    for lo, hi in zip(re[::2], re[1::2]):
+        yield (r > lo) & (r <= hi)
 
 
 def region_mask(region: Region, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Boolean membership of the sample points in the region."""
     mask = np.zeros(x.shape, dtype=bool)
     r = None if isinstance(region, GridRegion) else np.hypot(x, y)
-    for piece in _pieces(region):
-        mask |= _hits(piece, x, y, r)
+    for hits in _hits(region, x, y, r):
+        mask |= hits
     return mask
 
 
@@ -62,7 +71,7 @@ def mc_measures(regions: Sequence[Region], x: np.ndarray, y: np.ndarray) -> list
     for i, region in enumerate(regions):
         radii = None if isinstance(region, GridRegion) else r
         # Python ints, so that count / n is a Python float, not a numpy scalar
-        hits = sum(int(np.count_nonzero(_hits(p, x, y, radii))) for p in _pieces(region))
+        hits = sum(int(np.count_nonzero(h)) for h in _hits(region, x, y, radii))
         out.append(hits / x.size)
         if i == last:
             r = radii = None  # no radial region follows

@@ -16,15 +16,15 @@ kernel.  The (coefficient, region) tuples of `terms` and `atoms` are views,
 built only when read.
 
 Every constructor ends in one column constructor (`_from_columns`, or
-`SimpleFunction._fill` for `__init__`).  `SimpleFunction(...)` and
-`indicator` take regions and read their pieces' endpoints;
-`linear_combine` and `divided_diff` take their inputs' atom columns; and
-`_piece_function`, behind the three curve maps and `scalar_curve`, takes
-the endpoints of one rectangle or ring, checked as the region
-constructors check them.  None of them builds a Region.  Support bounds
-are held the same way: `supported_in` sweeps a bound's endpoint columns,
-and a bound from `support_bound_of` builds its region only when `region`
-is read.
+`SimpleFunction._fill` for `__init__`).  Regions hold their pieces in the
+same columns, so `SimpleFunction(...)` and `indicator` concatenate their
+regions' columns; `linear_combine` and `divided_diff` take their inputs'
+atom columns; and `_piece_function`, behind the three curve maps and
+`scalar_curve`, takes the endpoints of one rectangle or ring, checked as
+the region constructors check them.  None of them builds an Interval,
+and the regions of the `terms` and `atoms` views are slices of the
+columns.  A support bound holds its region, and `supported_in` sweeps the
+region's columns.
 
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
@@ -62,17 +62,16 @@ from .measure import (
     GridRegion,
     RadialRegion,
     Region,
+    _Ends,
     _canonical_region,
     _cell_sums,
-    _ends,
     _ends_measure,
-    _from_ends,
+    _joined,
     _nonzero,
-    _nu,
     _overlay,
     _piece_ends,
-    _pieces,
-    _ring,
+    _piece_masses,
+    _sweep,
     region_to_json,
 )
 
@@ -93,50 +92,22 @@ __all__ = [
 ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
 
 _Term = tuple[complex, Region]
-_Ends = tuple[list[float], ...]  # one flat endpoint sequence per axis
 
 
 def _view(
     family: str, coeffs: Sequence[complex], sizes: Iterable[int], ends: _Ends
 ) -> tuple[_Term, ...]:
-    """(coefficient, region) pairs; term i owns the next `sizes[i]` pieces of `ends`."""
+    """(coefficient, region) pairs; term i owns the next `sizes[i]` pieces of `ends`.
+
+    Each region holds its slice of the columns; no Interval is built.
+    """
     cls = GridRegion if family == GRID else RadialRegion
-    pieces = _from_ends(ends)
     view, i = [], 0
     for c, n in zip(coeffs, sizes):
-        view.append((c, _canonical_region(cls, tuple(pieces[i : i + n]))))
-        i += n
+        j = i + 2 * n
+        view.append((c, _canonical_region(cls, tuple(e[i:j] for e in ends))))
+        i = j
     return tuple(view)
-
-
-def _atom_columns(
-    family: str, merged: list[list], masses: list[float] | None = None
-) -> tuple[list[complex], _Ends]:
-    """Coefficients and endpoint columns of the atoms the overlay kernel merged.
-
-    With a `masses` list, each atom's Gaussian mass nu(column side) *
-    nu(row side), or its ring mass, is appended to it.
-    """
-    coeffs: list[complex] = []
-    if family == RADIAL:
-        re: list[float] = []
-        for lo, hi, v in merged:
-            coeffs.append(v)
-            re += (lo, hi)
-            if masses is not None:
-                masses.append(_ring(lo, hi))
-        return coeffs, (re,)
-    xe: list[float] = []
-    ye: list[float] = []
-    for xlo, xhi, profile in merged:
-        nx = _nu(xlo, xhi) if masses is not None else 0.0
-        for ylo, yhi, v in profile:
-            coeffs.append(v)
-            xe += (xlo, xhi)
-            ye += (ylo, yhi)
-            if masses is not None:
-                masses.append(nx * _nu(ylo, yhi))  # == mu_grid of the atom, bitwise
-    return coeffs, (xe, ye)
 
 
 class SimpleFunction:
@@ -176,9 +147,9 @@ class SimpleFunction:
                 raise FamilyMismatchError(
                     f"term region family {reg.family!r} != function family {family!r}"
                 )
-        pieces = [_pieces(reg) for _, reg in terms]
-        ends = tuple(_ends([p for ps in pieces for p in ps], family))
-        self._fill(family, zero_tol, [c for c, _ in terms], [len(ps) for ps in pieces], ends)
+        sizes = [len(reg._ends[0]) // 2 for _, reg in terms]
+        ends = _joined(family, (reg._ends for _, reg in terms))
+        self._fill(family, zero_tol, [c for c, _ in terms], sizes, ends)
 
     def _fill(
         self,
@@ -187,14 +158,16 @@ class SimpleFunction:
         coeffs: list[complex],
         sizes: list[int],
         ends: _Ends,
-        merged: list[list] | None = None,
+        atoms: tuple[list[complex], _Ends] | None = None,
     ) -> None:
         """Set every column from the term columns; every constructor ends here.
 
         Term i is coeffs[i] times the indicator of the next sizes[i] pieces
-        of `ends`.  `merged` are the overlay kernel's merged cells of the
-        terms if the caller has them; otherwise the overlay runs here, with
-        the threshold zero_tol times the largest term coefficient modulus.
+        of `ends`.  `atoms` are the overlay kernel's values and columns of
+        the terms' merged cells if the caller has them; otherwise the
+        overlay runs here, with the threshold zero_tol times the largest
+        term coefficient modulus.  An atom's mass is bitwise what
+        `mu_grid` or `mu_radial` gives its region.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -202,15 +175,14 @@ class SimpleFunction:
         few container allocations those collections are rare: tuple columns
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
-        if merged is None:
+        if atoms is None:
             weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
-            merged = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
-        masses: list[float] = []
-        atom_coeffs, atom_ends = _atom_columns(family, merged, masses)
+            atoms = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
+        atom_coeffs, atom_ends = atoms
         init = object.__setattr__
         init(self, "family", family)
         init(self, "zero_tol", zero_tol)
-        init(self, "masses", tuple(masses))
+        init(self, "masses", tuple(_piece_masses(atom_ends)))
         init(self, "_term_coeffs", coeffs)
         init(self, "_term_sizes", sizes)
         init(self, "_term_ends", ends)
@@ -301,11 +273,11 @@ def _from_columns(
     sizes: list[int],
     ends: _Ends,
     zero_tol: float = ZERO_TOL,
-    merged: list[list] | None = None,
+    atoms: tuple[list[complex], _Ends] | None = None,
 ) -> SimpleFunction:
     """The function of these term columns (see `SimpleFunction._fill`); no region is built."""
     out = object.__new__(SimpleFunction)
-    out._fill(family, zero_tol, coeffs, sizes, ends, merged)
+    out._fill(family, zero_tol, coeffs, sizes, ends, atoms)
     return out
 
 
@@ -324,8 +296,7 @@ def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> Sim
 
 
 def indicator(r: Region) -> SimpleFunction:
-    pieces = _pieces(r)
-    return _from_columns(r.family, [1.0 + 0j], [len(pieces)], tuple(_ends(pieces, r.family)))
+    return _from_columns(r.family, [1.0 + 0j], [len(r._ends[0]) // 2], r._ends)
 
 
 def linear_combine(
@@ -348,8 +319,8 @@ def linear_combine(
             raise FamilyMismatchError("cannot combine functions of different families")
     weights = [k * c for k, f in zip(map(complex, coeffs), fns) for c in f._atom_coeffs]
     ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*(f._atom_ends for f in fns)))
-    merged = _overlay(weights, ends, zero_tol * max(map(abs, weights), default=0.0))
-    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, merged)
+    atoms = _overlay(weights, ends, zero_tol * max(map(abs, weights), default=0.0))
+    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +362,17 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
 class SupportBound:
     """A region that a function's support is claimed to lie inside.
 
-    Held as the endpoint columns of the region's canonical pieces.
-    `SupportBound(region)` takes them from a region; `_union_bound` (which
-    `support_bound_of` uses) computes them from the pieces' sides, and then
-    the region is built from them only when `region` is first read.
-    Immutable; `==`, `hash` and `repr` are those of a frozen dataclass
-    with the one field `region`.
+    The region holds its canonical pieces as endpoint columns, as every
+    region does: `supported_in` sweeps them and `mass` sums them.
+    `support_bound_of` builds the region with `_union_bound`.  Immutable;
+    `==`, `hash` and `repr` are those of a frozen dataclass with the one
+    field `region`.
     """
 
-    __slots__ = ("family", "_ends", "_region")
+    __slots__ = ("region",)
 
     def __init__(self, region: Region) -> None:
-        self._set(region.family, tuple(_ends(_pieces(region), region.family)), region)
-
-    def _set(self, family: str, ends: _Ends, region: Region | None) -> None:
-        init = object.__setattr__
-        init(self, "family", family)
-        init(self, "_ends", ends)
-        init(self, "_region", region)
+        object.__setattr__(self, "region", region)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -418,19 +382,6 @@ class SupportBound:
 
     def __reduce__(self):
         return SupportBound, (self.region,)
-
-    @property
-    def region(self) -> Region:
-        if self._region is None:
-            cls = GridRegion if self.family == GRID else RadialRegion
-            region = _canonical_region(cls, tuple(_from_ends(self._ends)))
-            object.__setattr__(self, "_region", region)
-        return self._region
-
-    @property
-    def mass(self) -> float:
-        """Gaussian mass of the region, bitwise `region_measure(self.region)`."""
-        return _ends_measure(self._ends)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -443,9 +394,18 @@ class SupportBound:
     def __repr__(self) -> str:
         return f"SupportBound(region={self.region!r})"
 
+    @property
+    def family(self) -> str:
+        return self.region.family
+
+    @property
+    def mass(self) -> float:
+        """Gaussian mass of the region, bitwise `region_measure(self.region)`."""
+        return _ends_measure(self.region._ends)
+
 
 def _union_bound(family: str, pieces: Iterable[Sequence[tuple[float, float]]]) -> SupportBound:
-    """The bound on the union of pieces given by their sides, built without a region.
+    """The bound on the union of pieces given by their sides.
 
     Each piece is a rectangle (x-side, y-side) or a ring (radius side),
     checked as `_piece_function` checks it.  The union's canonical pieces
@@ -453,11 +413,9 @@ def _union_bound(family: str, pieces: Iterable[Sequence[tuple[float, float]]]) -
     pieces, exactly as the region constructors and Booleans find them.
     """
     live = [ends for sides in pieces if (ends := _piece_ends(family, sides)) is not None]
-    ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*live))
-    _, union = _atom_columns(family, _overlay([1] * len(live), ends, 0.0, _nonzero))
-    bound = object.__new__(SupportBound)
-    bound._set(family, union, None)
-    return bound
+    ends = _joined(family, live)
+    cls = GridRegion if family == GRID else RadialRegion
+    return SupportBound(_canonical_region(cls, _sweep([1] * len(live), ends, _nonzero)))
 
 
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
@@ -476,8 +434,9 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
         )
     if f.is_zero:
         return True
-    weights = [1] * len(f._atom_coeffs) + [2] * (len(bound._ends[0]) // 2)
-    ends = [atoms + b for atoms, b in zip(f._atom_ends, bound._ends)]
+    bound_ends = bound.region._ends
+    weights = [1] * len(f._atom_coeffs) + [2] * (len(bound_ends[0]) // 2)
+    ends = [atoms + b for atoms, b in zip(f._atom_ends, bound_ends)]
     _, sums = _cell_sums(weights, ends)
     return not (sums == 1).any()
 

@@ -7,7 +7,9 @@ overlays re-scan every piece for every elementary cell; the package's
 slice-accumulation kernel must reproduce their atoms exactly.  The region
 sweeps at the end (per-slab 1-D unions and per-slab Boolean profiles, one
 sweep each for canonicalisation, grid and radial combination) must give
-the same point sets and cell order as the kernel's 1/2-weighted overlay.
+the same point sets and cell order as the kernel's 1/2-weighted overlay;
+their results become regions through `canonical_region`, which only lays
+the pieces out as endpoint columns and runs no sweep.
 The memoised divided-difference recursion (one `linear_combine` per
 sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
 and for when it must leave the float range.  `kernel_paths` records which
@@ -190,6 +192,25 @@ def reference_radial_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, .
     )
 
 
+def piece_columns(pieces: Sequence, family: str) -> tuple[list[float], ...]:
+    """Endpoint columns of Interval pieces, as regions hold theirs: layout only.
+
+    Rectangles (x-side, y-side) give an x and a y column, rings one radius
+    column; piece i spans ]e[2i], e[2i+1]] on the axis of column e.
+    """
+    if family == "radial":
+        return ([p for ring in pieces for p in (ring.lo, ring.hi)],)
+    return (
+        [p for cx, _ in pieces for p in (cx.lo, cx.hi)],
+        [p for _, cy in pieces for p in (cy.lo, cy.hi)],
+    )
+
+
+def canonical_region(cls: type, pieces: Sequence) -> Region:
+    """The region of `cls` whose canonical pieces are `pieces`, built without a sweep."""
+    return _canonical_region(cls, piece_columns(pieces, cls.family))
+
+
 def reference_canon_1d(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     """Union of arbitrary intervals as a sorted, disjoint, separated tuple."""
     live = sorted((iv for iv in intervals if not iv.is_empty), key=lambda iv: (iv.lo, iv.hi))
@@ -271,14 +292,12 @@ def reference_grid_combine(a: GridRegion, b: GridRegion, keep) -> GridRegion:
         prof = _combine_1d(_grid_profile(a, lo, hi), _grid_profile(b, lo, hi), keep)
         cx = Interval(lo, hi)
         cells.extend((cx, cy) for cy in prof)
-    return _canonical_region(GridRegion, reference_canon_grid(cells))
+    return canonical_region(GridRegion, reference_canon_grid(cells))
 
 
 def reference_radial_combine(a: RadialRegion, b: RadialRegion, keep) -> RadialRegion:
     """Boolean `keep(in a, in b)` of two radial regions."""
-    return _canonical_region(
-        RadialRegion, reference_canon_1d(_combine_1d(a.rings, b.rings, keep))
-    )
+    return canonical_region(RadialRegion, reference_canon_1d(_combine_1d(a.rings, b.rings, keep)))
 
 
 def reference_combine(a: Region, b: Region, keep) -> Region:

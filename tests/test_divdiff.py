@@ -277,8 +277,9 @@ def test_curve_values_and_support_checks_build_no_interval(monkeypatch):
     assert len(built) == 0
     exp_smoothness(ExperimentConfig(experiment="smoothness", example="example1", k=3, steps=40))
     assert len(built) == 0
-    support_bound_of(nodes, GRID).region  # the region of a bound is built when read
-    assert len(built) > 0
+    bound = support_bound_of(nodes, GRID)
+    assert not bound.region.is_empty and bound.mass > 0 and len(built) == 0
+    assert bound.region.cells and len(built) > 0  # reading its pieces builds Intervals
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Region algebra and closed-form measure tests."""
 
+import copy
+import functools
 import json
 import math
+import pickle
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from gaussdiff import (
     RadialRegion,
     annulus,
     empty_region,
+    full_plane,
     horizontal_strip,
+    indicator,
     left_half_plane,
     lower_left_quadrant,
     mu_grid,
@@ -35,10 +41,12 @@ from gaussdiff import (
     vertical_strip,
 )
 from gaussdiff import measure
+from gaussdiff.simplefn import SupportBound
 
 from oracles import (
     agrees_3sig,
     annulus_quad,
+    canonical_region,
     kernel_paths,
     mc_oracle,
     nu_quad,
@@ -446,6 +454,177 @@ def test_sweep_shares_one_y_side_per_run():
         assert not hasattr(obj, "__dict__")
 
 
+# ---------------------------------------------------------------------------
+# regions held as endpoint columns
+# ---------------------------------------------------------------------------
+
+# repr strings recorded from the Interval-tuple implementation the columns replaced
+_RECORDED_REPRS = [
+    (
+        lambda: rect(0, 1, -0.0, INF),
+        "GridRegion(cells=((Interval(lo=0.0, hi=1.0), Interval(lo=-0.0, hi=inf)),))",
+    ),
+    (
+        lambda: region_union(rect(0, 1, 0, 1), rect(0.5, 2, -1, 0.5)),
+        "GridRegion(cells=((Interval(lo=0.0, hi=0.5), Interval(lo=0.0, hi=1.0)), "
+        "(Interval(lo=0.5, hi=1.0), Interval(lo=-1.0, hi=1.0)), "
+        "(Interval(lo=1.0, hi=2.0), Interval(lo=-1.0, hi=0.5))))",
+    ),
+    (
+        lambda: region_complement(rect(-1, 1, -0.5, 0.5)),
+        "GridRegion(cells=((Interval(lo=-inf, hi=-1.0), Interval(lo=-inf, hi=inf)), "
+        "(Interval(lo=-1.0, hi=1.0), Interval(lo=-inf, hi=-0.5)), "
+        "(Interval(lo=-1.0, hi=1.0), Interval(lo=0.5, hi=inf)), "
+        "(Interval(lo=1.0, hi=inf), Interval(lo=-inf, hi=inf))))",
+    ),
+    (lambda: annulus(0.25, 1.5), "RadialRegion(rings=(Interval(lo=0.25, hi=1.5),))"),
+    (
+        lambda: region_union(annulus(0, 1), annulus(2, INF)),
+        "RadialRegion(rings=(Interval(lo=0.0, hi=1.0), Interval(lo=2.0, hi=inf)))",
+    ),
+    (
+        lambda: region_complement(annulus(0.5, 1)),
+        "RadialRegion(rings=(Interval(lo=0.0, hi=0.5), Interval(lo=1.0, hi=inf)))",
+    ),
+    (lambda: empty_region("grid"), "GridRegion(cells=())"),
+    (lambda: empty_region("radial"), "RadialRegion(rings=())"),
+    (lambda: rect(2, 2, 0, 1), "GridRegion(cells=())"),
+    (
+        lambda: full_plane("grid"),
+        "GridRegion(cells=((Interval(lo=-inf, hi=inf), Interval(lo=-inf, hi=inf)),))",
+    ),
+    (lambda: full_plane("radial"), "RadialRegion(rings=(Interval(lo=0.0, hi=inf),))"),
+    (
+        lambda: SupportBound(vertical_strip(-0.0, 1)),
+        "SupportBound(region=GridRegion(cells=((Interval(lo=-0.0, hi=1.0), "
+        "Interval(lo=-inf, hi=inf)),)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, want", _RECORDED_REPRS, ids=[w for _, w in _RECORDED_REPRS])
+def test_region_repr_is_the_recorded_dataclass_repr(build, want):
+    assert repr(build()) == want
+
+
+def _flip_zeros(pieces):
+    """The same pieces with every zero endpoint spelled the other way."""
+
+    def flip(iv):
+        return Interval(*(-e if e == 0 else e for e in (iv.lo, iv.hi)))
+
+    return [tuple(map(flip, p)) if isinstance(p, tuple) else flip(p) for p in pieces]
+
+
+_VALUE_CASES = st.one_of(
+    st.tuples(st.just(GridRegion), _GRID_PIECES),
+    st.tuples(st.just(RadialRegion), _RADIAL_PIECES),
+)
+
+
+@given(_VALUE_CASES)
+@settings(max_examples=150)
+def test_region_value_semantics(case):
+    cls, pieces = case
+    region = cls(tuple(pieces))
+    name = "cells" if cls is GridRegion else "rings"
+    # the same canonical pieces with each zero spelled the other way: the same set
+    twin = canonical_region(cls, _flip_zeros(_pieces(region)))
+    assert twin == region and hash(twin) == hash(region)
+    assert cls(tuple(_flip_zeros(pieces))) == region
+    assert region != (GridRegion() if cls is RadialRegion else RadialRegion())
+    for again in (copy.copy(region), copy.deepcopy(region), pickle.loads(pickle.dumps(region))):
+        assert again == region and hash(again) == hash(region) and repr(again) == repr(region)
+    for target in (region, twin):
+        for field in (name, "_ends", "family"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, field, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(target, field)
+        assert not hasattr(target, "__dict__")
+    assert repr(region) == f"{cls.__name__}({name}={_pieces(region)!r})"
+
+
+def test_region_constructors_check_in_the_old_order():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="must not be NaN"):
+        annulus(-1, nan)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        rect(0, 1, 2, nan)
+    with pytest.raises(ValueError, match="radius bound -1.0 is negative"):
+        annulus(-1, -0.5)
+    with pytest.raises(ValueError, match=re.escape("interval ]1.0, 0.0] has lo > hi")):
+        rect(1, 0, nan, 1)
+    with pytest.raises(ValueError, match=re.escape("interval ]-2.0, -3.0] has lo > hi")):
+        annulus(-2, -3)
+    with pytest.raises(ValueError, match="radius bound -0.5 is negative"):
+        RadialRegion((Interval(0.0, 1.0), Interval(-0.5, -0.5)))  # even an empty ring
+
+
+def test_wrong_family_masses_raise():
+    with pytest.raises(FamilyMismatchError):
+        mu_grid(annulus(0, 1))
+    with pytest.raises(FamilyMismatchError):
+        mu_radial(rect(0, 1, 0, 1))
+    assert mu_grid(rect(0, 1, 0, 1)) == region_measure(rect(0, 1, 0, 1))
+    assert mu_radial(annulus(0, 1)) == region_measure(annulus(0, 1))
+
+
+def test_views_keep_every_zero_spelling():
+    # canonical columns that spell the zero both ways, as the oracles build them
+    both = canonical_region(
+        GridRegion,
+        [(Interval(0.0, 1.0), Interval(-0.0, 1.0)), (Interval(2.0, 3.0), Interval(0.0, 1.0))],
+    )
+    (_, cy0), (_, cy1) = both.cells
+    assert [math.copysign(1.0, cy.lo) for cy in (cy0, cy1)] == [-1.0, 1.0]
+    assert cy0 is not cy1
+    assert repr(both) == (
+        "GridRegion(cells=((Interval(lo=0.0, hi=1.0), Interval(lo=-0.0, hi=1.0)), "
+        "(Interval(lo=2.0, hi=3.0), Interval(lo=0.0, hi=1.0))))"
+    )
+    for again in (copy.copy(both), copy.deepcopy(both), pickle.loads(pickle.dumps(both))):
+        assert repr(again) == repr(both)
+    rings = canonical_region(RadialRegion, [Interval(-0.0, 1.0), Interval(2.0, 3.0)])
+    assert repr(rings.rings[0]) == "Interval(lo=-0.0, hi=1.0)"
+    # one sweep meets -0.0 first and spells the zero so in both columns
+    got = region_union(rect(0, 1, -0.0, 1), rect(2, 3, 0.0, 1))
+    assert [math.copysign(1.0, cy.lo) for _, cy in got.cells] == [-1.0, -1.0]
+    assert [math.copysign(1.0, e) for e in got._ends[1][::2]] == [-1.0, -1.0]
+    assert got == both and hash(got) == hash(both)
+
+
+def _booleans_op(regions):
+    """One family's half of a region-booleans op, as perfbench/workloads.py runs it."""
+    h = len(regions) // 2
+    a = functools.reduce(region_union, regions[:h])
+    b = functools.reduce(region_symdiff, regions[h:])
+    u = region_union(a, b)
+    out = [a, b, u, region_intersect(a, b), region_symdiff(a, b), region_complement(a)]
+    return [region_measure(x) for x in out], region_contains(u, a)
+
+
+def test_booleans_and_constructors_build_no_interval(monkeypatch):
+    rng = np.random.default_rng(13)
+    rects = [np.sort(rng.uniform(-2, 2, (2, 2)), axis=1).ravel().tolist() for _ in range(32)]
+    radii = [sorted(rng.uniform(0, 3, 2).tolist()) for _ in range(32)]
+    built = []
+    post_init = Interval.__post_init__
+    monkeypatch.setattr(
+        Interval, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    with kernel_paths() as seen:
+        masses, inside = _booleans_op([rect(*r) for r in rects])
+        assert inside and len(masses) == 6
+        masses, inside = _booleans_op([annulus(*r) for r in radii])
+        assert inside and len(masses) == 6
+        f = indicator(rect(0.0, 1.0, -INF, 0.5))
+        assert f.masses == (region_measure(rect(0.0, 1.0, -INF, 0.5)),)
+    assert built == []
+    assert seen["merges"] >= 1 and len(seen["grids"]) > seen["merges"]  # both kernel forms ran
+    assert rect(0, 1, 0, 1).cells and len(built) == 2  # the view builds its Intervals
+
+
 # Enough distinct endpoints that 12-40 pieces make grids of at least
 # `_ARRAY_CELLS` cells, drawn with repeats; both zeros and the infinite ends.
 _ARRAY_END = st.sampled_from([-INF, -0.0, 0.0, INF] + [k / 8 for k in range(-24, 25) if k])
@@ -471,6 +650,10 @@ _ARRAY_CASES = st.one_of(
 )
 
 
+def _pieces(region) -> tuple:
+    return region.cells if isinstance(region, GridRegion) else region.rings
+
+
 def _live_cells(cls, pieces) -> int:
     """Elementary cells of the grid the constructor of `cls` sweeps for `pieces`."""
     if cls is RadialRegion:
@@ -492,9 +675,9 @@ def test_region_algebra_on_the_array_path(case):
     canon = reference_canon_grid if cls is GridRegion else reference_canon_1d
     with kernel_paths() as seen:
         a, b, both = cls(tuple(pa)), cls(tuple(pb)), cls(tuple(pa + pb))
-        _assert_same(measure._pieces(a), canon(pa))
-        _assert_same(measure._pieces(b), canon(pb))
-        _assert_same(measure._pieces(both), canon(pa + pb))
+        _assert_same(_pieces(a), canon(pa))
+        _assert_same(_pieces(b), canon(pb))
+        _assert_same(_pieces(both), canon(pa + pb))
         _assert_same(region_union(a, b), both)
         for op, keep in _BOOLEANS:
             _assert_same(op(a, b), reference_combine(a, b, keep))

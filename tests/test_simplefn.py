@@ -40,12 +40,13 @@ from gaussdiff import (
     wk_member,
 )
 
-from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _ends, _merged, _overlay, _pieces
+from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _merged, _overlay
 from gaussdiff.simplefn import ZERO_TOL, _piece_function
 from oracles import (
     agrees_3sig,
     eval_grid_64,
     kernel_paths,
+    piece_columns,
     mc_l0_gauge,
     mc_lp_gauge,
     mc_oracle,
@@ -496,10 +497,10 @@ def _wide_overlays(draw):
     """Kernel arguments (weights, ends) of 12-40 rectangles or 36-64 rings."""
     if draw(st.booleans()):
         pieces = draw(_WIDE_RECTS)
-        ends = _ends(pieces, "grid")
+        ends = piece_columns(pieces, "grid")
     else:
         pieces = draw(_WIDE_RINGS)
-        ends = _ends(pieces, "radial")
+        ends = piece_columns(pieces, "radial")
     weights = draw(st.lists(st.sampled_from(_EDGE_WEIGHTS), min_size=len(pieces), max_size=len(pieces)))
     return weights, ends
 
@@ -665,8 +666,8 @@ def test_linear_combine_and_gauges_build_no_region(monkeypatch):
         h.value_at(0.6 + 0.6j), h.max_coeff(), h.is_zero
         coefficient_distance(g, h)
     supported_in(linear_combine([1.0], [grid[0]]), grid_bound)
-    assert not built
-    assert h.atoms and built["Interval"] > 0  # the views do build regions
+    assert h.atoms and not built  # the atom view's regions hold slices of the columns
+    assert h.atoms[0][1].rings and built["Interval"] > 0  # reading a region's pieces does not
 
 
 _SINGLE_PIECES = [
@@ -683,7 +684,7 @@ _SINGLE_COEFFS = [1.0 + 0j, complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0
 @pytest.mark.parametrize("region", _SINGLE_PIECES, ids=repr)
 def test_single_piece_function_matches_the_kernel(region):
     # one piece skips numpy: its own atom, valued 0j + c, kept iff abs > tol
-    ends = _ends(_pieces(region), region.family)
+    ends = region._ends
     reference = reference_grid_atoms if region.family == "grid" else reference_radial_atoms
     assert repr(indicator(region).atoms) == repr(reference(((1.0 + 0j, region),), 1e-9))
     for coeff in _SINGLE_COEFFS:
