@@ -21,18 +21,28 @@ Two independent evaluation orders are provided.  `divided_diff` runs the
 recursion's triangle, each distinct sub-tuple once (keeping cancellations
 local), on one grid of cells: per axis the sorted union of the curve
 values' atom endpoints (radii for rings).  Level j, row a of the triangle
-is the difference over (a, m, ..., n-1) with m = n - j, held as a flat
-list of per-cell Python complex values.  A cell is summed as
-`linear_combine([w, -w], [left, right])` would sum it, w = 1/(z_a - z_m),
-and set to 0j under the same zero_tol threshold.  Canonical atoms do not
-depend on how fine the grid is, so only the result and its two children
-are merged into atoms, and the result is bitwise the function one
-`linear_combine` per sub-tuple would build.  Where that recursion would
-leave the float range (w not a finite non-zero float, as for nodes a
-subnormal distance apart, or a coefficient whose modulus overflows),
-FloatRangeError is raised instead, naming the triangle level.  The cells
-use Python's complex arithmetic, not numpy's: numpy's complex multiply
-(fused multiply-add) and `abs` can differ in the last bit.
+is the difference over (a, m, ..., n-1) with m = n - j, held as a row of
+cell values.  A cell is summed as `linear_combine([w, -w], [left, right])`
+would sum it, w = 1/(z_a - z_m), and set to 0j under the same zero_tol
+threshold.  Canonical atoms do not depend on how fine the grid is, so only
+the result and its two children are merged into atoms, and the result is
+bitwise the function one `linear_combine` per sub-tuple would build.
+`divided_diffs` runs the triangles of many tuples (the steps of a shrink
+schedule) together: each tuple keeps its own grid, and each triangle level
+is one pass of float64 array operations over every tuple and row;
+`divided_diff` is its one-tuple call.  The arrays compute Python's complex
+arithmetic bit for bit.  A product w*x is formed from the parts as
+wr*xr - wi*xi and wr*xi + wi*xr, which is what CPython's complex multiply
+computes, with no fused multiply-add (a test pins this), whereas numpy's
+complex multiply may fuse them.  A modulus is `np.hypot`, the libm
+`hypot` that Python's complex `abs` calls.  w itself is a Python complex
+division, because numpy's rounds differently.  A cell is
+(0.0 + w*x) + (-w)*y with no branch on absent terms: for finite w this is
+the kernel's sum from 0j of the terms present, since 0.0 + (+-0) is +0
+and adding +-0 leaves any value but -0 as it is.  Where that recursion
+would leave the float range (w not a finite non-zero float, as for nodes
+a subnormal distance apart, or a coefficient whose modulus overflows),
+FloatRangeError is raised instead, naming the triangle level.
 `divided_diff_lagrange`, the single-pass barycentric form
 sum_i f(z_i) / prod_{j != i} (z_i - z_j), runs through the overlay kernel
 and is kept as a cross-check oracle.
@@ -46,7 +56,9 @@ import operator
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .measure import GRID, NEG_INF, POS_INF, RADIAL, _merged
 from .simplefn import (
@@ -70,6 +82,7 @@ __all__ = [
     "node_bounds",
     "support_bound_of",
     "divided_diff",
+    "divided_diffs",
     "divided_diff_lagrange",
     "coefficient_distance",
     "symmetry_check",
@@ -94,12 +107,16 @@ class FloatRangeError(ValueError):
     Raised for nodes whose reciprocal difference is not a finite non-zero
     float, and for coefficients whose modulus is not a finite float; the
     message names the triangle level, and the shrink step where there is
-    one.
+    one.  `index` is the position of the failing node tuple in the list
+    given to `divided_diffs`.
     """
 
+    index: int = 0
 
-# The sum of two values of at most this modulus has finite parts.
-_LARGEST = sys.float_info.max / 2
+
+# Where every product modulus of a row is at most this, each of its cells
+# is a sum of two such products and has a finite modulus.
+_SAFE_PRODUCT = sys.float_info.max / 4
 
 
 Nodes = Union["NodeTuple", Sequence[complex]]
@@ -211,9 +228,8 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
     """
     b = node_bounds(nodes, family)
     if isinstance(b, GridBounds):
-        line = (NEG_INF, POS_INF)
-        return _union_bound(family, [((b.x_lo, b.x_hi), line), (line, (b.y_lo, b.y_hi))])
-    return _union_bound(family, [((b.r_lo, b.r_hi),)])
+        return _union_bound(family, [(b.x_lo, b.x_hi), (b.y_lo, b.y_hi)])
+    return _union_bound(family, [(b.r_lo, b.r_hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,96 +240,171 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
 def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFunction:
     """Order-k divided difference over pairwise distinct nodes, recursively.
 
-    Every sub-difference of the recursion's triangle is a list of cell
-    values on one grid; only the result and its two children are merged
-    into atoms (see the module docstring).  Raises FloatRangeError, naming
-    the triangle level, when a reciprocal node difference or a coefficient
-    leaves the float range.
+    The one-tuple call of `divided_diffs` (see the module docstring).
+    Raises FloatRangeError, naming the triangle level, when a reciprocal
+    node difference or a coefficient leaves the float range.
     """
-    zs = _distinct_nodes(nodes)
-    values = [f(z) for z in zs]
-    n = len(zs)
-    if n == 1:
-        return values[0]
-    grid = _CellGrid(values)
-    level = list(map(grid.cells, values))
-    spell = grid.zero_spellings(values)
-    # level j, row a is the difference over (a, m, ..., n-1), m = n - j
-    for m in range(n - 1, 0, -1):
-        children, child_spell = level, spell
-        right = level[m]
-        try:
-            level = [
-                _cell_step(_inverse_gap(zs[a], zs[m]), level[a], right, zero_tol) for a in range(m)
-            ]
-        except FloatRangeError as exc:
-            raise FloatRangeError(f"triangle level {n - m} of {n - 1}: {exc}") from None
-        if spell:
-            spell = grid.next_spellings(spell, level, m)
-    # the result's terms are its children's atoms scaled by w and -w, in
-    # the order `linear_combine([w, -w], [left, right])` lists them
-    family = grid.family
-    if n == 2:  # the children are the curve values
-        cols = [(v._atom_coeffs, v._atom_ends) for v in values]
-    else:
-        cols = [grid.merged(children[a], child_spell, a) for a in (0, 1)]
-    (lc, le), (rc, re) = cols
-    w = 1.0 / (zs[0] - zs[1])
-    weights = [w * c for c in lc] + [-w * c for c in rc]
-    ends = tuple(map(operator.add, le, re))
-    atoms = grid.merged(level[0], spell, 0)
-    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, atoms)
+    return divided_diffs(f, [nodes], zero_tol)[0]
 
 
-def _inverse_gap(a: complex, b: complex) -> complex:
-    """1/(a - b), which must be a finite non-zero float.
+def divided_diffs(
+    f: CurveMap, tuples: Sequence[Nodes], zero_tol: float = 1e-9
+) -> list[SimpleFunction]:
+    """The divided differences over node tuples of one order, all triangles at once.
 
-    Nodes a subnormal distance apart overflow it; nodes an infinite
-    distance apart give 0 (or NaN).
+    Item i is bitwise `divided_diff(f, tuples[i], zero_tol)`.  Raises
+    FloatRangeError for the first tuple in list order whose triangle
+    leaves the float range, naming the triangle level; its `index` is
+    that tuple's position.
     """
-    w = 1.0 / (a - b)
-    if w and cmath.isfinite(w):
-        return w
-    raise FloatRangeError(f"nodes {a} and {b} give 1/(a - b) = {w}, not a finite non-zero float")
+    return list(_differences(f, tuples, zero_tol))
 
 
-def _cell_step(w: complex, left: list, right: list, zero_tol: float) -> list:
-    """Cell values of `linear_combine([w, -w], [left, right], zero_tol)`.
+def _differences(
+    f: CurveMap, tuples: Sequence[Nodes], zero_tol: float = 1e-9
+) -> Iterator[SimpleFunction]:
+    """`divided_diffs`, one difference at a time.
 
-    Bitwise what the overlay kernel sums: from 0j, the left term, then the
-    right one, each only where it has an atom, and 0j where the modulus is
-    at most zero_tol times the largest scaled atom coefficient.  Raises
-    FloatRangeError where that sum would meet a modulus past the largest
-    float: a scaled coefficient's, or a cell's.  Cells can overflow only
-    when a scaled coefficient exceeds `_LARGEST`, so only then are they
-    checked for finiteness.
+    The triangles run together, on float64 arrays, and each result is
+    merged only when it is asked for, so a caller that gauges one
+    difference at a time holds one.  The tuples' nodes are checked before
+    any curve is evaluated.
     """
-    nw = -w
-    try:
-        cmax = max(
-            [abs(w * c) for c in set(left) if c] + [abs(nw * c) for c in set(right) if c],
-            default=0.0,
-        )
-        if cmax == math.inf:
-            raise OverflowError
-        tol = zero_tol * cmax
-        out = []
-        for x, y in zip(left, right):
-            if x:
-                v = 0j + w * x
-                if y:
-                    v += nw * y
-            elif y:
-                v = 0j + nw * y
-            else:
-                out.append(0j)
-                continue
-            out.append(0j if abs(v) <= tol else v)
-        if cmax > _LARGEST and not all(map(cmath.isfinite, out)):
-            raise OverflowError
-    except OverflowError:  # also what abs() raises for a finite value of too large a modulus
-        raise FloatRangeError("a coefficient's modulus is past the largest float") from None
-    return out
+    zss = [_distinct_nodes(nodes) for nodes in tuples]
+    if len(set(map(len, zss))) > 1:
+        raise ValueError("divided_diffs needs node tuples of one order")
+    if zss and len(zss[0]) == 1:
+        yield from (f(zs[0]) for zs in zss)
+        return
+    batch: list = []  # (nodes, curve values, grid) of the tuples of the next pass
+    start = widest = 0
+    for i, zs in enumerate(zss):
+        values = [f(z) for z in zs]
+        grid = _CellGrid(values)
+        widest = max(widest, grid.size)
+        if batch and (len(batch) + 1) * len(zs) * widest > _PASS_CELLS:
+            yield from _triangles(batch, start, zero_tol)
+            batch, start, widest = [], i, grid.size
+        batch.append((zs, values, grid))
+    if batch:
+        yield from _triangles(batch, start, zero_tol)
+
+
+#: Level-0 cells, padding included, of the tuples whose triangles share one
+#: array pass; a pass holds about 70 bytes per cell.  Measured on the
+#: divdiff-deep benchmark (2 vCPU Xeon): passes of 2**12 cells ran as fast
+#: as passes of whole 40-step schedules, which raised its peak RSS by
+#: 2.7 MB (7%); at 2**12 the peak RSS stays at its level before arrays.
+_PASS_CELLS = 2**12
+
+
+def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunction]:
+    """The differences over tuples of n >= 2 distinct nodes, by one array pass per level.
+
+    Tuple s keeps its own grid; its level-0 cells are rows 0..n-1 of
+    `cells[s]`, padded with zero cells to the largest grid, and row a of
+    each level overwrites row a of the level below.  A cell of row a at
+    pivot m is (0.0 + w*x) + (-w)*y, w = 1/(z_a - z_m), x and y the cells
+    of rows a and m below, and 0j where its modulus is at most zero_tol
+    times cmax, the largest product modulus |w*x| or |(-w)*y| of the row;
+    padded cells stay 0.  A row fails where w is not a finite non-zero
+    float, or cmax or a cell modulus is not finite.  The differences of
+    the tuples before the first failing one are yielded, then its error is
+    raised.
+    """
+    zss, values, grids = zip(*batch)
+    n = len(zss[0])
+    sizes = [grid.size for grid in grids]
+    steps, size = len(zss), max(sizes)
+    cells = np.zeros((steps, n, size), dtype=complex)
+    for grid, vs, rows in zip(grids, values, cells):
+        for v, row in zip(vs, rows):
+            grid.fill(row, v)
+    spells = [grid.zero_spellings(vs) for grid, vs in zip(grids, values)]
+    # w of row a at pivot m, levels in triangle order, by Python's division
+    ws = np.array(
+        [[1.0 / (zs[a] - zs[m]) for m in range(n - 1, 0, -1) for a in range(m)] for zs in zss]
+    )
+    bad_w = ~(np.isfinite(ws) & (ws != 0))
+    any_bad_w = bad_w.any()
+    parts = cells.view(float).reshape(steps, n, size, 2)  # (re, im) of every cell
+    failed: dict[int, str] = {}  # tuple -> the message of its first failing row
+    at = 0
+    with np.errstate(all="ignore"):
+        for m in range(n - 1, 0, -1):
+            if m == 1:
+                children, child_spells = cells[:, 0].copy(), list(spells)
+            level = slice(at, at + m)
+            cmax, mod = _next_level(parts[:, :m], parts[:, m : m + 1], ws[:, level], zero_tol)
+            if any_bad_w or not cmax.max() <= _SAFE_PRODUCT:
+                faults = ~np.isfinite(cmax) | ~np.isfinite(mod).all(axis=2) | bad_w[:, level]
+                for s, a in zip(*np.nonzero(faults)):
+                    if s in failed:
+                        continue
+                    # w is computed before the row's cells, as the recursion meets it
+                    why = "a coefficient's modulus is past the largest float"
+                    if bad_w[s, at + a]:
+                        za, zm, w = zss[s][a], zss[s][m], ws[s, at + a].item()
+                        why = f"nodes {za} and {zm} give 1/(a - b) = {w}, "
+                        why += "not a finite non-zero float"
+                    failed[s] = f"triangle level {n - m} of {n - 1}: {why}"
+            at += m
+            for s, spell in enumerate(spells):
+                if spell:
+                    rows = cells[s, :m, : sizes[s]].tolist()
+                    spells[s] = grids[s].next_spellings(spell, rows, m)
+    stop = min(failed, default=len(zss))
+    for s in range(stop):
+        grid, zs, size = grids[s], zss[s], sizes[s]
+        # the result's terms are its children's atoms scaled by w and -w, in
+        # the order `linear_combine([w, -w], [left, right])` lists them
+        if n == 2:  # the children are the curve values
+            cols = [(v._atom_coeffs, v._atom_ends) for v in values[s]]
+        else:
+            kids = (children[s, :size], cells[s, 1, :size])
+            cols = [grid.merged(kid.tolist(), child_spells[s], a) for a, kid in enumerate(kids)]
+        (lc, le), (rc, re) = cols
+        w = 1.0 / (zs[0] - zs[1])
+        weights = [w * c for c in lc] + [-w * c for c in rc]
+        ends = tuple(map(operator.add, le, re))
+        atoms = grid.merged(cells[s, 0, :size].tolist(), spells[s], 0)
+        yield _from_columns(grid.family, weights, [1] * len(weights), ends, zero_tol, atoms)
+    if failed:
+        exc = FloatRangeError(failed[stop])
+        exc.index = start + stop
+        raise exc
+
+
+def _next_level(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, zero_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite rows x of a level with the rows of the next, as they pivot on row y.
+
+    x holds the (re, im) parts of rows 0..m-1 of each tuple, shape
+    (tuples, m, cells, 2), y those of row m, shape (tuples, 1, cells, 2),
+    and w, shape (tuples, m), the complex 1/(z_a - z_m) of each row a.  A
+    cell becomes (0.0 + w*x) + (-w)*y, or 0 where its modulus is at most
+    zero_tol * cmax.  Returns cmax, shape (tuples, m), and the cell
+    moduli, shape (tuples, m, cells).  A product w*x is computed as the
+    parts wr*(xr, xi) + (-wi, wi)*(xi, xr), the same float operations as
+    Python's wr*xr - wi*xi and wr*xi + wi*xr (see the module docstring).
+    """
+    p, q, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    wr, wi = w.real[..., None, None], w.imag[..., None, None]
+    np.multiply(wr, x, out=p)
+    np.add(p, np.multiply(wi * _CROSS, x[..., ::-1], out=t), out=p)
+    np.multiply(-wr, y, out=q)
+    np.add(q, np.multiply(wi * -_CROSS, y[..., ::-1], out=t), out=q)
+    mod = t[..., 0]
+    cmax = np.hypot(p[..., 0], p[..., 1], out=mod).max(axis=2, initial=0.0)
+    np.maximum(cmax, np.hypot(q[..., 0], q[..., 1], out=mod).max(axis=2, initial=0.0), out=cmax)
+    np.add(np.add(p, 0.0, out=p), q, out=x)
+    np.hypot(x[..., 0], x[..., 1], out=mod)
+    x[mod <= zero_tol * cmax[..., None]] = 0.0
+    return cmax, mod
+
+
+_CROSS = np.array([-1.0, 1.0])  # wi * _CROSS = (-wi, wi), exactly
 
 
 class _CellGrid:
@@ -321,9 +412,9 @@ class _CellGrid:
 
     Its axes are the sorted distinct atom endpoints of all the functions
     per axis (radii for the radial family).  A function on it is a flat
-    list of cell values, x-major, with 0j where no atom lies; an atom
-    covers a block of cells.  Canonical atoms do not depend on how fine
-    the grid is, so merging a function's cells gives back its atoms.
+    row of `size` cell values, x-major, with 0j where no atom lies; an
+    atom covers a block of cells.  Canonical atoms do not depend on how
+    fine the grid is, so merging a function's cells gives back its atoms.
 
     The atoms of a function built by the overlay kernel spell a zero
     endpoint one way per axis, the way the first of its terms to reach
@@ -332,7 +423,7 @@ class _CellGrid:
     triangle (`zero_spellings`, `next_spellings`).
     """
 
-    __slots__ = ("family", "axes", "index", "nx", "ny")
+    __slots__ = ("family", "axes", "index", "nx", "ny", "size")
 
     def __init__(self, values: Sequence[SimpleFunction]) -> None:
         self.family = values[0].family
@@ -342,23 +433,19 @@ class _CellGrid:
         self.index = [dict(zip(axis, range(len(axis)))) for axis in self.axes]
         sides = [max(len(axis) - 1, 0) for axis in self.axes]
         self.nx, self.ny = sides if self.family == GRID else (sides[0], 1)
+        self.size = self.nx * self.ny
 
-    def cells(self, f: SimpleFunction) -> list:
-        """The cell values of f: each atom's coefficient on its block."""
-        out = [0j] * (self.nx * self.ny)
+    def fill(self, row: np.ndarray, f: SimpleFunction) -> None:
+        """Write the cell values of f into `row`, which is zero: each atom's value on its block."""
         if self.family == RADIAL:
             (ir,), (re,) = self.index, f._atom_ends
             for c, lo, hi in zip(f._atom_coeffs, re[::2], re[1::2]):
-                i0, i1 = ir[lo], ir[hi]
-                out[i0:i1] = [c] * (i1 - i0)
-            return out
-        (ix, iy), (xe, ye), ny = self.index, f._atom_ends, self.ny
+                row[ir[lo] : ir[hi]] = c
+            return
+        (ix, iy), (xe, ye) = self.index, f._atom_ends
+        blocks = row[: self.size].reshape(self.nx, self.ny)
         for c, xlo, xhi, ylo, yhi in zip(f._atom_coeffs, xe[::2], xe[1::2], ye[::2], ye[1::2]):
-            j0, j1 = iy[ylo], iy[yhi]
-            run = [c] * (j1 - j0)
-            for s in range(ix[xlo] * ny, ix[xhi] * ny, ny):
-                out[s + j0 : s + j1] = run
-        return out
+            blocks[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]] = c
 
     def merged(self, cells: list, spell: dict, row: int) -> tuple[list, tuple]:
         """The kernel's merged atoms of `cells`, which are row `row` of a level,
@@ -612,12 +699,11 @@ def derivative_by_limit(
             f"{fault} at center {complex(z)}; use fewer steps, a larger ratio or a center nearer 0"
         )
     trace: list[float] = []
-    for n, nt in enumerate(tuples, start=1):
-        try:
-            g = divided_diff(f, nt)
-        except FloatRangeError as exc:
-            raise FloatRangeError(f"step {n} of {schedule.steps}: {exc}") from None
-        trace.append(gauge(g))
+    try:
+        for g in _differences(f, tuples):
+            trace.append(gauge(g))
+    except FloatRangeError as exc:
+        raise FloatRangeError(f"step {exc.index + 1} of {schedule.steps}: {exc}") from None
     verdict = classify_trace(trace, convergence_tol, divergence_ceiling)
     scale = float(math.factorial(k))
     try:

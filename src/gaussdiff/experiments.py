@@ -41,8 +41,9 @@ from .divdiff import (
     FloatRangeError,
     NodeTuple,
     ShrinkSchedule,
+    _differences,
+    _float_grid_fault,
     classify_trace,
-    divided_diff,
     node_bounds,
     support_bound_of,
 )
@@ -320,19 +321,19 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     make = ShrinkSchedule.real_offsets if real_axis else ShrinkSchedule.roots_of_unity
     sched = make(cfg.k, cfg.rho, steps)
     tuples = [sched.tuple_at(center, n) for n in range(1, steps + 1)]
-    for n, nt in enumerate(tuples, start=1):
-        if not nt.pairwise_distinct:
-            raise ConfigError(
-                f"step {n} of {steps} puts two nodes on the same float at center "
-                f"{center}; use fewer steps, a larger rho or a center nearer 0"
-            )
+    fault = _float_grid_fault(sched, tuples)
+    if fault is not None:
+        raise ConfigError(
+            f"{fault} at center {center}; use fewer steps, a larger rho or a center nearer 0"
+        )
 
     rows: list[dict] = []
     trace: list[float] = []
     all_ok = True
+    differences = _differences(curve, tuples, cfg.zero_tol)
     for n, nt in enumerate(tuples, start=1):
         try:
-            g = divided_diff(curve, nt, cfg.zero_tol)
+            g = next(differences)
         except FloatRangeError as exc:
             raise ConfigError(
                 f"step {n} of {steps}: {exc}; use a smaller k, fewer steps or a larger rho"
@@ -612,6 +613,7 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     steps_a = min(steps, max(8, int(math.log(1e-13) / math.log(cfg.rho))))
     phase_a_ok = True
     gauges_a: list[float] = []
+    pairs = []
     for m in range(1, steps_a + 1):
         re = rng.uniform(-cfg.box, cfg.box)
         im = 0.0 if real_axis else rng.uniform(-cfg.box, cfg.box)
@@ -620,7 +622,9 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         z2 = z1 + cfg.rho**m * complex(math.cos(theta), math.sin(theta))
         if z2 == z1:
             break
-        quotient = divided_diff(curve, (z1, z2), cfg.zero_tol)
+        pairs.append((z1, z2))
+    quotients = _differences(curve, pairs, cfg.zero_tol)
+    for m, ((z1, z2), quotient) in enumerate(zip(pairs, quotients), start=1):
         gauge = lp_gauge(quotient, p)
         bound = abs(z2 - z1) ** (1.0 - p)
         ok = gauge <= bound
@@ -643,10 +647,11 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     dominance_ok = True
     trace_b: list[float] = []
     ts: list[float] = []
-    for m in range(1, steps + 1):
+    tuples = [sched_b.tuple_at(0j, m) for m in range(1, steps + 1)]
+    quotients = _differences(curve, tuples, cfg.zero_tol)
+    for m, (nt, quotient) in enumerate(zip(tuples, quotients), start=1):
         t = cfg.rho**m
-        nt = sched_b.tuple_at(0j, m)
-        gauge = lp_gauge(divided_diff(curve, nt, cfg.zero_tol), p)
+        gauge = lp_gauge(quotient, p)
         closed = (1.0 / (2.0 * t * t)) ** p * nu_mass(Interval(0.0, 2.0 * t))
         lower = 2.0 ** (1.0 - p) * t ** (1.0 - 2.0 * p) * BLOWUP_C
         id_ok = abs(gauge - closed) <= 1e-10 * closed

@@ -57,6 +57,8 @@ from typing import Iterable, Sequence
 
 from .measure import (
     GRID,
+    NEG_INF,
+    POS_INF,
     RADIAL,
     FamilyMismatchError,
     GridRegion,
@@ -67,11 +69,9 @@ from .measure import (
     _cell_sums,
     _ends_measure,
     _joined,
-    _nonzero,
     _overlay,
     _piece_ends,
     _piece_masses,
-    _sweep,
     region_to_json,
 )
 
@@ -404,18 +404,53 @@ class SupportBound:
         return _ends_measure(self.region._ends)
 
 
-def _union_bound(family: str, pieces: Iterable[Sequence[tuple[float, float]]]) -> SupportBound:
-    """The bound on the union of pieces given by their sides.
+def _union_bound(family: str, sides: Sequence[tuple[float, float]]) -> SupportBound:
+    """The bound on the union of two strips, or on a ring, given by its sides.
 
-    Each piece is a rectangle (x-side, y-side) or a ring (radius side),
-    checked as `_piece_function` checks it.  The union's canonical pieces
-    are the merged cells of one unit-weight overlay of the non-empty
-    pieces, exactly as the region constructors and Booleans find them.
+    Grid family: sides (x-side, y-side) give the vertical strip over the
+    x-side and the horizontal strip over the y-side; radial family: the
+    one side gives the ring.  Each side is checked as `_piece_function`
+    checks it, and a strip or ring with an empty side is empty.  One
+    non-empty piece is its own canonical piece; two strips are merged by
+    `_strip_union`, as the region constructors and Booleans would merge
+    them.
     """
-    live = [ends for sides in pieces if (ends := _piece_ends(family, sides)) is not None]
-    ends = _joined(family, live)
+    line = (NEG_INF, POS_INF)
+    if family == GRID:
+        x, y = sides
+        pieces = [_piece_ends(GRID, (x, line)), _piece_ends(GRID, (line, y))]
+    else:
+        pieces = [_piece_ends(family, sides)]
+    live = [ends for ends in pieces if ends is not None]
+    if len(live) == 2:
+        ends = _strip_union(live[0][0], live[1][1])
+    else:
+        ends = live[0] if live else tuple([] for _ in sides)
     cls = GridRegion if family == GRID else RadialRegion
-    return SupportBound(_canonical_region(cls, _sweep([1] * len(live), ends, _nonzero)))
+    return SupportBound(_canonical_region(cls, ends))
+
+
+def _strip_union(x: Sequence[float], y: Sequence[float]) -> _Ends:
+    """Endpoint columns of the canonical pieces of the union of two non-empty strips.
+
+    The strips lie over the x-side ]x_lo, x_hi] and the y-side ]y_lo, y_hi].
+    A unit-weight overlay of them has one column per x-cell of
+    -inf, x_lo, x_hi, +inf: the middle one covered whole, the outer ones
+    over the y-side.  Equal neighbouring columns merge, so the union is the
+    plane when either strip is, and otherwise the middle column and those
+    outer columns that are not empty, in x order.  The endpoints are the
+    sides' own floats, as the overlay's merge reads them off its axes.
+    """
+    (x_lo, x_hi), (y_lo, y_hi) = x, y
+    if (x_lo, x_hi) == (NEG_INF, POS_INF) or (y_lo, y_hi) == (NEG_INF, POS_INF):
+        return [NEG_INF, POS_INF], [NEG_INF, POS_INF]
+    xe, ye = [x_lo, x_hi], [NEG_INF, POS_INF]
+    if x_lo != NEG_INF:
+        xe[:0], ye[:0] = (NEG_INF, x_lo), (y_lo, y_hi)
+    if x_hi != POS_INF:
+        xe += (x_hi, POS_INF)
+        ye += (y_lo, y_hi)
+    return xe, ye
 
 
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:

@@ -4,12 +4,14 @@ import cmath
 import copy
 import math
 import pickle
+import struct
+import sys
 from dataclasses import FrozenInstanceError
 from functools import partial, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -33,6 +35,7 @@ from gaussdiff import (
     derivative_by_limit,
     divided_diff,
     divided_diff_lagrange,
+    divided_diffs,
     exp_smoothness,
     gauge_for,
     horizontal_strip,
@@ -53,9 +56,20 @@ from gaussdiff import (
 )
 
 from gaussdiff import measure
+from gaussdiff.divdiff import _next_level
 from gaussdiff.experiments import VERIFY_ALL_SUITE
-from gaussdiff.measure import GRID, RADIAL
-from gaussdiff.simplefn import SupportBound
+from gaussdiff.measure import (
+    GRID,
+    NEG_INF,
+    POS_INF,
+    RADIAL,
+    _ends_measure,
+    _joined,
+    _nonzero,
+    _piece_ends,
+    _sweep,
+)
+from gaussdiff.simplefn import SupportBound, _union_bound
 from oracles import (
     eval_grid_64,
     kernel_paths,
@@ -238,6 +252,151 @@ def test_triangle_matches_recursion_across_the_unit_circle(k, make, ratio, n, ra
     nodes = make(k, ratio).tuple_at(center, n)
     if nodes.pairwise_distinct:
         _assert_same_difference(ANNULUS_CURVE, nodes, zero_tol)
+
+
+_HALF_MAX = sys.float_info.max / 2
+_ARITHMETIC_PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e154, -1e154, _HALF_MAX, -_HALF_MAX]
+    ),
+    st.floats(_HALF_MAX / 4, sys.float_info.max),
+    st.floats(-1e-300, 1e-300),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ARITHMETIC_VALUES = st.builds(complex, _ARITHMETIC_PARTS, _ARITHMETIC_PARTS)
+
+
+def _modulus(v: complex) -> float:
+    try:
+        return abs(v)
+    except OverflowError:  # a finite value whose modulus is past the largest float
+        return INF
+
+
+def _bits(v: complex) -> bytes:
+    return struct.pack("<dd", v.real, v.imag)
+
+
+@given(
+    _ARITHMETIC_VALUES.filter(bool),
+    _ARITHMETIC_VALUES,
+    _ARITHMETIC_VALUES,
+    st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+)
+# 0.0 + w*x spells a zero part +0.0 where w*x + (-w)*y alone gives -0.0
+@example(1 + 0j, complex(-0.0, 1.0), complex(0.0, -0.0), 0.0)
+# a cell whose modulus equals the threshold is dropped
+@example(1 + 0j, 2 + 0j, 0j, 1.0)
+@settings(max_examples=500, deadline=None)
+def test_level_arithmetic_is_pythons(w, x, y, zero_tol):
+    # pins the platform assumption of the array triangle: CPython's complex
+    # multiply is wr*xr - wi*xi, wr*xi + wi*xr with no fused multiply-add,
+    # and its abs is the hypot that np.hypot calls
+    parts = np.array([[[x], [y]]]).view(float).reshape(1, 2, 1, 2)
+    with np.errstate(all="ignore"):
+        cmax, mod = _next_level(parts[:, :1], parts[:, 1:], np.array([[w]]), zero_tol)
+    products = [_modulus(w * x), _modulus(-w * y)]
+    v = 0j + w * x + (-w) * y
+    if not all(map(math.isfinite, [*products, _modulus(v)])):
+        # the triangle raises FloatRangeError for this row
+        assert not (math.isfinite(cmax[0, 0]) and math.isfinite(mod[0, 0, 0]))
+        return
+    assert cmax[0, 0].hex() == max(products).hex()
+    assert mod[0, 0, 0].hex() == abs(v).hex()
+    kept = 0j if abs(v) <= zero_tol * max(products) else v
+    assert _bits(complex(*parts[0, 0, 0])) == _bits(kept)
+
+
+_CENTERS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@given(
+    st.sampled_from(_CURVES),
+    st.integers(1, 8),
+    _SCHEDULES,
+    st.lists(st.tuples(st.integers(0, 30), _CENTERS), min_size=1, max_size=6),
+    _ZERO_TOLS,
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_differences_match_the_recursion(curve, k, make, steps, zero_tol):
+    # tuples of one call lie on grids of different sizes; example2 values
+    # vanish outside the unit disc, so some tuples have no cell at all
+    sched = make(k, 0.5)
+    tuples = [sched.tuple_at(center, n) for n, center in steps]
+    tuples = [
+        nt
+        for nt in tuples
+        if nt.pairwise_distinct and not reference_overflows(curve, nt, zero_tol)
+    ]
+    got = divided_diffs(curve, tuples, zero_tol)
+    assert len(got) == len(tuples)
+    for g, nt in zip(got, tuples):
+        want = reference_divided_diff(curve, nt, zero_tol)
+        assert repr(g) == repr(want)
+        assert [m.hex() for m in g.masses] == [m.hex() for m in want.masses]
+
+
+def test_batched_differences_pad_empty_grids():
+    sched = ShrinkSchedule.roots_of_unity(4)
+    tuples = [sched.tuple_at(center, 3) for center in (1.5, 0.3 + 0.2j, -1.6j, 0.1)]
+    got = divided_diffs(ANNULUS_CURVE, tuples)
+    assert got[0].is_zero and got[2].is_zero and not got[1].is_zero
+    for g, nt in zip(got, tuples):
+        want = reference_divided_diff(ANNULUS_CURVE, nt)
+        assert repr(g) == repr(want)
+        assert [m.hex() for m in g.masses] == [m.hex() for m in want.masses]
+
+
+def test_batched_differences_need_one_order():
+    assert divided_diffs(QUADRANT_CURVE, []) == []
+    assert divided_diffs(QUADRANT_CURVE, [(0.5,), (1j,)]) == [
+        QUADRANT_CURVE(0.5),
+        QUADRANT_CURVE(1j),
+    ]
+    with pytest.raises(ValueError, match="one order"):
+        divided_diffs(QUADRANT_CURVE, [(0, 1), (0, 1, 1j)])
+    with pytest.raises(RepeatedNodeError):
+        divided_diffs(QUADRANT_CURVE, [(0, 1), (1j, 1j)])
+
+
+# nodes 0 and 5e-324 overflow 1/(a - b): at level 2 of 2 as nodes 0 and 1,
+# at level 1 of 2 as nodes 1 and 2
+_LATE_FAULT = (0, 5e-324, 1)
+_EARLY_FAULT = (1, 0, 5e-324)
+
+
+@pytest.mark.parametrize(
+    "curve", [QUADRANT_CURVE, scalar_curve(lambda z: z**3)], ids=["quadrant", "cube"]
+)
+def test_batched_errors_name_the_first_failing_tuple(curve):
+    messages = {}
+    for name, nodes in (("late", _LATE_FAULT), ("early", _EARLY_FAULT)):
+        with pytest.raises(FloatRangeError) as exc:
+            divided_diff(curve, nodes)
+        messages[name] = str(exc.value)
+    assert messages["late"].startswith("triangle level 2 of 2: ")
+    assert messages["early"].startswith("triangle level 1 of 2: ")
+    good = (0.25, 0.5j, 1)
+    # an earlier tuple failing at a later level wins over a later tuple
+    # failing at an earlier level, and the tuples before it do not fail
+    for tuples, index, name in (
+        ([_LATE_FAULT, _EARLY_FAULT], 0, "late"),
+        ([_EARLY_FAULT, _LATE_FAULT], 0, "early"),
+        ([good, _LATE_FAULT, good, _EARLY_FAULT], 1, "late"),
+    ):
+        with pytest.raises(FloatRangeError) as exc:
+            divided_diffs(curve, tuples)
+        assert (str(exc.value), exc.value.index) == (messages[name], index)
+
+
+def test_batched_errors_keep_the_tuples_in_step_order():
+    # the schedule of test_trace_past_the_float_range_is_an_error: step 37
+    # fails at the last level, and the steps before it trace
+    sched = ShrinkSchedule.roots_of_unity(28)
+    tuples = [sched.tuple_at(0.3, n) for n in range(30, 41)]
+    with pytest.raises(FloatRangeError, match="^triangle level 28 of 28: ") as exc:
+        divided_diffs(HALFPLANE_CURVE, tuples)
+    assert exc.value.index == 37 - 30
 
 
 def test_triangle_runs_no_overlay_sweep(monkeypatch):
@@ -525,6 +684,26 @@ def test_support_bound_matches_the_region_path(parts, degenerate, family):
             continue
         assert supported_in(f, sb) == supported_in(f, SupportBound(want))
         assert supported_in(f, sb) == reference_supported_in(f, SupportBound(want))
+
+
+_SIDE_PARTS = st.one_of(
+    st.sampled_from([-INF, INF, 0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-2.0, 2.0)
+)
+_SIDES = st.lists(_SIDE_PARTS, min_size=2, max_size=2).map(sorted)
+
+
+@given(_SIDES, _SIDES)
+@settings(max_examples=300, deadline=None)
+def test_strip_union_is_the_overlays(x, y):
+    # the closed form against a unit-weight overlay of the two strips, down
+    # to the spelling of every endpoint and the bits of the mass
+    bound = _union_bound(GRID, [x, y])
+    line = (NEG_INF, POS_INF)
+    live = [ends for ends in (_piece_ends(GRID, (x, line)), _piece_ends(GRID, (line, y))) if ends]
+    want = _sweep([1] * len(live), _joined(GRID, live), _nonzero)
+    assert [list(map(repr, e)) for e in bound.region._ends] == [list(map(repr, e)) for e in want]
+    mass = _ends_measure(want)
+    assert type(bound.mass) is type(mass) and repr(bound.mass) == repr(mass)
 
 
 def test_support_bound_is_immutable_and_copies():

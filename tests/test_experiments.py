@@ -460,6 +460,19 @@ def test_cli_derivative_order_past_the_float_range_exits_2(capsys):
     assert captured.err.startswith("verify: step 37 of 40: triangle level 28 of 28: ")
 
 
+def test_cli_smoothness_on_the_float_grid_exits_2(capsys):
+    # by step 53 the offsets vanish in the centre's real part, and the
+    # example1 values no longer differ; this run used to PASS
+    argv = ["smoothness", "--example", "example1", "--k", "2", "--steps", "60", "--center", "1.5,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verify: step 53 of 60 puts every node's real part on the same float at center "
+        "(1.5+0j); use fewer steps, a larger rho or a center nearer 0\n"
+    )
+
+
 def test_cli_csv_format(tmp_path):
     out = tmp_path / "rep.csv"
     code = main(
