@@ -4,7 +4,10 @@ Single experiments print their report to stdout (or write it with --out);
 `verify all` runs the whole suite and writes one report per experiment into
 --outdir, the GAUSSDIFF_OUT_DIR environment variable, or ./reports.  The
 exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
-and 2 when the options do not form a valid configuration.
+and 2 when the options do not form a valid configuration, such as a
+negative --seed or a NaN --tol or --ceiling.  A center with a negative
+real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a
+separate `-0.5,0.3` as an option.
 """
 
 from __future__ import annotations

@@ -320,7 +320,6 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
     for grid, vs, rows in zip(grids, values, cells):
         for v, row in zip(vs, rows):
             grid.fill(row, v)
-    spells = [grid.zero_spellings(vs) for grid, vs in zip(grids, values)]
     # w of row a at pivot m, levels in triangle order, by Python's division
     ws = np.array(
         [[1.0 / (zs[a] - zs[m]) for m in range(n - 1, 0, -1) for a in range(m)] for zs in zss]
@@ -333,7 +332,7 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
     with np.errstate(all="ignore"):
         for m in range(n - 1, 0, -1):
             if m == 1:
-                children, child_spells = cells[:, 0].copy(), list(spells)
+                children = cells[:, 0].copy()
             level = slice(at, at + m)
             cmax, mod = _next_level(parts[:, :m], parts[:, m : m + 1], ws[:, level], zero_tol)
             if any_bad_w or not cmax.max() <= _SAFE_PRODUCT:
@@ -349,10 +348,6 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
                         why += "not a finite non-zero float"
                     failed[s] = f"triangle level {n - m} of {n - 1}: {why}"
             at += m
-            for s, spell in enumerate(spells):
-                if spell:
-                    rows = cells[s, :m, : sizes[s]].tolist()
-                    spells[s] = grids[s].next_spellings(spell, rows, m)
     stop = min(failed, default=len(zss))
     for s in range(stop):
         grid, zs, size = grids[s], zss[s], sizes[s]
@@ -362,12 +357,12 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
             cols = [(v._atom_coeffs, v._atom_ends) for v in values[s]]
         else:
             kids = (children[s, :size], cells[s, 1, :size])
-            cols = [grid.merged(kid.tolist(), child_spells[s], a) for a, kid in enumerate(kids)]
+            cols = [grid.merged(kid.tolist()) for kid in kids]
         (lc, le), (rc, re) = cols
         w = 1.0 / (zs[0] - zs[1])
         weights = [w * c for c in lc] + [-w * c for c in rc]
         ends = tuple(map(operator.add, le, re))
-        atoms = grid.merged(cells[s, 0, :size].tolist(), spells[s], 0)
+        atoms = grid.merged(cells[s, 0, :size].tolist())
         yield _from_columns(grid.family, weights, [1] * len(weights), ends, zero_tol, atoms)
     if failed:
         exc = FloatRangeError(failed[stop])
@@ -415,12 +410,6 @@ class _CellGrid:
     row of `size` cell values, x-major, with 0j where no atom lies; an
     atom covers a block of cells.  Canonical atoms do not depend on how
     fine the grid is, so merging a function's cells gives back its atoms.
-
-    The atoms of a function built by the overlay kernel spell a zero
-    endpoint one way per axis, the way the first of its terms to reach
-    the kernel spelled it.  Where the functions on the grid spell it both
-    ways, the grid follows each difference's spelling through the
-    triangle (`zero_spellings`, `next_spellings`).
     """
 
     __slots__ = ("family", "axes", "index", "nx", "ny", "size")
@@ -447,66 +436,12 @@ class _CellGrid:
         for c, xlo, xhi, ylo, yhi in zip(f._atom_coeffs, xe[::2], xe[1::2], ye[::2], ye[1::2]):
             blocks[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]] = c
 
-    def merged(self, cells: list, spell: dict, row: int) -> tuple[list, tuple]:
-        """The kernel's merged atoms of `cells`, which are row `row` of a level,
-        as values and endpoint columns.
-
-        Endpoints at 0 are spelled as `spell` (see `next_spellings`) has it
-        for that row.
-        """
-        axes = self.axes
-        if spell:
-            axes = [
-                [spell[d][row] if e == 0 else e for e in axis]
-                if d in spell and spell[d][row] is not None
-                else axis
-                for d, axis in enumerate(axes)
-            ]
+    def merged(self, cells: list) -> tuple[list, tuple]:
+        """The kernel's merged atoms of the flat row `cells`, as values and endpoint columns."""
         if self.family == RADIAL or not cells:
-            return _merged(axes, cells, 0.0)
+            return _merged(self.axes, cells, 0.0)
         ny = self.ny
-        return _merged(axes, [cells[s : s + ny] for s in range(0, len(cells), ny)], 0.0)
-
-    def zero_spellings(self, values: Sequence[SimpleFunction]) -> dict[int, list]:
-        """Per axis on which the values spell 0 both as 0.0 and -0.0, each
-        value's spelling (None if 0 is none of its atom endpoints there)."""
-        spell = {}
-        for d, index in enumerate(self.index):
-            if 0.0 in index:
-                row = [next((e for e in v._atom_ends[d] if e == 0), None) for v in values]
-                if len({math.copysign(1.0, e) for e in row if e is not None}) == 2:
-                    spell[d] = row
-        return spell
-
-    def next_spellings(self, spell: dict, level: list, m: int) -> dict[int, list]:
-        """The spellings of a level from those of the level below it.
-
-        Row a is the difference of rows a and m below, and the kernel
-        meets the atoms of row a first.  A row whose atoms have no
-        endpoint at 0 has no spelling.
-        """
-        return {
-            d: [
-                (sp[a] if sp[a] is not None else sp[m]) if self._zero_edge(level[a], d) else None
-                for a in range(m)
-            ]
-            for d, sp in spell.items()
-        }
-
-    def _zero_edge(self, cells: list, axis: int) -> bool:
-        """True iff the atoms merged from `cells` have an endpoint at 0 on `axis`.
-
-        That is iff the cells on the two sides of the grid line at 0
-        differ; cells outside the grid count as 0j.
-        """
-        i, nx, ny = self.index[axis][0.0], self.nx, self.ny
-        if axis == 0:
-            lo = cells[(i - 1) * ny : i * ny] if i > 0 else [0j] * ny
-            hi = cells[i * ny : (i + 1) * ny] if i < nx else [0j] * ny
-        else:
-            lo = cells[i - 1 :: ny] if i > 0 else [0j] * nx
-            hi = cells[i::ny] if i < ny else [0j] * nx
-        return lo != hi
+        return _merged(self.axes, [cells[s : s + ny] for s in range(0, len(cells), ny)], 0.0)
 
 
 def divided_diff_lagrange(

@@ -173,10 +173,13 @@ class ExperimentConfig:
             raise ConfigError("derivative order k must be >= 1")
         if not self.box > 0:
             raise ConfigError("sampling box half-width must be positive")
-        if self.convergence_tol <= 0 or self.divergence_ceiling <= 0 or self.zero_tol <= 0:
+        # written `not x > 0`, so that NaN fails the checks too
+        if not (self.convergence_tol > 0 and self.divergence_ceiling > 0 and self.zero_tol > 0):
             raise ConfigError("tolerances must be positive")
         if self.convergence_tol >= self.divergence_ceiling:
             raise ConfigError("the convergence tolerance must lie below the divergence ceiling")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
         if self.mc_samples < 1 or self.grid_points < 1:
             raise ConfigError("sample and grid point counts must be positive")
         if self.example is not None:

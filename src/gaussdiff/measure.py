@@ -62,9 +62,6 @@ give the same values and columns.  They are used four ways:
 * a support check weights a function's (disjoint) atoms 1 and the
   bound's pieces 2; the support lies inside iff no cell sums to 1.
 
-A zero spelled -0.0 in one piece and 0.0 in another is one breakpoint of
-the sweep, so the result spells it the same way everywhere.
-
 Measures: on the line, nu has density exp(-x*x)/sqrt(pi), hence
 nu(]a, b]) = (erf(b) - erf(a)) / 2 with erf(+-inf) = +-1.  On the plane,
 mu is the product nu (x) nu, so rectangles factorise, and an annulus with
@@ -137,9 +134,13 @@ class FamilyMismatchError(ValueError):
 
 
 def _side(lo: float, hi: float) -> list[float]:
-    """The endpoints of ]lo, hi] as floats [lo, hi]; NaN and lo > hi raise ValueError."""
-    lo = float(lo)
-    hi = float(hi)
+    """The endpoints of ]lo, hi] as floats [lo, hi]; NaN and lo > hi raise ValueError.
+
+    Every endpoint enters through here, and `+ 0.0` turns -0.0 into 0.0, so
+    no endpoint anywhere is -0.0: a zero has one spelling.
+    """
+    lo = float(lo) + 0.0
+    hi = float(hi) + 0.0
     if lo != lo or hi != hi:  # NaN
         raise ValueError("interval endpoints must not be NaN")
     if lo > hi:
@@ -228,7 +229,7 @@ def _cell_sums(
     int64 sum and its complex twin agree.  Otherwise each weight is added
     to its block as one slice of a complex grid; cells receive their
     additions in piece order, starting from 0j, exactly as a per-cell loop
-    would.  Each axis keeps the spelling of a zero it meets first.
+    would.
     """
     axes = [sorted(set(e)) for e in ends]
     shape = [len(a) - 1 for a in axes]
@@ -382,9 +383,8 @@ def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> tu
     `_runs`' comparison with the run's first value.  A column continues
     the one to its left iff the two are equal as a whole, which is
     `_merged`'s comparison of their runs.  No Python list is built per
-    run: the endpoint columns are read off the axes by index (`_column`;
-    the axes' own floats, so the spelling of zero is kept) and the values
-    are the first cells' `.tolist()` values.
+    run: the endpoint columns are read off the axes by index (`_column`)
+    and the values are the first cells' `.tolist()` values.
     """
     kept = _kept(values, tol)
     masked = np.where(kept, values, np.zeros((), values.dtype))
@@ -452,8 +452,7 @@ class _Region:
     kernel's form (see the module docstring); `_view` caches the Interval
     view of them.  Immutable, slotted, and with the `==`, `hash` and
     `repr` of a frozen dataclass with the one field `cells` (or `rings`):
-    `==` compares the columns, where -0.0 == 0.0 as between Intervals, so
-    it is set equality.
+    `==` compares the columns, so it is set equality.
     """
 
     __slots__ = ("_ends", "_view")
@@ -467,7 +466,7 @@ class _Region:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle restore the columns as they are, zero spellings included
+        # copy and pickle restore the columns as they are
         return _canonical_region, (type(self), self._ends)
 
     def __eq__(self, other):
@@ -493,15 +492,11 @@ def _hold(region: _Region, ends: _Ends) -> None:
 
 
 def _intervals(e: list[float]) -> list[Interval]:
-    """The Intervals ]e[2i], e[2i+1]] of one endpoint column.
-
-    Equal sides share one Interval, keyed on the signs of the endpoints
-    too, so a side spelled -0.0 never stands for one spelled 0.0.
-    """
+    """The Intervals ]e[2i], e[2i+1]] of one endpoint column; equal sides share one Interval."""
     shared: dict[tuple, Interval] = {}
     out = []
     for lo, hi in zip(e[::2], e[1::2]):
-        key = (lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
+        key = (lo, hi)
         iv = shared.get(key)
         if iv is None:
             iv = shared[key] = Interval(lo, hi)

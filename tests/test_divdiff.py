@@ -158,7 +158,7 @@ def test_repeated_nodes_rejected():
 
 
 def _multi_atom_map(z: complex):
-    """Three overlapping rectangles; a zero endpoint is spelled with z's signs."""
+    """Three overlapping rectangles; a zero side is given as -0.0 where z's part is negative."""
     zx, zy = math.copysign(0.0, z.real), math.copysign(0.0, z.imag)
     x, y = min(max(z.real, -2.0), 1.5), min(max(z.imag, -1.5), 2.0)
     return linear_combine(
@@ -172,7 +172,7 @@ def _multi_atom_map(z: complex):
 
 
 def _multi_ring_map(z: complex):
-    """Two overlapping rings; a zero radius is spelled with the sign of Re z."""
+    """Two overlapping rings; a zero radius is given as -0.0 where Re z is negative."""
     r = min(abs(z), 2.0)
     return linear_combine(
         [1.0, 1j], [indicator(annulus(math.copysign(0.0, z.real), r)), indicator(annulus(r / 2, 2.0))]
@@ -229,8 +229,8 @@ def test_triangle_matches_recursion_on_schedules(curve, k, make, ratio, n, re, i
 )
 @settings(max_examples=200, deadline=None)
 def test_triangle_matches_recursion_on_signed_zero_nodes(curve, parts, zero_tol):
-    # explicit nodes spell zero parts both ways, so the custom curves' zero
-    # endpoints do too, and each difference keeps the spelling it met first
+    # explicit nodes give zero parts as 0.0 and -0.0, so the custom curves
+    # get -0.0 sides, which enter their values as 0.0
     nodes = NodeTuple(tuple(complex(re, im) for re, im in parts))
     if nodes.pairwise_distinct:
         _assert_same_difference(curve, nodes, zero_tol)
@@ -696,7 +696,7 @@ _SIDES = st.lists(_SIDE_PARTS, min_size=2, max_size=2).map(sorted)
 @settings(max_examples=300, deadline=None)
 def test_strip_union_is_the_overlays(x, y):
     # the closed form against a unit-weight overlay of the two strips, down
-    # to the spelling of every endpoint and the bits of the mass
+    # to the repr of every endpoint and the bits of the mass
     bound = _union_bound(GRID, [x, y])
     line = (NEG_INF, POS_INF)
     live = [ends for ends in (_piece_ends(GRID, (x, line)), _piece_ends(GRID, (line, y))) if ends]

@@ -1,10 +1,14 @@
 """Experiment harness and CLI tests."""
 
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdiff import (
     BLOWUP_C,
@@ -442,6 +446,12 @@ def test_cli_requires_example(capsys):
         ["smoothness", "--example", "example1", "--center", "abc"],
         ["smoothness", "--example", "example1", "--center", "1,2,3"],
         ["smoothness", "--example", "example1", "--center", "1,x"],
+        # numpy's default_rng rejects a negative seed with a ValueError
+        ["smoothness", "--example", "example1", "--seed", "-1"],
+        ["all", "--seed", "-1"],
+        # NaN fails no `<=` comparison, so these used to run and exit 1
+        ["c1-not-c2", "--example", "example3", "--ceiling", "nan"],
+        ["smoothness", "--example", "example1", "--tol", "nan"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
@@ -471,6 +481,52 @@ def test_cli_smoothness_on_the_float_grid_exits_2(capsys):
         "verify: step 53 of 60 puts every node's real part on the same float at center "
         "(1.5+0j); use fewer steps, a larger rho or a center nearer 0\n"
     )
+
+
+def test_cli_center_with_a_negative_real_part(tmp_path, capsys):
+    # argparse reads a separate `-0.5,0.3` as an option; `--center=` passes it
+    with pytest.raises(SystemExit) as exc:
+        main(["smoothness", "--example", "example1", "--center", "-0.5,0.3"])
+    assert exc.value.code == 2
+    assert "--center: expected one argument" in capsys.readouterr().err
+    out = tmp_path / "rep.json"
+    assert main(["smoothness", "--example", "example1", "--center=-0.5,0.3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["center"] == [-0.5, 0.3]
+
+
+def _option(name, values):
+    return st.one_of(st.none(), st.sampled_from(values).map(lambda v: f"--{name}={v}"))
+
+
+_FLOAT_EDGES = ["nan", "inf", "-inf", "0", "-0.0", "-1", "5e-324", "1e308"]
+_PARTS = ["-0.0", "0.0", "0.3", "-0.5", "2.5", "1e300", "nan", "inf", "-inf"]
+_CLI_ARGV = st.tuples(
+    st.sampled_from(
+        ["smoothness", "taylor-failure", "identity-failure", "c1-not-c2", "real-restriction"]
+    ),
+    st.sampled_from(["example1", "example2", "example3"]),
+    _option("k", [-1, 0, 1, 2, 3, 5, 28, 40]),
+    _option("p", _FLOAT_EDGES + ["0.6", "0.75"]),
+    _option("rho", _FLOAT_EDGES + ["0.3", "0.5", "0.9"]),
+    _option("steps", [-1, 0, 3, 8, 10, 16]),
+    _option("seed", [-(2**63), -1, 0, 7, 2**64]),
+    _option("tol", _FLOAT_EDGES + ["1e-6", "1e7"]),
+    _option("ceiling", _FLOAT_EDGES + ["1e6"]),
+    _option("center", [f"{a},{b}" for a in _PARTS for b in _PARTS] + ["abc", "1,2,3"]),
+).map(lambda t: [t[0], "--example", t[1], *filter(None, t[2:])])
+
+
+@given(_CLI_ARGV)
+@settings(max_examples=150, deadline=None)
+def test_cli_never_tracebacks(argv):
+    # every run ends in an exit code; only argparse may exit (with 2) by itself
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
 
 
 def test_cli_csv_format(tmp_path):

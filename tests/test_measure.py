@@ -14,16 +14,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
+    ANNULUS_CURVE,
+    HALFPLANE_CURVE,
+    QUADRANT_CURVE,
     FamilyMismatchError,
     GridRegion,
     Interval,
     RadialRegion,
+    SimpleFunction,
     annulus,
+    disk,
+    divided_diffs,
     empty_region,
     full_plane,
     horizontal_strip,
     indicator,
     left_half_plane,
+    linear_combine,
     lower_left_quadrant,
     mu_grid,
     mu_radial,
@@ -38,6 +45,7 @@ from gaussdiff import (
     region_symdiff,
     region_to_json,
     region_union,
+    support_bound_of,
     vertical_strip,
 )
 from gaussdiff import measure
@@ -398,14 +406,9 @@ _BOOLEANS = (
 )
 
 
-def _unsigned_repr(x) -> str:
-    """repr with every -0.0 spelled 0.0; the kernel may spell a zero either way."""
-    return re.sub(r"-0\.0(?!\d)", "0.0", repr(x))
-
-
 def _assert_same(got, want):
     assert got == want
-    assert _unsigned_repr(got) == _unsigned_repr(want)
+    assert repr(got) == repr(want)
 
 
 @given(_GRID_PIECES)
@@ -431,18 +434,6 @@ def test_booleans_match_slab_sweep(pair):
     assert region_contains(a, b) == reference_combine(b, a, _BOOLEANS[2][1]).is_empty
 
 
-def test_union_spells_a_shared_zero_one_way():
-    # The sweep sorts the endpoints of both operands once, so a zero spelled
-    # -0.0 in one column and 0.0 in another comes out as the first spelling
-    # met; the slab-by-slab sweep kept each column's own.  Same set, same mass.
-    got = region_union(rect(0, 1, -0.0, 1), rect(2, 3, 0.0, 1))
-    assert [math.copysign(1.0, cy.lo) for _, cy in got.cells] == [-1.0, -1.0]
-    slab = reference_combine(rect(0, 1, -0.0, 1), rect(2, 3, 0.0, 1), _BOOLEANS[0][1])
-    assert [math.copysign(1.0, cy.lo) for _, cy in slab.cells] == [-1.0, 1.0]
-    assert got == slab
-    assert region_measure(got) == region_measure(slab)
-
-
 def test_sweep_shares_one_y_side_per_run():
     # two columns with the same y-run get one y-side Interval, as simple
     # function atoms do; regions keep no per-instance __dict__
@@ -458,11 +449,13 @@ def test_sweep_shares_one_y_side_per_run():
 # regions held as endpoint columns
 # ---------------------------------------------------------------------------
 
-# repr strings recorded from the Interval-tuple implementation the columns replaced
+# repr strings recorded from the Interval-tuple implementation the columns
+# replaced; the two built from a -0.0 side were re-recorded once every zero
+# endpoint became 0.0
 _RECORDED_REPRS = [
     (
         lambda: rect(0, 1, -0.0, INF),
-        "GridRegion(cells=((Interval(lo=0.0, hi=1.0), Interval(lo=-0.0, hi=inf)),))",
+        "GridRegion(cells=((Interval(lo=0.0, hi=1.0), Interval(lo=0.0, hi=inf)),))",
     ),
     (
         lambda: region_union(rect(0, 1, 0, 1), rect(0.5, 2, -1, 0.5)),
@@ -496,7 +489,7 @@ _RECORDED_REPRS = [
     (lambda: full_plane("radial"), "RadialRegion(rings=(Interval(lo=0.0, hi=inf),))"),
     (
         lambda: SupportBound(vertical_strip(-0.0, 1)),
-        "SupportBound(region=GridRegion(cells=((Interval(lo=-0.0, hi=1.0), "
+        "SupportBound(region=GridRegion(cells=((Interval(lo=0.0, hi=1.0), "
         "Interval(lo=-inf, hi=inf)),)))",
     ),
 ]
@@ -508,7 +501,7 @@ def test_region_repr_is_the_recorded_dataclass_repr(build, want):
 
 
 def _flip_zeros(pieces):
-    """The same pieces with every zero endpoint spelled the other way."""
+    """The same pieces with the sign of every zero endpoint flipped."""
 
     def flip(iv):
         return Interval(*(-e if e == 0 else e for e in (iv.lo, iv.hi)))
@@ -528,7 +521,7 @@ def test_region_value_semantics(case):
     cls, pieces = case
     region = cls(tuple(pieces))
     name = "cells" if cls is GridRegion else "rings"
-    # the same canonical pieces with each zero spelled the other way: the same set
+    # the same canonical pieces with the sign of each zero flipped: the same set
     twin = canonical_region(cls, _flip_zeros(_pieces(region)))
     assert twin == region and hash(twin) == hash(region)
     assert cls(tuple(_flip_zeros(pieces))) == region
@@ -570,28 +563,65 @@ def test_wrong_family_masses_raise():
     assert mu_radial(annulus(0, 1)) == region_measure(annulus(0, 1))
 
 
-def test_views_keep_every_zero_spelling():
-    # canonical columns that spell the zero both ways, as the oracles build them
-    both = canonical_region(
-        GridRegion,
-        [(Interval(0.0, 1.0), Interval(-0.0, 1.0)), (Interval(2.0, 3.0), Interval(0.0, 1.0))],
-    )
-    (_, cy0), (_, cy1) = both.cells
-    assert [math.copysign(1.0, cy.lo) for cy in (cy0, cy1)] == [-1.0, 1.0]
-    assert cy0 is not cy1
-    assert repr(both) == (
-        "GridRegion(cells=((Interval(lo=0.0, hi=1.0), Interval(lo=-0.0, hi=1.0)), "
-        "(Interval(lo=2.0, hi=3.0), Interval(lo=0.0, hi=1.0))))"
-    )
-    for again in (copy.copy(both), copy.deepcopy(both), pickle.loads(pickle.dumps(both))):
-        assert repr(again) == repr(both)
-    rings = canonical_region(RadialRegion, [Interval(-0.0, 1.0), Interval(2.0, 3.0)])
-    assert repr(rings.rings[0]) == "Interval(lo=-0.0, hi=1.0)"
-    # one sweep meets -0.0 first and spells the zero so in both columns
-    got = region_union(rect(0, 1, -0.0, 1), rect(2, 3, 0.0, 1))
-    assert [math.copysign(1.0, cy.lo) for _, cy in got.cells] == [-1.0, -1.0]
-    assert [math.copysign(1.0, e) for e in got._ends[1][::2]] == [-1.0, -1.0]
-    assert got == both and hash(got) == hash(both)
+_SIGNED_ZERO_END = st.sampled_from([-INF, -1.0, -0.0, 0.0, 0.5, INF])
+_SIGNED_ZERO_RADIUS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, INF])
+_SIGNED_ZERO_SIDES = st.lists(_SIGNED_ZERO_END, min_size=2, max_size=2).map(sorted)
+_SIGNED_ZERO_RINGS = st.lists(_SIGNED_ZERO_RADIUS, min_size=2, max_size=2).map(sorted)
+_SIGNED_ZERO_NODES = st.lists(
+    st.builds(complex, *[st.sampled_from([-0.0, 0.0, -0.5, 0.5])] * 2),
+    min_size=2,
+    max_size=4,
+    unique=True,  # by ==, under which -0.0 == 0.0: pairwise distinct nodes
+)
+
+
+def _endpoints(x) -> list[float]:
+    """Every endpoint a region, bound or function holds, in columns and in views."""
+    if isinstance(x, SupportBound):
+        return _endpoints(x.region)
+    if isinstance(x, SimpleFunction):
+        columns = x._term_ends + x._atom_ends
+        regions = [reg for _, reg in x.terms + x.atoms]
+        return [e for col in columns for e in col] + [e for r in regions for e in _endpoints(r)]
+    sides = x.rings if x.family == "radial" else [iv for cell in x.cells for iv in cell]
+    return [e for col in x._ends for e in col] + [e for iv in sides for e in (iv.lo, iv.hi)]
+
+
+@given(
+    st.lists(st.tuples(_SIGNED_ZERO_SIDES, _SIGNED_ZERO_SIDES), min_size=1, max_size=3),
+    st.lists(_SIGNED_ZERO_RINGS, min_size=1, max_size=3),
+    _SIGNED_ZERO_NODES,
+)
+@settings(max_examples=150, deadline=None)
+def test_every_zero_endpoint_is_positive_zero(rects, rings, nodes):
+    # -0.0 sides and nodes enter every constructor, Boolean, function and
+    # difference; a zero endpoint comes out as 0.0 everywhere, views included
+    (x0, x1), (y0, y1) = rects[0]
+    grids = [rect(*xs, *ys) for xs, ys in rects] + [
+        GridRegion(tuple((Interval(*xs), Interval(*ys)) for xs, ys in rects)),
+        vertical_strip(x0, x1),
+        horizontal_strip(y0, y1),
+        left_half_plane(x1),
+        lower_left_quadrant(x1, y1),
+        region_from_json({"family": "grid", "cells": [[xs, ys] for xs, ys in rects]}),
+    ]
+    radials = [annulus(*r) for r in rings] + [
+        RadialRegion(tuple(Interval(*r) for r in rings)),
+        disk(rings[0][1]),
+        region_from_json({"family": "radial", "rings": rings}),
+    ]
+    out: list = []
+    for family in (grids, radials):
+        a, b = family[0], family[-1]
+        out += family + [op(a, b) for op, _ in _BOOLEANS] + [region_complement(a)]
+        fns = [indicator(a), indicator(b), SimpleFunction(a.family, [(2j, a), (-1.0, b)])]
+        out += fns + [linear_combine([1.0, -1j, 0.5], fns)]
+    for curve in (QUADRANT_CURVE, ANNULUS_CURVE, HALFPLANE_CURVE):
+        out += [curve(z) for z in nodes] + divided_diffs(curve, [nodes], 0.0)
+        out.append(support_bound_of(nodes, curve.family))
+    for x in out:
+        zeros = [e for e in _endpoints(x) if e == 0]
+        assert all(math.copysign(1.0, e) == 1.0 for e in zeros), x
 
 
 def _booleans_op(regions):
