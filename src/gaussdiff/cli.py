@@ -5,9 +5,10 @@ Single experiments print their report to stdout (or write it with --out);
 --outdir, the GAUSSDIFF_OUT_DIR environment variable, or ./reports.  The
 exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
 and 2 when the options do not form a valid configuration, such as a
-negative --seed or a NaN --tol or --ceiling.  A center with a negative
-real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a
-separate `-0.5,0.3` as an option.
+negative --seed, a NaN --tol, --ceiling or --p, or an option `all` drops
+(it takes only --seed, --steps, --outdir and --format).  A center with a
+negative real part needs `=`, as in `--center=-0.5,0.3`: argparse reads
+a separate `-0.5,0.3` as an option.
 """
 
 from __future__ import annotations
@@ -100,11 +101,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
+        single = ("k", "p", "rho", "tol", "ceiling", "center", "example", "out")
+        dropped = [f"--{name}" for name in single if getattr(args, name) is not None]
+        if dropped:
+            raise ConfigError(f"`all` runs the default suite and takes no {', '.join(dropped)}")
         outdir = args.outdir or os.environ.get(OUT_DIR_ENV) or "reports"
         os.makedirs(outdir, exist_ok=True)
-        overrides = {}
-        if args.steps is not None:
-            overrides["steps"] = args.steps
+        overrides = {} if args.steps is None else {"steps": args.steps}
         all_ok = True
         for i, (name, report) in enumerate(verify_all(seed=args.seed, **overrides)):
             path = os.path.join(outdir, f"{i:02d}_{name}.{args.format}")

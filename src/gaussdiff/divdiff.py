@@ -25,8 +25,8 @@ is the difference over (a, m, ..., n-1) with m = n - j, held as a row of
 cell values.  A cell is summed as `linear_combine([w, -w], [left, right])`
 would sum it, w = 1/(z_a - z_m), and set to 0j under the same zero_tol
 threshold.  Canonical atoms do not depend on how fine the grid is, so only
-the result and its two children are merged into atoms, and the result is
-bitwise the function one `linear_combine` per sub-tuple would build.
+the result is merged into atoms, bitwise the atoms one `linear_combine`
+per sub-tuple would build; they are also the result's terms.
 `divided_diffs` runs the triangles of many tuples (the steps of a shrink
 schedule) together: each tuple keeps its own grid, and each triangle level
 is one pass of float64 array operations over every tuple and row;
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -331,8 +330,6 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
     at = 0
     with np.errstate(all="ignore"):
         for m in range(n - 1, 0, -1):
-            if m == 1:
-                children = cells[:, 0].copy()
             level = slice(at, at + m)
             cmax, mod = _next_level(parts[:, :m], parts[:, m : m + 1], ws[:, level], zero_tol)
             if any_bad_w or not cmax.max() <= _SAFE_PRODUCT:
@@ -349,21 +346,9 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
                     failed[s] = f"triangle level {n - m} of {n - 1}: {why}"
             at += m
     stop = min(failed, default=len(zss))
-    for s in range(stop):
-        grid, zs, size = grids[s], zss[s], sizes[s]
-        # the result's terms are its children's atoms scaled by w and -w, in
-        # the order `linear_combine([w, -w], [left, right])` lists them
-        if n == 2:  # the children are the curve values
-            cols = [(v._atom_coeffs, v._atom_ends) for v in values[s]]
-        else:
-            kids = (children[s, :size], cells[s, 1, :size])
-            cols = [grid.merged(kid.tolist()) for kid in kids]
-        (lc, le), (rc, re) = cols
-        w = 1.0 / (zs[0] - zs[1])
-        weights = [w * c for c in lc] + [-w * c for c in rc]
-        ends = tuple(map(operator.add, le, re))
-        atoms = grid.merged(cells[s, 0, :size].tolist())
-        yield _from_columns(grid.family, weights, [1] * len(weights), ends, zero_tol, atoms)
+    for grid, row, size in zip(grids[:stop], cells[:, 0], sizes):
+        ac, ae = grid.merged(row[:size].tolist())  # a difference's terms are its atoms
+        yield _from_columns(grid.family, ac, [1] * len(ac), ae, zero_tol, (ac, ae))
     if failed:
         exc = FloatRangeError(failed[stop])
         exc.index = start + stop

@@ -182,6 +182,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed {self.seed} is negative")
         if self.mc_samples < 1 or self.grid_points < 1:
             raise ConfigError("sample and grid point counts must be positive")
+        if not math.isfinite(self.p):  # every report's config holds p
+            raise ConfigError(f"exponent p={self.p} is not finite")
         if self.example is not None:
             ex = coerce_example(self.example)
             if ex is ExampleId.HALFPLANE and not 0.5 < self.p < 1.0:

@@ -3,28 +3,27 @@
 A simple function is a finite complex linear combination of indicators of
 regions from one family.  On construction it is refined into canonical
 atoms: pairwise disjoint maximal rectangles (or rings) carrying one complex
-coefficient each, together with the Gaussian mass of each atom.  Point
-values, level-set masses and the gauges below then reduce to sums over
-atoms.
+coefficient each.  Point values, level-set masses and the gauges below
+then reduce to sums over atoms.
 
 A function is stored as columns of plain floats, not as regions: per term
 its coefficient, its number of pieces and their endpoints; per atom its
-coefficient, endpoints and mass.  Endpoints are laid out as the overlay
-kernel of measure.py takes them (one flat lo, hi, ... sequence per axis),
-so `linear_combine` feeds its inputs' atom columns straight into the
-kernel.  The (coefficient, region) tuples of `terms` and `atoms` are views,
-built only when read.
+coefficient and endpoints, laid out as the overlay kernel of measure.py
+takes them (one flat lo, hi, ... sequence per axis).  The (coefficient,
+region) tuples of `terms` and `atoms` are views, and the atom masses are
+computed, on first read.  A function is its atoms: `==` and `hash`
+compare family, zero_tol and the atom columns, and `repr` shows them.
 
 Every constructor ends in one column constructor (`_from_columns`, or
-`SimpleFunction._fill` for `__init__`).  Regions hold their pieces in the
-same columns, so `SimpleFunction(...)` and `indicator` concatenate their
-regions' columns; `linear_combine` and `divided_diff` take their inputs'
-atom columns; and `_piece_function`, behind the three curve maps and
-`scalar_curve`, takes the endpoints of one rectangle or ring, checked as
-the region constructors check them.  None of them builds an Interval,
-and the regions of the `terms` and `atoms` views are slices of the
-columns.  A support bound holds its region, and `supported_in` sweeps the
-region's columns.
+`SimpleFunction._fill` for `__init__`), and its `terms` record how it was
+built.  `SimpleFunction(...)` and `indicator` concatenate their regions'
+columns, which are the terms; `_piece_function`, behind the three curve
+maps and `scalar_curve`, takes the endpoints of one rectangle or ring,
+checked as the region constructors check them; `linear_combine` feeds
+its inputs' atom columns, scaled, to the kernel as terms; and a divided
+difference's terms are its own atoms.  None of them builds an Interval,
+and the regions of the views are slices of the columns.  A support bound
+holds its region, and `supported_in` sweeps the region's columns.
 
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
@@ -113,20 +112,20 @@ def _view(
 class SimpleFunction:
     """Canonicalised finite linear combination of region indicators.
 
-    `terms` is kept exactly as given (the construction history); `atoms` is
-    the canonical disjoint decomposition everything else is computed from,
-    and `masses[i]` is the Gaussian measure of the region of `atoms[i]`.
-    Terms and atoms are stored as columns (coefficients and piece
-    endpoints), and the masses are computed here.  The `terms` and `atoms`
-    tuples of (coefficient, region) pairs are views built from the columns
-    on first access and cached.  Immutable; `==`, `hash` and `repr` are
-    those of the (family, terms, zero_tol, atoms) record.
+    `terms` is the construction history (see the module docstring);
+    `atoms` is the canonical disjoint decomposition everything else is
+    computed from, and `masses[i]` is the Gaussian measure of the region
+    of `atoms[i]`, bitwise what `mu_grid` or `mu_radial` gives it.  All
+    three are tuples built from the columns on first access and cached.
+    Immutable; `==` and `hash` compare (family, zero_tol, atom
+    coefficients, atom endpoint columns) straight from the columns, `repr`
+    shows family, zero_tol and atoms, and copy and pickle restore the
+    columns as they are.
     """
 
     __slots__ = (
         "family",
         "zero_tol",
-        "masses",
         "_term_coeffs",
         "_term_sizes",
         "_term_ends",
@@ -134,6 +133,7 @@ class SimpleFunction:
         "_atom_ends",
         "_terms",
         "_atoms",
+        "_masses",
     )
 
     def __init__(
@@ -166,8 +166,7 @@ class SimpleFunction:
         of `ends`.  `atoms` are the overlay kernel's values and columns of
         the terms' merged cells if the caller has them; otherwise the
         overlay runs here, with the threshold zero_tol times the largest
-        term coefficient modulus.  An atom's mass is bitwise what
-        `mu_grid` or `mu_radial` gives its region.
+        term coefficient modulus.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -182,7 +181,6 @@ class SimpleFunction:
         init = object.__setattr__
         init(self, "family", family)
         init(self, "zero_tol", zero_tol)
-        init(self, "masses", tuple(_piece_masses(atom_ends)))
         init(self, "_term_coeffs", coeffs)
         init(self, "_term_sizes", sizes)
         init(self, "_term_ends", ends)
@@ -190,6 +188,7 @@ class SimpleFunction:
         init(self, "_atom_ends", atom_ends)
         init(self, "_terms", None)  # the views, built on first access
         init(self, "_atoms", None)
+        init(self, "_masses", None)
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
@@ -202,8 +201,10 @@ class SimpleFunction:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # copy and pickle rebuild the function from its terms
-        return SimpleFunction, (self.family, self.terms, self.zero_tol)
+        # copy and pickle restore the columns as they are
+        atoms = (self._atom_coeffs, self._atom_ends)
+        args = (self._term_coeffs, self._term_sizes, self._term_ends, self.zero_tol, atoms)
+        return _from_columns, (self.family, *args)
 
     @property
     def terms(self) -> tuple[_Term, ...]:
@@ -219,21 +220,28 @@ class SimpleFunction:
             object.__setattr__(self, "_atoms", view)
         return self._atoms
 
-    def _record(self) -> tuple:
-        return (self.family, self.terms, self.zero_tol, self.atoms)
+    @property
+    def masses(self) -> tuple[float, ...]:
+        if self._masses is None:
+            object.__setattr__(self, "_masses", tuple(_piece_masses(self._atom_ends)))
+        return self._masses
+
+    def _key(self) -> tuple:
+        return (self.family, self.zero_tol, self._atom_coeffs, *self._atom_ends)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._record() == other._record()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._record())
+        family, zero_tol, *columns = self._key()
+        return hash((family, zero_tol, *map(tuple, columns)))
 
     def __repr__(self) -> str:
         return (
-            f"SimpleFunction(family={self.family!r}, terms={self.terms!r}, "
-            f"zero_tol={self.zero_tol!r}, atoms={self.atoms!r})"
+            f"SimpleFunction(family={self.family!r}, zero_tol={self.zero_tol!r}, "
+            f"atoms={self.atoms!r})"
         )
 
     @property

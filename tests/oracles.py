@@ -323,7 +323,11 @@ def reference_divided_diff(f, nodes, zero_tol: float = 1e-9):
 
     Sub-tuples are memoised (the standard triangular-table reuse), so each
     distinct sub-difference is built once.  `divided_diff` must return the
-    same function, by `repr` and by the bits of every atom mass.
+    same function: `==` and `repr` compare family, zero_tol and the atoms,
+    whose coefficients and endpoints `repr` shows bit for bit, and the
+    bits of every atom mass must agree.  The terms differ: this function's
+    are its children's atoms scaled by w and -w, as `linear_combine` lists
+    them, while a `divided_diff` result's terms are its own atoms.
     """
     from gaussdiff.divdiff import _distinct_nodes
 

@@ -40,6 +40,7 @@ from gaussdiff import (
     gauge_for,
     horizontal_strip,
     indicator,
+    l0_gauge,
     linear_combine,
     lp_gauge,
     node_bounds,
@@ -55,8 +56,8 @@ from gaussdiff import (
     vertical_strip,
 )
 
-from gaussdiff import measure
-from gaussdiff.divdiff import _next_level
+from gaussdiff import measure, simplefn
+from gaussdiff.divdiff import _CellGrid, _next_level
 from gaussdiff.experiments import VERIFY_ALL_SUITE
 from gaussdiff.measure import (
     GRID,
@@ -203,6 +204,9 @@ def _assert_same_difference(curve, nodes, zero_tol):
     want = reference_divided_diff(curve, nodes, zero_tol)
     assert repr(got) == repr(want)
     assert [m.hex() for m in got.masses] == [m.hex() for m in want.masses]
+    for again in (copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
+        assert [m.hex() for m in again.masses] == [m.hex() for m in got.masses]
 
 
 @given(
@@ -406,6 +410,25 @@ def test_triangle_runs_no_overlay_sweep(monkeypatch):
     monkeypatch.setattr(measure, "_cell_sums", lambda *args: calls.append(args) or sweep(*args))
     divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5))
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_triangle_merges_only_the_results(k, monkeypatch):
+    # a difference's terms are its atoms: its children are not merged, and
+    # no mass is computed until a gauge reads one
+    merges, masses = [], []
+    merged, piece_masses = _CellGrid.merged, simplefn._piece_masses
+    monkeypatch.setattr(_CellGrid, "merged", lambda *args: merges.append(1) or merged(*args))
+    monkeypatch.setattr(simplefn, "_piece_masses", lambda e: masses.append(1) or piece_masses(e))
+    sched = ShrinkSchedule.roots_of_unity(k)
+    tuples = [sched.tuple_at(0.3 + 0.7j, n) for n in range(1, 9)]
+    got = divided_diffs(QUADRANT_CURVE, tuples)
+    assert len(merges) == len(tuples) and not masses
+    assert all(g.terms == g.atoms for g in got) and not got[0].is_zero
+    l0_gauge(got[0])
+    assert len(masses) == 1
+    l0_gauge(got[0])
+    assert len(masses) == 1
 
 
 def test_small_overlays_stay_off_the_array_path():

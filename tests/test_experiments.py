@@ -452,6 +452,11 @@ def test_cli_requires_example(capsys):
         # NaN fails no `<=` comparison, so these used to run and exit 1
         ["c1-not-c2", "--example", "example3", "--ceiling", "nan"],
         ["smoothness", "--example", "example1", "--tol", "nan"],
+        # `all` runs the default suite: it used to drop these options and exit 0
+        ["all", "--tol", "nan", "--k", "40"],
+        ["all", "--k", "5"],
+        # every report's config holds p, and NaN is not JSON
+        ["smoothness", "--example", "example1", "--p", "nan"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
