@@ -5,8 +5,9 @@ Single experiments print their report to stdout (or write it with --out);
 --outdir, the GAUSSDIFF_OUT_DIR environment variable, or ./reports.  The
 exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
 and 2 when the options do not form a valid configuration, such as a
-negative --seed, a NaN --tol, --ceiling or --p, or an option `all` drops
-(it takes only --seed, --steps, --outdir and --format).  A center with a
+negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
+(it takes only --seed, --steps, --outdir and --format), or --outdir for a
+single experiment, which writes to stdout or --out.  A center with a
 negative real part needs `=`, as in `--center=-0.5,0.3`: argparse reads
 a separate `-0.5,0.3` as an option.
 """
@@ -116,6 +117,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             all_ok = all_ok and report.ok
         return 0 if all_ok else 1
 
+    if args.outdir is not None:
+        raise ConfigError("--outdir is for `all`; a single report goes to stdout or --out")
     if args.experiment != "measure-identities" and args.example is None:
         print(f"--example is required for {args.experiment}", file=sys.stderr)
         return 2

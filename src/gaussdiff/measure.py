@@ -46,7 +46,13 @@ array merge finds the kept cells (Python's abs decides those within a
 few ulp of the threshold), the ends of the y-runs by comparing each cell
 with its neighbour and the equal columns by comparing whole columns; it
 then reads the output columns off the sorted axes by index.  Both forms
-give the same values and columns.  They are used four ways:
+give the same values and columns.  On request the array form also hands
+back the arrays it read them off: the kept values, and each piece's sides
+as index arrays into the sorted axes.  Simple functions ask for them and
+compute their atoms' moduli and masses from them on arrays, masses from
+one erf (or exp) per axis endpoint (`_indexed_masses`, bitwise
+`_piece_masses`); regions, which are never gauged, do not.  The kernel
+is used four ways:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -333,6 +339,7 @@ def _overlay(
     ends: Sequence[Sequence[float]],
     tol: float,
     keep: Callable = lambda sums: sums,
+    arrays: list | None = None,
 ) -> tuple[list, _Ends]:
     """`_merged` values and columns of the cells whose value `keep(sum)` has abs > tol.
 
@@ -341,7 +348,9 @@ def _overlay(
     value it.  This is the endpoint form of `_canon`'s rule that a single
     piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
     is merged on arrays by `_array_merged`, a smaller one by `_merged`;
-    both give the same values and columns.
+    both give the same values and columns.  Only the array form extends
+    `arrays`, if given, with the arrays the result was read from (see
+    `_array_merged`).
     """
     if not weights:
         return [], tuple([] for _ in ends)
@@ -353,7 +362,7 @@ def _overlay(
     axes, sums = _cell_sums(weights, ends)
     if sums.size < _ARRAY_CELLS:
         return _merged(axes, keep(sums).tolist(), tol)
-    return _array_merged(axes, keep(sums), tol)
+    return _array_merged(axes, keep(sums), tol, arrays)
 
 
 def _kept(values: np.ndarray, tol: float) -> np.ndarray:
@@ -373,8 +382,29 @@ def _kept(values: np.ndarray, tol: float) -> np.ndarray:
     return kept
 
 
-def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> tuple[list, _Ends]:
+def _array_merged(
+    axes: list[list[float]], values: np.ndarray, tol: float, arrays: list | None = None
+) -> tuple[list, _Ends]:
     """`_merged(axes, values.tolist(), tol)`, with every cell visited by numpy.
+
+    The merged runs are found by `_array_runs`, whose cell grids are freed
+    before the output lists are built.  No Python list is built per run:
+    the endpoint columns are read off the axes by index (`_column`) and
+    the values are the first cells' `.tolist()` values.  If `arrays` is a
+    list, it is extended with what those were read from: the values as one
+    array, `axes`, and per axis the pair (lo, hi) of index arrays such that
+    piece i spans ]axis[lo[i]], axis[hi[i]]].
+    """
+    out, at = _array_runs(axes, values, tol)
+    if arrays is not None:
+        arrays += (out, axes, at)
+    return out.tolist(), tuple(_column(axis, *sides) for axis, sides in zip(axes, at))
+
+
+def _array_runs(
+    axes: list[list[float]], values: np.ndarray, tol: float
+) -> tuple[np.ndarray, tuple]:
+    """The first cell's value of each merged run, and per axis the run's (lo, hi) axis indices.
 
     Unkept cells read as 0, which no kept cell equals (its abs exceeds tol
     >= 0, or it is NaN; with tol < 0 or NaN every cell is kept).  On those
@@ -382,9 +412,7 @@ def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> tu
     that cell; == is transitive here (a NaN equals nothing), so this is
     `_runs`' comparison with the run's first value.  A column continues
     the one to its left iff the two are equal as a whole, which is
-    `_merged`'s comparison of their runs.  No Python list is built per
-    run: the endpoint columns are read off the axes by index (`_column`)
-    and the values are the first cells' `.tolist()` values.
+    `_merged`'s comparison of their runs.
     """
     kept = _kept(values, tol)
     masked = np.where(kept, values, np.zeros((), values.dtype))
@@ -403,10 +431,10 @@ def _array_merged(axes: list[list[float]], values: np.ndarray, tol: float) -> tu
     change[:, 1:-1] = masked[:, 1:] != masked[:, :-1]
     rows, lo = np.nonzero(kept & change[:, :-1])
     _, hi = np.nonzero(kept & change[:, 1:])
-    ends = (_column(axes[-1], lo, hi + 1),)
+    at = ((lo, hi + 1),)
     if len(axes) == 2:
-        ends = (_column(axes[0], heads[rows], tails[rows]),) + ends
-    return masked[rows, lo].tolist(), ends
+        at = ((heads[rows], tails[rows]),) + at
+    return masked[rows, lo], at
 
 
 def _column(axis: list[float], lo: np.ndarray, hi: np.ndarray) -> list[float]:
@@ -726,6 +754,25 @@ def _piece_masses(ends: Sequence[Sequence[float]]) -> list[float]:
             x0, x1, nx = xlo, xhi, _nu(xlo, xhi)
         masses.append(nx * _nu(ylo, yhi))
     return masses
+
+
+def _indexed_masses(axes: list[list[float]], at: tuple) -> np.ndarray:
+    """`_piece_masses` as a float64 array, of pieces given by index arrays into the axes.
+
+    `at` holds per axis the (lo, hi) index arrays of `_array_runs`.  One
+    erf (for rings, one exp) per axis endpoint, then per piece the closed
+    form's subtraction and products, elementwise: bitwise `_piece_masses`,
+    whose nu is 0.5 * (erf(hi) - erf(lo)).
+    """
+    if len(axes) == 1:
+        ((lo, hi),) = at
+        t = np.array([math.exp(-r * r) for r in axes[0]])
+        return t[lo] - t[hi]
+    nus = []
+    for axis, (lo, hi) in zip(axes, at):
+        e = np.array([math.erf(p) for p in axis])
+        nus.append(0.5 * (e[hi] - e[lo]))
+    return nus[0] * nus[1]
 
 
 def _ends_measure(ends: Sequence[Sequence[float]]) -> float:

@@ -46,6 +46,23 @@ Gauges on a function f with atoms (c_i, A_i):
   exactly when the function enters every such neighbourhood,
 * lp_gauge(f, p) = integral of |f|**p dmu for 1/2 < p < 1, the subadditive
   p-th-power functional of the quasi-normed space.
+
+Each gauge is Python's `sum` of one term per atom, in atom order.  A
+function built by the overlay kernel's array form (`linear_combine` or
+`SimpleFunction(...)` on a grid of at least `_ARRAY_CELLS` elementary
+cells) keeps the kernel's arrays of its atoms, and on its first gauge or
+`masses` read turns them into float64 moduli (`np.hypot`, the libm hypot
+Python's complex abs calls) and masses (`_indexed_masses`: one erf or exp
+per axis endpoint, bitwise `_piece_masses`), then drops them.  Its gauges
+form the per-atom terms in one pass over those arrays and add them with
+`sum` over `.tolist()`: numpy's own sums add in another order (pairwise)
+and would round differently.  `min(1, |c|)` is `np.fmin`, which like `min`
+gives 1.0 for NaN.  `|c|**p` stays Python's `**` on the moduli list, as
+numpy's power differs from it in the last ulp on some moduli.  Every
+other function (curve values, differences, small overlays, copies)
+gauges atom by atom from its columns, with no array built, so the
+thousands of tiny functions of a divided difference pay nothing for it.
+Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -53,6 +70,8 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from itertools import chain, repeat
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .measure import (
     GRID,
@@ -67,6 +86,7 @@ from .measure import (
     _canonical_region,
     _cell_sums,
     _ends_measure,
+    _indexed_masses,
     _joined,
     _overlay,
     _piece_ends,
@@ -116,11 +136,13 @@ class SimpleFunction:
     `atoms` is the canonical disjoint decomposition everything else is
     computed from, and `masses[i]` is the Gaussian measure of the region
     of `atoms[i]`, bitwise what `mu_grid` or `mu_radial` gives it.  All
-    three are tuples built from the columns on first access and cached.
-    Immutable; `==` and `hash` compare (family, zero_tol, atom
+    three are tuples computed on first access and cached: the views from
+    the columns, the masses from the columns or, for a function built on
+    the kernel's array form, from its arrays (see Gauges in the module
+    docstring).  Immutable; `==` and `hash` compare (family, zero_tol, atom
     coefficients, atom endpoint columns) straight from the columns, `repr`
     shows family, zero_tol and atoms, and copy and pickle restore the
-    columns as they are.
+    columns as they are, without the arrays.
     """
 
     __slots__ = (
@@ -134,6 +156,7 @@ class SimpleFunction:
         "_terms",
         "_atoms",
         "_masses",
+        "_arrays",
     )
 
     def __init__(
@@ -166,7 +189,8 @@ class SimpleFunction:
         of `ends`.  `atoms` are the overlay kernel's values and columns of
         the terms' merged cells if the caller has them; otherwise the
         overlay runs here, with the threshold zero_tol times the largest
-        term coefficient modulus.
+        term coefficient modulus, and the arrays its array form read the
+        atoms off, if it ran, are kept for the gauges.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -174,9 +198,12 @@ class SimpleFunction:
         few container allocations those collections are rare: tuple columns
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
+        arrays = None
         if atoms is None:
             weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
-            atoms = _overlay(weights, ends, zero_tol * max(map(abs, coeffs), default=0.0))
+            arrays = []
+            tol = zero_tol * max(map(abs, coeffs), default=0.0)
+            atoms = _overlay(weights, ends, tol, arrays=arrays)
         atom_coeffs, atom_ends = atoms
         init = object.__setattr__
         init(self, "family", family)
@@ -189,6 +216,7 @@ class SimpleFunction:
         init(self, "_terms", None)  # the views, built on first access
         init(self, "_atoms", None)
         init(self, "_masses", None)
+        init(self, "_arrays", arrays or None)
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
@@ -223,8 +251,27 @@ class SimpleFunction:
     @property
     def masses(self) -> tuple[float, ...]:
         if self._masses is None:
-            object.__setattr__(self, "_masses", tuple(_piece_masses(self._atom_ends)))
+            if self._arrays is None:
+                masses = _piece_masses(self._atom_ends)
+            else:
+                masses = self._gauge_arrays()[1].tolist()
+            object.__setattr__(self, "_masses", tuple(masses))
         return self._masses
+
+    def _gauge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms' moduli and masses as float64 arrays, for a function with kernel arrays.
+
+        Computed on first read from the arrays the overlay kernel handed
+        over (a list), which are dropped then.  `np.hypot` is the libm
+        hypot that Python's complex abs calls, and `_indexed_masses` is
+        bitwise `_piece_masses`.
+        """
+        arrays = self._arrays
+        if arrays.__class__ is list:
+            values, axes, at = arrays
+            arrays = np.hypot(values.real, values.imag), _indexed_masses(axes, at)
+            object.__setattr__(self, "_arrays", arrays)
+        return arrays
 
     def _key(self) -> tuple:
         return (self.family, self.zero_tol, self._atom_coeffs, *self._atom_ends)
@@ -327,8 +374,7 @@ def linear_combine(
             raise FamilyMismatchError("cannot combine functions of different families")
     weights = [k * c for k, f in zip(map(complex, coeffs), fns) for c in f._atom_coeffs]
     ends = tuple(list(chain.from_iterable(axis)) for axis in zip(*(f._atom_ends for f in fns)))
-    atoms = _overlay(weights, ends, zero_tol * max(map(abs, weights), default=0.0))
-    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol, atoms)
+    return _from_columns(family, weights, [1] * len(weights), ends, zero_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +386,9 @@ def gauge_in_measure(f: SimpleFunction, eps: float) -> float:
     """mu({w : |f(w)| >= eps}), the level-set mass at height eps."""
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if f._arrays is not None:
+        moduli, masses = f._gauge_arrays()
+        return sum(masses[moduli >= eps].tolist())
     return sum(m for c, m in zip(f._atom_coeffs, f.masses) if abs(c) >= eps)
 
 
@@ -352,6 +401,9 @@ def wk_member(f: SimpleFunction, k: int) -> bool:
 
 def l0_gauge(f: SimpleFunction) -> float:
     """integral of min(1, |f|) dmu; zero exactly for the zero function."""
+    if f._arrays is not None:
+        moduli, masses = f._gauge_arrays()
+        return sum((np.fmin(1.0, moduli) * masses).tolist())  # fmin(1.0, NaN) is 1.0, as min's
     return sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
 
 
@@ -359,6 +411,9 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
     """integral of |f|**p dmu for an exponent 1/2 < p < 1."""
     if not 0.5 < p < 1.0:
         raise ValueError(f"exponent p={p} outside ]1/2, 1[")
+    if f._arrays is not None:
+        moduli, masses = f._gauge_arrays()
+        return sum([a**p * m for a, m in zip(moduli.tolist(), masses.tolist())])
     return sum(abs(c) ** p * m for c, m in zip(f._atom_coeffs, f.masses))
 
 

@@ -38,6 +38,7 @@ from gaussdiff import (
     divided_diffs,
     exp_smoothness,
     gauge_for,
+    gauge_in_measure,
     horizontal_strip,
     indicator,
     l0_gauge,
@@ -429,6 +430,29 @@ def test_triangle_merges_only_the_results(k, monkeypatch):
     assert len(masses) == 1
     l0_gauge(got[0])
     assert len(masses) == 1
+
+
+def test_traces_and_differences_gauge_atom_by_atom(monkeypatch):
+    # curve values, triangle results and their traces keep the list path:
+    # no mass table is built for them, nor the moduli array built with it.
+    # (The estimate k! * difference of example1 at k = 10 is a 66-cell
+    # overlay, on the array path, but nothing gauges it.)
+    built = []
+    table = simplefn._indexed_masses
+    monkeypatch.setattr(simplefn, "_indexed_masses", lambda *a: built.append(1) or table(*a))
+    for example, center in (("example1", 0.3 + 0.7j), ("example2", 0.4 + 0.5j), ("example3", 0.3)):
+        curve, gauge = curve_for(example), gauge_for(example)
+        for k in range(1, 11):
+            sched = ShrinkSchedule.roots_of_unity(k)
+            derivative_by_limit(curve, center, k, sched, gauge=gauge)
+            for g in divided_diffs(curve, [sched.tuple_at(center, n) for n in (1, 5, 10)]):
+                l0_gauge(g), lp_gauge(g, 0.75), gauge_in_measure(g, 1e-3), g.masses
+    assert not built
+    # the counter sees the array path: 32 rectangles give a 63 x 63 grid
+    rects = [rect(i / 8, i / 8 + 4, i / 8, i / 8 + 4) for i in range(32)]
+    f = linear_combine([1.0 + 1j] * 32, [indicator(r) for r in rects])
+    assert l0_gauge(f) == sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
+    assert len(built) == 1
 
 
 def test_small_overlays_stay_off_the_array_path():

@@ -457,10 +457,13 @@ def test_cli_requires_example(capsys):
         ["all", "--k", "5"],
         # every report's config holds p, and NaN is not JSON
         ["smoothness", "--example", "example1", "--p", "nan"],
+        # a single report goes to stdout or --out: it used to drop --outdir
+        ["smoothness", "--example", "example1", "--outdir", "reports"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
-    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "all" else []
+    assert main([*argv, *outdir]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

@@ -41,7 +41,7 @@ from gaussdiff import (
 )
 
 from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _merged, _overlay
-from gaussdiff.simplefn import ZERO_TOL, _piece_function
+from gaussdiff.simplefn import ZERO_TOL, _from_columns, _piece_function
 from oracles import (
     agrees_3sig,
     eval_grid_64,
@@ -572,6 +572,107 @@ def test_linear_combine_on_the_array_path(case, zero_tol):
     assert repr(f.atoms) == repr(reference(f.terms, tol))
     for (_, reg), m in zip(f.atoms, f.masses):
         assert m.hex() == region_measure(reg).hex()
+
+
+# ---------------------------------------------------------------------------
+# gauges on the kernel's arrays
+# ---------------------------------------------------------------------------
+
+_MANY_RECTS = st.lists(st.tuples(_side(_WIDE_END), _side(_WIDE_END)), min_size=12, max_size=128)
+_MANY_RINGS = st.lists(_side(_WIDE_RADIUS), min_size=12, max_size=128)
+
+
+@st.composite
+def _cells_exactly(draw, family, cells):
+    """Pieces whose endpoints span a grid of exactly `cells` cells: 7 x 9 or 8 x 8, or rings."""
+    if family == "radial":
+        rs = draw(st.lists(_WIDE_RADIUS, min_size=cells + 1, max_size=cells + 1, unique=True))
+        rs.sort()
+        return [Interval(lo, hi) for lo, hi in zip(rs, rs[1:])]
+    nx = 8 if cells == _ARRAY_CELLS else 7
+    xs, ys = (
+        sorted(draw(st.lists(_WIDE_END, min_size=n + 1, max_size=n + 1, unique=True)))
+        for n in (nx, cells // nx)
+    )
+    column = [(Interval(lo, hi), Interval(ys[0], ys[-1])) for lo, hi in zip(xs, xs[1:])]
+    row = [(Interval(xs[0], xs[-1]), Interval(lo, hi)) for lo, hi in zip(ys, ys[1:])]
+    return column + row
+
+
+@st.composite
+def _gauged_functions(draw):
+    """A builder of a function of 12-128 single-piece terms or on a grid of 63 or 64 cells.
+
+    It calls `linear_combine` on indicators or `SimpleFunction` on the
+    terms; both run the overlay kernel.
+    """
+    family = draw(st.sampled_from(("grid", "radial")))
+    if draw(st.booleans()):
+        pieces = draw(_MANY_RECTS if family == "grid" else _MANY_RINGS)
+    else:
+        cells = draw(st.sampled_from((_ARRAY_CELLS - 1, _ARRAY_CELLS)))
+        pieces = draw(_cells_exactly(family, cells))
+    cls = GridRegion if family == "grid" else RadialRegion
+    regions = [cls((piece,)) for piece in pieces]
+    coeffs = draw(st.lists(_TERM_COEFF, min_size=len(regions), max_size=len(regions)))
+    zero_tol = draw(st.sampled_from((ZERO_TOL, 0.0)))
+    if draw(st.booleans()):
+        return lambda: linear_combine(coeffs, [indicator(reg) for reg in regions], zero_tol)
+    return lambda: SimpleFunction(family, zip(coeffs, regions), zero_tol)
+
+
+def _gauges(f: SimpleFunction, eps: list[float], masses_last: bool = False) -> list:
+    """Masses and all four gauges of f, bit for bit and with their types."""
+    out = [_bits(l0_gauge(f))]
+    out += [_bits(lp_gauge(f, p)) for p in (0.51, 0.75, 0.99)]
+    out += [_bits(gauge_in_measure(f, e)) for e in eps]
+    out += [_bits(wk_member(f, k)) for k in (1, 2, 7)]
+    masses = [_bits(m) for m in f.masses]
+    return out + masses if masses_last else masses + out
+
+
+def _list_path_twins(f: SimpleFunction) -> list[SimpleFunction]:
+    """f rebuilt from its columns, copied and pickled: all three gauge atom by atom."""
+    atoms = (f._atom_coeffs, f._atom_ends)
+    twin = _from_columns(f.family, f._term_coeffs, f._term_sizes, f._term_ends, f.zero_tol, atoms)
+    return [twin, copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+
+
+@given(_gauged_functions(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_array_gauges_match_the_list_path(build, masses_last, data):
+    with kernel_paths() as seen:
+        f = build()
+    on_arrays = bool(seen["grids"]) and seen["grids"][-1] >= _ARRAY_CELLS
+    assert (f._arrays is not None) == on_arrays
+    moduli = sorted(abs(c) for c in f._atom_coeffs)
+    top = math.nextafter(moduli[-1] if moduli else 0.0, INF)  # above every modulus
+    eps = [5e-324, 0.5, top]
+    if moduli:
+        at = data.draw(st.sampled_from(moduli))
+        eps += [at, math.nextafter(at, INF)]  # on a modulus and one ulp above it
+    got = _gauges(f, eps, masses_last)
+    assert _bits(gauge_in_measure(f, top)) == (int, "0")  # as `sum` of nothing is
+    for twin in _list_path_twins(f):
+        assert twin._arrays is None and twin == f
+        assert _gauges(twin, eps, masses_last) == got
+
+
+@pytest.mark.parametrize("at", [0.0, 30.0])
+def test_array_gauges_of_an_infinite_atom(at):
+    # rectangles 0 and 1 overlap on a square where 1.7e308 + 1.7e308 is inf;
+    # far in the tail (at 30) every mass is 0.0, and inf * 0.0 is NaN
+    rects = [rect(at + i, at + i + 1.5, at + i, at + i + 1.5) for i in range(10)]
+    with kernel_paths() as seen, np.errstate(over="ignore"):
+        f = linear_combine([1.7e308, 1.7e308] + [1.0] * 8, [indicator(r) for r in rects])
+    assert seen["grids"] == [19 * 19] and f._arrays is not None
+    assert complex(INF, 0.0) in f._atom_coeffs
+    eps = [5e-324, 1.0, 1e308, INF]
+    got = _gauges(f, eps)
+    for twin in _list_path_twins(f):
+        assert _gauges(twin, eps) == got
+    lp = lp_gauge(f, 0.75)
+    assert lp == INF if at == 0.0 else math.isnan(lp)
 
 
 # ---------------------------------------------------------------------------
