@@ -47,12 +47,13 @@ few ulp of the threshold), the ends of the y-runs by comparing each cell
 with its neighbour and the equal columns by comparing whole columns; it
 then reads the output columns off the sorted axes by index.  Both forms
 give the same values and columns.  On request the array form also hands
-back the arrays it read them off: the kept values, and each piece's sides
-as index arrays into the sorted axes.  Simple functions ask for them and
-compute their atoms' moduli and masses from them on arrays, masses from
-one erf (or exp) per axis endpoint (`_indexed_masses`, bitwise
-`_piece_masses`); regions, which are never gauged, do not.  The kernel
-is used four ways:
+back its pieces' moduli and masses as float64 arrays, computed from the
+arrays it read the pieces off: moduli by `np.hypot` of the kept values
+(the libm hypot Python's complex abs calls), masses from one erf (or
+exp) per axis endpoint and each piece's sides as index arrays into the
+sorted axes (`_indexed_masses`, bitwise `_piece_masses`).  Simple
+functions ask for them, for their gauges; regions, which are never
+gauged, do not.  The kernel is used four ways:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -349,7 +350,7 @@ def _overlay(
     piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
     is merged on arrays by `_array_merged`, a smaller one by `_merged`;
     both give the same values and columns.  Only the array form extends
-    `arrays`, if given, with the arrays the result was read from (see
+    `arrays`, if given, with the pieces' moduli and masses (see
     `_array_merged`).
     """
     if not weights:
@@ -391,14 +392,16 @@ def _array_merged(
     before the output lists are built.  No Python list is built per run:
     the endpoint columns are read off the axes by index (`_column`) and
     the values are the first cells' `.tolist()` values.  If `arrays` is a
-    list, it is extended with what those were read from: the values as one
-    array, `axes`, and per axis the pair (lo, hi) of index arrays such that
-    piece i spans ]axis[lo[i]], axis[hi[i]]].
+    list, it is extended with two float64 arrays: the values' moduli
+    (`np.hypot`, bitwise Python's abs) and the pieces' masses
+    (`_indexed_masses`, bitwise `_piece_masses`).  They are computed after
+    the lists, so a build's peak memory does not grow by them.
     """
     out, at = _array_runs(axes, values, tol)
+    merged = out.tolist(), tuple(_column(axis, *sides) for axis, sides in zip(axes, at))
     if arrays is not None:
-        arrays += (out, axes, at)
-    return out.tolist(), tuple(_column(axis, *sides) for axis, sides in zip(axes, at))
+        arrays += (np.hypot(out.real, out.imag), _indexed_masses(axes, at))
+    return merged
 
 
 def _array_runs(

@@ -50,19 +50,19 @@ Gauges on a function f with atoms (c_i, A_i):
 Each gauge is Python's `sum` of one term per atom, in atom order.  A
 function built by the overlay kernel's array form (`linear_combine` or
 `SimpleFunction(...)` on a grid of at least `_ARRAY_CELLS` elementary
-cells) keeps the kernel's arrays of its atoms, and on its first gauge or
-`masses` read turns them into float64 moduli (`np.hypot`, the libm hypot
-Python's complex abs calls) and masses (`_indexed_masses`: one erf or exp
-per axis endpoint, bitwise `_piece_masses`), then drops them.  Its gauges
-form the per-atom terms in one pass over those arrays and add them with
-`sum` over `.tolist()`: numpy's own sums add in another order (pairwise)
-and would round differently.  `min(1, |c|)` is `np.fmin`, which like `min`
-gives 1.0 for NaN.  `|c|**p` stays Python's `**` on the moduli list, as
-numpy's power differs from it in the last ulp on some moduli.  Every
-other function (curve values, differences, small overlays, copies)
-gauges atom by atom from its columns, with no array built, so the
-thousands of tiny functions of a divided difference pay nothing for it.
-Both ways give the same bits.
+cells) is handed its atoms' moduli and masses as float64 arrays by the
+kernel (see measure.py), bitwise Python's abs and `_piece_masses`.  Its
+`l0_gauge`, `gauge_in_measure` and `wk_member` form the per-atom terms
+in one pass over those arrays and add them with `sum` over `.tolist()`:
+numpy's own sums add in another order (pairwise) and would round
+differently.  `min(1, |c|)` is `np.fmin`, which like `min` gives 1.0 for
+NaN.  `lp_gauge` gauges every function atom by atom, as `|c|**p` has to
+be Python's `**` (numpy's power differs from it in the last ulp on some
+moduli), and that `**` is its cost either way.  Every other function
+(curve values, differences, small overlays, copies) gauges atom by atom
+from its columns, with no array built, so the thousands of tiny
+functions of a divided difference pay nothing for it.  Both ways give
+the same bits.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from .measure import (
     _canonical_region,
     _cell_sums,
     _ends_measure,
-    _indexed_masses,
     _joined,
     _overlay,
     _piece_ends,
@@ -137,12 +136,13 @@ class SimpleFunction:
     computed from, and `masses[i]` is the Gaussian measure of the region
     of `atoms[i]`, bitwise what `mu_grid` or `mu_radial` gives it.  All
     three are tuples computed on first access and cached: the views from
-    the columns, the masses from the columns or, for a function built on
-    the kernel's array form, from its arrays (see Gauges in the module
-    docstring).  Immutable; `==` and `hash` compare (family, zero_tol, atom
-    coefficients, atom endpoint columns) straight from the columns, `repr`
-    shows family, zero_tol and atoms, and copy and pickle restore the
-    columns as they are, without the arrays.
+    the columns, the masses from the columns.  A function built on the
+    kernel's array form holds its masses as the array the kernel handed
+    over (see Gauges in the module docstring), and `masses` reads them off
+    it each time instead.  Immutable; `==` and `hash` compare (family,
+    zero_tol, atom coefficients, atom endpoint columns) straight from the
+    columns, `repr` shows family, zero_tol and atoms, and copy and pickle
+    restore the columns as they are, without the arrays.
     """
 
     __slots__ = (
@@ -189,8 +189,8 @@ class SimpleFunction:
         of `ends`.  `atoms` are the overlay kernel's values and columns of
         the terms' merged cells if the caller has them; otherwise the
         overlay runs here, with the threshold zero_tol times the largest
-        term coefficient modulus, and the arrays its array form read the
-        atoms off, if it ran, are kept for the gauges.
+        term coefficient modulus, and the atoms' moduli and masses that its
+        array form hands back, if it ran, are kept for the gauges.
 
         The columns are private lists, never handed out.  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
@@ -216,7 +216,7 @@ class SimpleFunction:
         init(self, "_terms", None)  # the views, built on first access
         init(self, "_atoms", None)
         init(self, "_masses", None)
-        init(self, "_arrays", arrays or None)
+        init(self, "_arrays", tuple(arrays) if arrays else None)  # (moduli, masses)
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
@@ -250,28 +250,11 @@ class SimpleFunction:
 
     @property
     def masses(self) -> tuple[float, ...]:
+        if self._arrays is not None:  # not cached: the mass array is the one copy held
+            return tuple(self._arrays[1].tolist())
         if self._masses is None:
-            if self._arrays is None:
-                masses = _piece_masses(self._atom_ends)
-            else:
-                masses = self._gauge_arrays()[1].tolist()
-            object.__setattr__(self, "_masses", tuple(masses))
+            object.__setattr__(self, "_masses", tuple(_piece_masses(self._atom_ends)))
         return self._masses
-
-    def _gauge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms' moduli and masses as float64 arrays, for a function with kernel arrays.
-
-        Computed on first read from the arrays the overlay kernel handed
-        over (a list), which are dropped then.  `np.hypot` is the libm
-        hypot that Python's complex abs calls, and `_indexed_masses` is
-        bitwise `_piece_masses`.
-        """
-        arrays = self._arrays
-        if arrays.__class__ is list:
-            values, axes, at = arrays
-            arrays = np.hypot(values.real, values.imag), _indexed_masses(axes, at)
-            object.__setattr__(self, "_arrays", arrays)
-        return arrays
 
     def _key(self) -> tuple:
         return (self.family, self.zero_tol, self._atom_coeffs, *self._atom_ends)
@@ -387,7 +370,7 @@ def gauge_in_measure(f: SimpleFunction, eps: float) -> float:
     if not eps > 0:
         raise ValueError("eps must be positive")
     if f._arrays is not None:
-        moduli, masses = f._gauge_arrays()
+        moduli, masses = f._arrays
         return sum(masses[moduli >= eps].tolist())
     return sum(m for c, m in zip(f._atom_coeffs, f.masses) if abs(c) >= eps)
 
@@ -402,7 +385,7 @@ def wk_member(f: SimpleFunction, k: int) -> bool:
 def l0_gauge(f: SimpleFunction) -> float:
     """integral of min(1, |f|) dmu; zero exactly for the zero function."""
     if f._arrays is not None:
-        moduli, masses = f._gauge_arrays()
+        moduli, masses = f._arrays
         return sum((np.fmin(1.0, moduli) * masses).tolist())  # fmin(1.0, NaN) is 1.0, as min's
     return sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
 
@@ -411,9 +394,6 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
     """integral of |f|**p dmu for an exponent 1/2 < p < 1."""
     if not 0.5 < p < 1.0:
         raise ValueError(f"exponent p={p} outside ]1/2, 1[")
-    if f._arrays is not None:
-        moduli, masses = f._gauge_arrays()
-        return sum([a**p * m for a, m in zip(moduli.tolist(), masses.tolist())])
     return sum(abs(c) ** p * m for c, m in zip(f._atom_coeffs, f.masses))
 
 

@@ -435,24 +435,28 @@ def test_triangle_merges_only_the_results(k, monkeypatch):
 def test_traces_and_differences_gauge_atom_by_atom(monkeypatch):
     # curve values, triangle results and their traces keep the list path:
     # no mass table is built for them, nor the moduli array built with it.
-    # (The estimate k! * difference of example1 at k = 10 is a 66-cell
-    # overlay, on the array path, but nothing gauges it.)
+    # Only an estimate k! * difference whose overlay runs on the kernel's
+    # array form builds one (example1 at k = 10, a 66-cell grid).
     built = []
-    table = simplefn._indexed_masses
-    monkeypatch.setattr(simplefn, "_indexed_masses", lambda *a: built.append(1) or table(*a))
+    table = measure._indexed_masses
+    monkeypatch.setattr(measure, "_indexed_masses", lambda *a: built.append(1) or table(*a))
+    estimates = []
     for example, center in (("example1", 0.3 + 0.7j), ("example2", 0.4 + 0.5j), ("example3", 0.3)):
         curve, gauge = curve_for(example), gauge_for(example)
         for k in range(1, 11):
             sched = ShrinkSchedule.roots_of_unity(k)
-            derivative_by_limit(curve, center, k, sched, gauge=gauge)
+            estimates.append(derivative_by_limit(curve, center, k, sched, gauge=gauge).estimate)
             for g in divided_diffs(curve, [sched.tuple_at(center, n) for n in (1, 5, 10)]):
+                assert g._arrays is None
                 l0_gauge(g), lp_gauge(g, 0.75), gauge_in_measure(g, 1e-3), g.masses
-    assert not built
+    on_arrays = [e for e in estimates if e is not None and e._arrays is not None]
+    assert len(built) == len(on_arrays) == 1
     # the counter sees the array path: 32 rectangles give a 63 x 63 grid
     rects = [rect(i / 8, i / 8 + 4, i / 8, i / 8 + 4) for i in range(32)]
     f = linear_combine([1.0 + 1j] * 32, [indicator(r) for r in rects])
+    assert len(built) == 2
     assert l0_gauge(f) == sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def test_small_overlays_stay_off_the_array_path():

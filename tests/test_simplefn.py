@@ -675,6 +675,23 @@ def test_array_gauges_of_an_infinite_atom(at):
     assert lp == INF if at == 0.0 else math.isnan(lp)
 
 
+@pytest.mark.parametrize("zero_tol", [ZERO_TOL, 0.0])
+def test_array_gauges_of_a_nan_atom(zero_tol):
+    # inf + -inf on the square of rectangles 0 and 1 is a NaN atom, whose
+    # min(1, |c|) is 1.0 on both paths; the threshold zero_tol * inf is
+    # inf (only the NaN atom is kept) or NaN (every cell is kept)
+    rects = [rect(i, i + 1.5, i, i + 1.5) for i in range(10)]
+    with kernel_paths() as seen, np.errstate(invalid="ignore"):
+        f = linear_combine([INF, -INF] + [1.0] * 8, [indicator(r) for r in rects], zero_tol)
+    assert seen["grids"] == [19 * 19] and f._arrays is not None
+    assert any(math.isnan(abs(c)) for c in f._atom_coeffs)
+    eps = [5e-324, 1.0, INF]
+    got = _gauges(f, eps)
+    for twin in _list_path_twins(f):
+        assert _gauges(twin, eps) == got
+    assert math.isfinite(l0_gauge(f))
+
+
 # ---------------------------------------------------------------------------
 # float columns and their (coefficient, region) views
 # ---------------------------------------------------------------------------
