@@ -16,14 +16,18 @@ compare family, zero_tol and the atom columns, and `repr` shows them.
 
 Every constructor ends in one column constructor (`_from_columns`, or
 `SimpleFunction._fill` for `__init__`), and its `terms` record how it was
-built.  `SimpleFunction(...)` and `indicator` concatenate their regions'
-columns, which are the terms; `_piece_function`, behind the three curve
-maps and `scalar_curve`, takes the endpoints of one rectangle or ring,
-checked as the region constructors check them; `linear_combine` feeds
-its inputs' atom columns, scaled, to the kernel as terms; and a divided
-difference's terms are its own atoms.  None of them builds an Interval,
-and the regions of the views are slices of the columns.  A support bound
-holds its region, and `supported_in` sweeps the region's columns.
+built.  `SimpleFunction(...)` concatenates its regions' columns, which
+are the terms; `indicator(r)` takes r's pieces as its one term and as
+its atoms, without an overlay, since a region's pieces are canonical
+already (the kernel would hand back the same columns), and shares r's
+column lists, which neither ever changes; `_piece_function`, behind the
+three curve maps and `scalar_curve`, takes the endpoints of one
+rectangle or ring, checked as the region constructors check them;
+`linear_combine` feeds its inputs' atom columns, scaled, to the kernel as
+terms; and a divided difference's terms are its own atoms.  None of them
+builds an Interval, and the regions of the views are slices of the
+columns.  A support bound holds its region, and `supported_in` sweeps the
+region's columns.
 
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
@@ -52,17 +56,18 @@ function built by the overlay kernel's array form (`linear_combine` or
 `SimpleFunction(...)` on a grid of at least `_ARRAY_CELLS` elementary
 cells) is handed its atoms' moduli and masses as float64 arrays by the
 kernel (see measure.py), bitwise Python's abs and `_piece_masses`.  Its
-`l0_gauge`, `gauge_in_measure` and `wk_member` form the per-atom terms
-in one pass over those arrays and add them with `sum` over `.tolist()`:
-numpy's own sums add in another order (pairwise) and would round
-differently.  `min(1, |c|)` is `np.fmin`, which like `min` gives 1.0 for
-NaN.  `lp_gauge` gauges every function atom by atom, as `|c|**p` has to
-be Python's `**` (numpy's power differs from it in the last ulp on some
-moduli), and that `**` is its cost either way.  Every other function
-(curve values, differences, small overlays, copies) gauges atom by atom
-from its columns, with no array built, so the thousands of tiny
-functions of a divided difference pay nothing for it.  Both ways give
-the same bits.
+four gauges form the per-atom terms in one pass over those arrays and
+add them with `sum` over `.tolist()`: numpy's own sums add in another
+order (pairwise) and would round differently.  `min(1, |c|)` is
+`np.fmin`, which like `min` gives 1.0 for NaN.  `|c|**p` is
+`np.float_power`, which calls the C library's `pow` per element, as
+Python's `**` does; `np.power` runs SIMD loops of its own on some CPUs,
+which differ from `pow` in the last ulp on some moduli.  An inf modulus
+times a 0.0 mass is NaN there as in Python, without a warning.  Every
+other function (curve values, differences, indicators, small overlays,
+copies) gauges atom by atom from its columns, with no array built, so
+the thousands of tiny functions of a divided difference pay nothing for
+it.  Both ways give the same bits.
 """
 
 from __future__ import annotations
@@ -192,7 +197,8 @@ class SimpleFunction:
         term coefficient modulus, and the atoms' moduli and masses that its
         array form hands back, if it ran, are kept for the gauges.
 
-        The columns are private lists, never handed out.  Short tuples would
+        The columns are lists that nothing changes and that are never
+        handed out (an indicator shares its region's).  Short tuples would
         do as well, but CPython keeps up to 2000 dead tuples of each length
         below 20 on free lists until a full garbage collection, and with so
         few container allocations those collections are rare: tuple columns
@@ -334,7 +340,9 @@ def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> Sim
 
 
 def indicator(r: Region) -> SimpleFunction:
-    return _from_columns(r.family, [1.0 + 0j], [len(r._ends[0]) // 2], r._ends)
+    """The indicator of r; its atoms are r's pieces, which are canonical already."""
+    n = len(r._ends[0]) // 2
+    return _from_columns(r.family, [1.0 + 0j], [n], r._ends, ZERO_TOL, ([1.0 + 0j] * n, r._ends))
 
 
 def linear_combine(
@@ -394,6 +402,10 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
     """integral of |f|**p dmu for an exponent 1/2 < p < 1."""
     if not 0.5 < p < 1.0:
         raise ValueError(f"exponent p={p} outside ]1/2, 1[")
+    if f._arrays is not None:
+        moduli, masses = f._arrays
+        with np.errstate(invalid="ignore"):  # inf * 0.0 is NaN, as in Python
+            return sum((np.float_power(moduli, p) * masses).tolist())
     return sum(abs(c) ** p * m for c, m in zip(f._atom_coeffs, f.masses))
 
 

@@ -3,6 +3,7 @@
 import collections
 import copy
 import functools
+import json
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -22,6 +23,7 @@ from gaussdiff import (
     annulus,
     coefficient_distance,
     empty_region,
+    full_plane,
     gauge_in_measure,
     horizontal_strip,
     indicator,
@@ -32,7 +34,13 @@ from gaussdiff import (
     lp_gauge,
     quadrant_map,
     rect,
+    region_complement,
+    region_difference,
+    region_from_json,
+    region_intersect,
     region_measure,
+    region_symdiff,
+    region_to_json,
     region_union,
     simple_function_to_json,
     supported_in,
@@ -40,6 +48,7 @@ from gaussdiff import (
     wk_member,
 )
 
+from gaussdiff import simplefn
 from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _merged, _overlay
 from gaussdiff.simplefn import ZERO_TOL, _from_columns, _piece_function
 from oracles import (
@@ -690,6 +699,129 @@ def test_array_gauges_of_a_nan_atom(zero_tol):
     for twin in _list_path_twins(f):
         assert _gauges(twin, eps) == got
     assert math.isfinite(l0_gauge(f))
+
+
+# Moduli as the kernel hands them over: non-negative, with 0.0, the
+# smallest subnormal, subnormals, 1.0, the largest float, inf and NaN.
+_MODULI = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]),
+    st.sampled_from([INF, float("nan")]),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+)
+_EXPONENTS = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(st.lists(_MODULI, min_size=1, max_size=200), _EXPONENTS)
+@settings(max_examples=200)
+def test_float_power_is_pythons_pow(moduli, p):
+    # the array lp_gauge rests on this: np.float_power calls the C
+    # library's pow per element, as Python's ** does (np.power need not)
+    got = np.float_power(np.array(moduli), p).tolist()
+    assert [_bits(y) for y in got] == [_bits(x**p) for x in moduli]
+
+
+def test_array_lp_gauge_of_a_large_overlay():
+    # 128 weighted rectangles, as in the largest overlay-atoms ops: every
+    # one of some 10k moduli must be powered as Python powers it for the
+    # sums to agree bit for bit
+    rng = np.random.default_rng(19)
+    sides = np.sort(rng.uniform(-2.0, 2.0, size=(128, 2, 2)), axis=2)
+    rects = [rect(*x, *y) for x, y in sides.tolist()]
+    coeffs = (rng.standard_normal(128) + 1j * rng.standard_normal(128)).tolist()
+    with kernel_paths() as seen:
+        f = linear_combine(coeffs, [indicator(r) for r in rects])
+    assert seen["merges"] == 1 and f._arrays is not None
+    assert len(f._atom_coeffs) >= 10_000
+    twin = _list_path_twins(f)[0]
+    for p in (0.51, 0.6, 0.75, 0.99):
+        assert _bits(lp_gauge(f, p)) == _bits(lp_gauge(twin, p))
+
+
+def test_array_lp_gauge_of_one_atom_is_its_power():
+    # A last-ulp error in one of many small terms mostly rounds away in
+    # their sum, so each modulus here is the one atom of an array-form
+    # function: c on ]0, 1], over 64 separated rings whose terms 1 and -1
+    # cancel (128 cells).
+    rings = RadialRegion(tuple(Interval(1 + k / 64, 1 + (k + 0.5) / 64) for k in range(64)))
+    unit, gaps = indicator(annulus(0.0, 1.0)), indicator(rings)
+    moduli = np.exp(np.random.default_rng(19).uniform(-12.0, 12.0, 256)).tolist()
+    for c in moduli:
+        f = linear_combine([c, 1.0, -1.0], [unit, gaps, gaps])
+        assert f._arrays is not None and f._atom_coeffs == [complex(c)]
+        (mass,) = f.masses
+        for p in (0.51, 0.75, 0.99):
+            assert _bits(lp_gauge(f, p)) == _bits(c**p * mass)
+
+
+# ---------------------------------------------------------------------------
+# indicators take their region's pieces as atoms
+# ---------------------------------------------------------------------------
+
+_BOOLEANS = (region_union, region_intersect, region_difference, region_symdiff)
+
+
+# at least 66 disjoint rings, which no merge joins: a grid of 131 or more cells
+_SEPARATED_RINGS = st.lists(st.integers(1, 160), min_size=66, max_size=80, unique=True).map(
+    lambda ks: RadialRegion(tuple(Interval(k / 32, k / 32 + 1 / 64) for k in ks))
+)
+
+
+@st.composite
+def _indicated_regions(draw):
+    """A region of either family: pieces as given or canonicalised, a Boolean
+    result, a complement, the empty region or the plane, possibly through a
+    JSON or pickle round trip."""
+    family = draw(st.sampled_from(("grid", "radial")))
+    if family == "grid":
+        piece = st.tuples(_side(_GRID_END), _side(_GRID_END)).map(
+            lambda s: rect(s[0].lo, s[0].hi, s[1].lo, s[1].hi)
+        )
+        small, wide = _GRID_REGION, _WIDE_RECTS.map(lambda cells: GridRegion(tuple(cells)))
+    else:
+        piece = _side(_RADIUS).map(lambda ring: annulus(ring.lo, ring.hi))
+        small = _RADIAL_REGION
+        wide = st.one_of(_WIDE_RINGS.map(lambda rings: RadialRegion(tuple(rings))), _SEPARATED_RINGS)
+    any_region = st.one_of(piece, small, wide)
+    kind = draw(st.sampled_from(("region", "boolean", "complement", "empty", "plane")))
+    if kind == "region":
+        region = draw(any_region)
+    elif kind == "boolean":
+        region = draw(st.sampled_from(_BOOLEANS))(draw(any_region), draw(any_region))
+    elif kind == "complement":
+        region = region_complement(draw(any_region))
+    elif kind == "empty":
+        region = empty_region(family)
+    else:
+        region = full_plane(family)
+    trip = draw(st.sampled_from(("none", "json", "pickle")))
+    if trip == "json":
+        return region_from_json(json.loads(json.dumps(region_to_json(region))))
+    if trip == "pickle":
+        return pickle.loads(pickle.dumps(region))
+    return region
+
+
+def _columns_bits(f: SimpleFunction) -> list:
+    return [[_bits(x) for x in column] for column in (f._atom_coeffs, *f._atom_ends)]
+
+
+@given(_indicated_regions())
+@settings(max_examples=150, deadline=None)
+def test_indicator_takes_its_regions_pieces_as_atoms(region):
+    before = repr(region)
+    with kernel_paths() as seen, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplefn, "_overlay", None)  # an overlay would raise TypeError
+        f = indicator(region)
+    assert seen == {"grids": [], "merges": 0, "counts": 0}
+    g = SimpleFunction(region.family, [(1, region)])  # runs the overlay kernel
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == repr(g) and repr(f.terms) == repr(g.terms)
+    assert _columns_bits(f) == _columns_bits(g)
+    eps = [5e-324, 0.5, 1.0, math.nextafter(1.0, INF)]
+    assert _gauges(f, eps) == _gauges(g, eps)
+    assert f.max_coeff() == g.max_coeff() and f.is_zero == region.is_empty
+    assert repr(region) == before  # the shared columns are left as they were
 
 
 # ---------------------------------------------------------------------------
