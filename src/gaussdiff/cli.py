@@ -6,10 +6,11 @@ Single experiments print their report to stdout (or write it with --out);
 exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
 and 2 when the options do not form a valid configuration, such as a
 negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
-(it takes only --seed, --steps, --outdir and --format), or --outdir for a
-single experiment, which writes to stdout or --out.  A center with a
-negative real part needs `=`, as in `--center=-0.5,0.3`: argparse reads
-a separate `-0.5,0.3` as an option.
+(it takes only --seed, --steps, --outdir and --format), an option
+`measure-identities` does not read (it takes only --seed, --out and
+--format), or --outdir for a single experiment, which writes to stdout or
+--out.  A center with a negative real part needs `=`, as in
+`--center=-0.5,0.3`: argparse reads a separate `-0.5,0.3` as an option.
 """
 
 from __future__ import annotations
@@ -100,12 +101,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _reject_given(args: argparse.Namespace, names: Sequence[str], why: str) -> None:
+    """Raise ConfigError naming every option of `names` that was given, after `why`."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"{why} {', '.join(given)}")
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
         single = ("k", "p", "rho", "tol", "ceiling", "center", "example", "out")
-        dropped = [f"--{name}" for name in single if getattr(args, name) is not None]
-        if dropped:
-            raise ConfigError(f"`all` runs the default suite and takes no {', '.join(dropped)}")
+        _reject_given(args, single, "`all` runs the default suite and takes no")
         outdir = args.outdir or os.environ.get(OUT_DIR_ENV) or "reports"
         os.makedirs(outdir, exist_ok=True)
         overrides = {} if args.steps is None else {"steps": args.steps}
@@ -119,6 +125,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.outdir is not None:
         raise ConfigError("--outdir is for `all`; a single report goes to stdout or --out")
+    if args.experiment == "measure-identities":
+        unread = ("example", "k", "p", "rho", "steps", "tol", "ceiling", "center")
+        why = "`measure-identities` reads only --seed, --out and --format; it takes no"
+        _reject_given(args, unread, why)
     if args.experiment != "measure-identities" and args.example is None:
         print(f"--example is required for {args.experiment}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ sweep each for canonicalisation, grid and radial combination) must give
 the same point sets and cell order as the kernel's 1/2-weighted overlay;
 their results become regions through `canonical_region`, which only lays
 the pieces out as endpoint columns and runs no sweep.
+`reference_identity_sweeps` measures one region per pair of the
+`measure-identities` sweeps, which read the closed forms directly.
 The memoised divided-difference recursion (one `linear_combine` per
 sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
 and for when it must leave the float range.  `kernel_paths` records which
@@ -33,9 +35,14 @@ from gaussdiff import (
     Interval,
     RadialRegion,
     Region,
+    annulus,
     full_plane,
     mc_measure,
+    mu_grid,
+    mu_radial,
+    nu_mass,
     plane_samples,
+    rect,
 )
 from gaussdiff import measure
 from gaussdiff.measure import NEG_INF, POS_INF, _canonical_region
@@ -66,6 +73,44 @@ def annulus_quad(lo: float, hi: float) -> float:
     """Annulus mass via quadrature of the radial density 2 s exp(-s*s)."""
     val, _ = quad(lambda s: 2.0 * s * math.exp(-s * s), lo, hi)
     return val
+
+
+def reference_identity_sweeps(cfg) -> dict:
+    """The identity sweeps of `exp_measure_identities`, one region per pair.
+
+    Each pair's mass is read from an `annulus` or a strip `rect`, built
+    with its side checks and measured by `mu_radial`/`mu_grid`; the draws
+    are the experiment's, from `default_rng(cfg.seed)`.  Returns the four
+    report fields the sweeps set.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n_grid = cfg.grid_points
+
+    radial_pairs = np.sort(rng.uniform(0.0, 3.0, size=(n_grid, 2)), axis=1)
+    radial_pairs[0] = (0.0, 0.0)
+    radial_err = 0.0
+    radial_cap_violations = 0
+    for r, R in radial_pairs.tolist():
+        m = mu_radial(annulus(r, R))
+        radial_err = max(radial_err, abs(m - (math.exp(-r * r) - math.exp(-R * R))))
+        if m > (R - r) + 1e-12:
+            radial_cap_violations += 1
+
+    strip_pairs = np.sort(rng.uniform(-3.0, 3.0, size=(n_grid, 2)), axis=1)
+    strip_err = 0.0
+    strip_cap_violations = 0
+    for a, b in strip_pairs.tolist():
+        m = mu_grid(rect(a, b, NEG_INF, POS_INF))
+        strip_err = max(strip_err, abs(m - nu_mass(Interval(a, b))))
+        if m > (b - a) + 1e-12:
+            strip_cap_violations += 1
+
+    return {
+        "radial_identity_max_err": radial_err,
+        "radial_cap_violations": radial_cap_violations,
+        "strip_identity_max_err": strip_err,
+        "strip_cap_violations": strip_cap_violations,
+    }
 
 
 _MC_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -29,9 +29,11 @@ from gaussdiff import (
     run_experiment,
     verify_all,
 )
-from gaussdiff import experiments
+from gaussdiff import experiments, measure
 from gaussdiff.cli import main
 from gaussdiff.divdiff import monotone_tail
+from gaussdiff.measure import NEG_INF, POS_INF, _nu, _ring, annulus, mu_grid, mu_radial, rect
+from oracles import reference_identity_sweeps
 
 # keep unit runs quick; acceptance exercises the full sizes.  The Monte-Carlo
 # sample count stays at 10**6: the three-digit tolerance needs that margin.
@@ -342,6 +344,62 @@ def test_measure_identities_fast():
     assert all(r["support_ok"] for r in rep.steps)
 
 
+def _bits(x):
+    # repr tells floats apart bit for bit (and -0.0 from 0.0), and the int 0 from 0.0
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("grid_points", [1, 2, 100, 10_000])
+@pytest.mark.parametrize("seed", [0, 8, 2003])
+def test_measure_identities_sweeps_match_the_region_path(seed, grid_points):
+    # grid_points = 1 sweeps only the forced empty ring (0, 0) and one strip;
+    # the Monte-Carlo half sets none of these fields, so few samples will do
+    cfg = ExperimentConfig(
+        experiment="measure-identities", seed=seed, grid_points=grid_points, mc_samples=1_000
+    )
+    extras = exp_measure_identities(cfg).extras
+    ref = reference_identity_sweeps(cfg)
+    assert {k: _bits(extras[k]) for k in ref} == {k: _bits(v) for k, v in ref.items()}
+
+
+def _ordered_pairs(ends):
+    return st.one_of(ends.map(lambda x: (x, x)), st.tuples(ends, ends).map(sorted))
+
+
+_EDGE_ENDS = [0.0, -0.0, 5e-324, 1.0, 3.0, 1e154, 1e308, math.inf]
+_RADII = st.floats(min_value=0.0) | st.sampled_from(_EDGE_ENDS)
+_SIDE_ENDS = st.floats(allow_nan=False) | st.sampled_from(_EDGE_ENDS + [-x for x in _EDGE_ENDS])
+
+
+@given(_ordered_pairs(_RADII), _ordered_pairs(_SIDE_ENDS))
+@settings(max_examples=300)
+def test_sweep_closed_forms_are_one_piece_masses(ring, strip):
+    # what `exp_measure_identities` reads in place of building each region
+    cases = [
+        (ring, _ring(*ring), mu_radial(annulus(*ring))),
+        (strip, _nu(*strip) * _nu(NEG_INF, POS_INF), mu_grid(rect(*strip, NEG_INF, POS_INF))),
+    ]
+    for (lo, hi), closed, of_region in cases:
+        if lo == hi:  # an empty piece: the region has no pieces, and its mass is the int 0
+            assert closed == 0 and of_region == 0
+        else:
+            assert _bits(closed) == _bits(of_region)
+
+
+def test_measure_identities_builds_only_its_monte_carlo_regions(monkeypatch):
+    built = []
+    canonical_region = measure._canonical_region
+
+    def counted(cls, ends):
+        built.append(cls)
+        return canonical_region(cls, ends)
+
+    monkeypatch.setattr(measure, "_canonical_region", counted)
+    cfg = ExperimentConfig(experiment="measure-identities", seed=8, mc_samples=1_000)
+    exp_measure_identities(cfg)
+    assert len(built) == 10
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -459,6 +517,16 @@ def test_cli_requires_example(capsys):
         ["smoothness", "--example", "example1", "--p", "nan"],
         # a single report goes to stdout or --out: it used to drop --outdir
         ["smoothness", "--example", "example1", "--outdir", "reports"],
+        # `measure-identities` reads only --seed: it used to drop these and exit 0
+        ["measure-identities", "--example", "example1", "--k", "99"],
+        ["measure-identities", "--example", "example1"],
+        ["measure-identities", "--k", "2"],
+        ["measure-identities", "--p", "nan"],
+        ["measure-identities", "--rho", "0.5"],
+        ["measure-identities", "--steps", "3"],
+        ["measure-identities", "--tol", "1e-6"],
+        ["measure-identities", "--ceiling", "1e6"],
+        ["measure-identities", "--center", "0.3,0.7"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
@@ -467,6 +535,12 @@ def test_cli_config_error_exits_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_measure_identities_takes_a_seed(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["measure-identities", "--seed", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == 3
 
 
 def test_cli_derivative_order_past_the_float_range_exits_2(capsys):
