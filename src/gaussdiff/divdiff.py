@@ -11,11 +11,10 @@ by the recursion
 which is symmetric in the nodes.  On a tuple collapsing to z it tends to
 f^(k)(z) / k! whenever that derivative exists.  Gauge traces gauge the
 difference itself: a constant k! cannot change whether a trace tends to
-zero or diverges, so it enters only the estimate `derivative_by_limit`
-returns.  The recursion is undefined on coincident nodes; rather than
-extending it by continuity, `derivative_by_limit` drives the tuple toward
-a diagonal point along an explicit shrink schedule and classifies the
-gauge trace.
+zero or diverges.  The recursion is undefined on coincident nodes; rather
+than extending it by continuity, `derivative_by_limit` drives the tuple
+toward a diagonal point along an explicit shrink schedule and classifies
+the gauge trace.
 
 Two independent evaluation orders are provided.  `divided_diff` runs the
 recursion's triangle, each distinct sub-tuple once (keeping cancellations
@@ -84,7 +83,6 @@ __all__ = [
     "divided_diffs",
     "divided_diff_lagrange",
     "coefficient_distance",
-    "symmetry_check",
     "ShrinkSchedule",
     "LimitReport",
     "monotone_tail",
@@ -468,14 +466,6 @@ def coefficient_distance(f: SimpleFunction, g: SimpleFunction) -> float:
     return diff.max_coeff() / scale
 
 
-def symmetry_check(
-    f: CurveMap, nodes: Nodes, perm: Sequence[int], tol: float = 1e-9
-) -> bool:
-    """Divided differences over a tuple and a permutation of it must agree."""
-    nt = _as_node_tuple(nodes)
-    return coefficient_distance(divided_diff(f, nt), divided_diff(f, nt.permuted(perm))) <= tol
-
-
 # ---------------------------------------------------------------------------
 # limits along shrink schedules
 # ---------------------------------------------------------------------------
@@ -526,11 +516,10 @@ class ShrinkSchedule:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Gauges of the plain divided differences, their verdict, k! times the last."""
+    """Gauges of the plain divided differences along a schedule, and their verdict."""
 
     verdict: str
     gauge_trace: tuple[float, ...]
-    estimate: SimpleFunction | None
 
 
 def monotone_tail(trace: Sequence[float], decreasing: bool) -> bool:
@@ -587,6 +576,30 @@ def _float_grid_fault(schedule: ShrinkSchedule, tuples: Sequence[NodeTuple]) -> 
     return None
 
 
+class _GridFault(ValueError):
+    """A shrink step puts its nodes onto the float grid of the center (`_float_grid_fault`)."""
+
+
+def _schedule_differences(
+    f: CurveMap, center: complex, schedule: ShrinkSchedule, zero_tol: float = 1e-9
+) -> Iterator[tuple[NodeTuple, SimpleFunction]]:
+    """Each step's node tuple and divided difference along a shrink schedule.
+
+    Raises _GridFault, before any curve is evaluated, naming the first
+    step whose nodes round onto the float grid of the center, and
+    FloatRangeError prefixed with the step whose difference leaves the
+    float range.  Callers add their own advice to either message.
+    """
+    tuples = [schedule.tuple_at(center, n) for n in range(1, schedule.steps + 1)]
+    fault = _float_grid_fault(schedule, tuples)
+    if fault is not None:
+        raise _GridFault(f"{fault} at center {center}")
+    try:
+        yield from zip(tuples, _differences(f, tuples, zero_tol))
+    except FloatRangeError as exc:
+        raise FloatRangeError(f"step {exc.index + 1} of {schedule.steps}: {exc}") from None
+
+
 def derivative_by_limit(
     f: CurveMap,
     z: complex,
@@ -596,15 +609,15 @@ def derivative_by_limit(
     convergence_tol: float = 1e-6,
     divergence_ceiling: float = 1e6,
 ) -> LimitReport:
-    """Estimate the k-th derivative at z as a limit of k! * divided_diff.
+    """Classify the order-k divided differences at z along a shrink schedule.
 
     Evaluates over the schedule's shrinking tuples, records the gauge of
-    each divided difference, and classifies the trace.  The estimate field
-    carries k! times the last difference; read it through the verdict.
+    each divided difference, and classifies the trace; the k-th
+    derivative is k! times the limit, so it vanishes or blows up with it.
     Raises ValueError, before tracing, naming the first step whose nodes
     round onto the float grid of the center (see `_float_grid_fault`), and
-    FloatRangeError naming the step where a difference or the estimate
-    leaves the float range.
+    FloatRangeError naming the step where a difference leaves the float
+    range.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
@@ -612,27 +625,9 @@ def derivative_by_limit(
         raise ValueError(
             f"schedule provides {len(schedule.offsets)} offsets, order {k} needs {k + 1}"
         )
-    tuples = [schedule.tuple_at(complex(z), n) for n in range(1, schedule.steps + 1)]
-    fault = _float_grid_fault(schedule, tuples)
-    if fault is not None:
-        raise ValueError(
-            f"{fault} at center {complex(z)}; use fewer steps, a larger ratio or a center nearer 0"
-        )
-    trace: list[float] = []
     try:
-        for g in _differences(f, tuples):
-            trace.append(gauge(g))
-    except FloatRangeError as exc:
-        raise FloatRangeError(f"step {exc.index + 1} of {schedule.steps}: {exc}") from None
+        trace = [gauge(g) for _, g in _schedule_differences(f, complex(z), schedule)]
+    except _GridFault as exc:
+        raise ValueError(f"{exc}; use fewer steps, a larger ratio or a center nearer 0") from None
     verdict = classify_trace(trace, convergence_tol, divergence_ceiling)
-    scale = float(math.factorial(k))
-    try:
-        if g.max_coeff() * scale == math.inf:  # the threshold would drop every atom
-            raise OverflowError
-        estimate = linear_combine([scale], [g])
-    except OverflowError:
-        raise FloatRangeError(
-            f"step {schedule.steps} of {schedule.steps}: a coefficient of the estimate "
-            f"{k}! * difference has a modulus past the largest float"
-        ) from None
-    return LimitReport(verdict=verdict, gauge_trace=tuple(trace), estimate=estimate)
+    return LimitReport(verdict=verdict, gauge_trace=tuple(trace))

@@ -3,8 +3,17 @@
 Every experiment takes an ExperimentConfig and returns an ExperimentReport
 whose per-step rows carry the measured gauges, the analytic bounds they
 must respect, and per-step verdicts; the final verdict is a pure function
-of the rows, so a report is self-contained evidence.  Identical configs
-(same seed) produce identical reports up to the wall_time field.
+of the rows and extras, so a report is self-contained evidence.  Identical
+configs (same seed) produce identical reports up to the wall_time field.
+
+Each `*_ok` flag in extras is the conjunction of its group of rows'
+`support_ok`, except c1-not-c2's phase-B identity and dominance flags,
+whose rows hold only their conjunction, and the facts no row holds
+(measure-identities' sweeps and density check, real-restriction's
+injectivity).  The verdict folds the flags: FAIL if any claim was
+violated, else the experiment's success verdict once its evidence has
+settled (a converged or divergent trace; at once for the experiments
+without a trace), else INCONCLUSIVE.
 
 Verdicts:
 
@@ -42,7 +51,8 @@ from .divdiff import (
     NodeTuple,
     ShrinkSchedule,
     _differences,
-    _float_grid_fault,
+    _GridFault,
+    _schedule_differences,
     classify_trace,
     node_bounds,
     support_bound_of,
@@ -276,6 +286,29 @@ def _constants(cfg: ExperimentConfig) -> dict:
     return {"c": BLOWUP_C, "exponent": None, "prefactor": None}
 
 
+def _row(n: int, nodes, gauge: float, bound: float, ok: bool, **extra) -> dict:
+    """One step's row: its nodes, the gauge measured and the bound it is checked against."""
+    return {
+        "n": n,
+        "nodes": _nodes_json(nodes),
+        "gauge": gauge,
+        "bound": bound,
+        "support_ok": ok,
+        **extra,
+    }
+
+
+def _held(rows: Sequence[dict]) -> bool:
+    return all(row["support_ok"] for row in rows)
+
+
+def _verdict(violated: bool, settled: bool, success: str) -> str:
+    """FAIL if a claim was violated, `success` once the evidence settled, else INCONCLUSIVE."""
+    if violated:
+        return FAIL
+    return success if settled else INCONCLUSIVE
+
+
 def _report(cfg, steps, verdict, extras, t0) -> ExperimentReport:
     return ExperimentReport(
         config=cfg.to_json_dict(),
@@ -317,65 +350,37 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     ex = coerce_example(cfg.example)
     if ex not in (ExampleId.QUADRANT, ExampleId.ANNULUS):
         raise ConfigError("smoothness runs on example1 or example2")
-    steps = cfg.resolved_steps()
     curve = curve_for(ex)
     rng = np.random.default_rng(cfg.seed)
     center = complex(cfg.center) if cfg.center is not None else _random_center(rng, cfg.box)
     if real_axis:
         center = complex(center.real, 0.0)
     make = ShrinkSchedule.real_offsets if real_axis else ShrinkSchedule.roots_of_unity
-    sched = make(cfg.k, cfg.rho, steps)
-    tuples = [sched.tuple_at(center, n) for n in range(1, steps + 1)]
-    fault = _float_grid_fault(sched, tuples)
-    if fault is not None:
-        raise ConfigError(
-            f"{fault} at center {center}; use fewer steps, a larger rho or a center nearer 0"
-        )
+    sched = make(cfg.k, cfg.rho, cfg.resolved_steps())
 
     rows: list[dict] = []
-    trace: list[float] = []
-    all_ok = True
-    differences = _differences(curve, tuples, cfg.zero_tol)
-    for n, nt in enumerate(tuples, start=1):
-        try:
-            g = next(differences)
-        except FloatRangeError as exc:
-            raise ConfigError(
-                f"step {n} of {steps}: {exc}; use a smaller k, fewer steps or a larger rho"
-            ) from None
-        gauge = l0_gauge(g)
-        sb = support_bound_of(nt, curve.family)
-        bound = sb.mass
-        ok = supported_in(g, sb)
-        max_off = max(abs(z - center) for z in nt.nodes)
-        if curve.family == GRID:
-            cap = 4.0 * max_off
-        else:
-            b = node_bounds(nt, curve.family)
-            cap = b.r_hi - b.r_lo
-        rows.append(
-            {
-                "n": n,
-                "nodes": _nodes_json(nt),
-                "gauge": gauge,
-                "bound": bound,
-                "cap": cap,
-                "support_ok": ok,
-            }
-        )
-        trace.append(gauge)
-        all_ok = all_ok and ok
+    try:
+        differences = _schedule_differences(curve, center, sched, cfg.zero_tol)
+        for n, (nt, g) in enumerate(differences, start=1):
+            sb = support_bound_of(nt, curve.family)
+            if curve.family == GRID:
+                cap = 4.0 * max(abs(z - center) for z in nt.nodes)
+            else:
+                b = node_bounds(nt, curve.family)
+                cap = b.r_hi - b.r_lo
+            rows.append(_row(n, nt, l0_gauge(g), sb.mass, supported_in(g, sb), cap=cap))
+    except _GridFault as exc:
+        raise ConfigError(f"{exc}; use fewer steps, a larger rho or a center nearer 0") from None
+    except FloatRangeError as exc:
+        raise ConfigError(f"{exc}; use a smaller k, fewer steps or a larger rho") from None
 
-    trace_verdict = classify_trace(trace, cfg.convergence_tol, cfg.divergence_ceiling)
-    converged = trace_verdict == CONVERGED_TO_ZERO
-    if not all_ok:
-        verdict = FAIL
-    elif converged:
-        verdict = PASS
-    else:
-        # nothing violated: the schedule stopped above the tolerance, or
-        # before the trace settled into its monotone tail
-        verdict = INCONCLUSIVE
+    trace = [row["gauge"] for row in rows]
+    all_ok = _held(rows)
+    # unconverged without a violation (INCONCLUSIVE): the schedule stopped
+    # above the tolerance, or before the trace settled into its monotone tail
+    converged = (
+        classify_trace(trace, cfg.convergence_tol, cfg.divergence_ceiling) == CONVERGED_TO_ZERO
+    )
     extras = {
         "real_axis": real_axis,
         "center": [center.real, center.imag],
@@ -383,30 +388,21 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         "all_support_ok": all_ok,
         "converged": converged,
     }
-    return _report(cfg, rows, verdict, extras, t0)
+    return _report(cfg, rows, _verdict(not all_ok, converged, PASS), extras, t0)
 
 
-def _derivative_trace(
-    cfg: ExperimentConfig, center: complex, k: int, n: int
-) -> tuple[dict, dict, bool]:
-    """Rerun smoothness of order k at `center`: (summary, row n, passed)."""
+def _derivative_trace(cfg: ExperimentConfig, center: complex, k: int, n: int) -> tuple[dict, dict]:
+    """Rerun smoothness of order k at `center`: (summary, row n, which holds if it passed)."""
     sub = _smoothness(
         dataclasses.replace(cfg, experiment="smoothness", center=center, k=k),
         real_axis=False,
     )
-    passed = sub.verdict == PASS
     gauge = sub.extras["final_gauge"]
     summary = {"center": [center.real, center.imag], "verdict": sub.verdict, "final_gauge": gauge}
-    row = {
-        "n": n,
-        "kind": "derivative-trace",
-        "k": k,
-        "nodes": _nodes_json([center]),
-        "gauge": gauge,
-        "bound": cfg.convergence_tol,
-        "support_ok": passed,
-    }
-    return summary, row, passed
+    row = _row(
+        n, [center], gauge, cfg.convergence_tol, sub.verdict == PASS, kind="derivative-trace", k=k
+    )
+    return summary, row
 
 
 # ---------------------------------------------------------------------------
@@ -433,37 +429,23 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
         centers = [0j, _random_center(rng, cfg.box), _random_center(rng, cfg.box)]
 
     rows: list[dict] = []
-    witnesses_ok = True
-    n = 0
     for z0 in centers:
         base = lower_left_quadrant(z0.real, z0.imag)
         for r in _TAYLOR_RADII:
             z = z0 + r
             gap = region_measure(region_symdiff(lower_left_quadrant(z.real, z.imag), base))
-            n += 1
-            ok = 0.0 < gap <= 2.0 * r
-            rows.append(
-                {
-                    "n": n,
-                    "nodes": _nodes_json([z0, z]),
-                    "gauge": gap,
-                    "bound": 2.0 * r,
-                    "support_ok": ok,
-                }
-            )
-            witnesses_ok = witnesses_ok and ok
+            rows.append(_row(len(rows) + 1, [z0, z], gap, 2.0 * r, 0.0 < gap <= 2.0 * r))
+    witnesses = len(rows)
 
     derivative_side = []
-    derivatives_ok = True
     for z0 in centers:
         for k in range(1, _MAX_DERIVATIVE_ORDER + 1):
-            n += 1
-            summary, row, converged = _derivative_trace(cfg, z0, k, n)
+            summary, row = _derivative_trace(cfg, z0, k, len(rows) + 1)
             derivative_side.append({**summary, "k": k})
             rows.append(row)
-            derivatives_ok = derivatives_ok and converged
 
-    verdict = PASS if (witnesses_ok and derivatives_ok) else FAIL
+    witnesses_ok, derivatives_ok = _held(rows[:witnesses]), _held(rows[witnesses:])
+    verdict = _verdict(not (witnesses_ok and derivatives_ok), True, PASS)
     extras = {
         "centers": [[z.real, z.imag] for z in centers],
         "witnesses_ok": witnesses_ok,
@@ -515,40 +497,15 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     in_angles = rng.uniform(0.0, 2.0 * math.pi, n_pts)
 
     rows: list[dict] = []
-    zero_outside = True
-    nonzero_inside = True
-    n = 0
     for r, a in zip(out_radii, out_angles):
         z = _on_side_of_unit_circle(r * complex(math.cos(a), math.sin(a)), outside=True)
         f = curve(z)
-        ok = f.is_zero
-        n += 1
-        rows.append(
-            {
-                "n": n,
-                "nodes": _nodes_json([z]),
-                "gauge": l0_gauge(f),
-                "bound": 0.0,
-                "support_ok": ok,
-            }
-        )
-        zero_outside = zero_outside and ok
+        rows.append(_row(len(rows) + 1, [z], l0_gauge(f), 0.0, f.is_zero))
     for r, a in zip(in_radii, in_angles):
         z = _on_side_of_unit_circle(r * complex(math.cos(a), math.sin(a)), outside=False)
         f = curve(z)
         gauge = l0_gauge(f)
-        ok = (not f.is_zero) and gauge > 0.0
-        n += 1
-        rows.append(
-            {
-                "n": n,
-                "nodes": _nodes_json([z]),
-                "gauge": gauge,
-                "bound": 0.0,
-                "support_ok": ok,
-            }
-        )
-        nonzero_inside = nonzero_inside and ok
+        rows.append(_row(len(rows) + 1, [z], gauge, 0.0, (not f.is_zero) and gauge > 0.0))
 
     inside_center = rng.uniform(0.2, 0.7) * complex(
         math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))
@@ -557,15 +514,15 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
         math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))
     )
     subs = []
-    smooth_ok = True
     for center in (inside_center, outside_center):
-        n += 1
-        summary, row, converged = _derivative_trace(cfg, center, cfg.k, n)
+        summary, row = _derivative_trace(cfg, center, cfg.k, len(rows) + 1)
         subs.append(summary)
         rows.append(row)
-        smooth_ok = smooth_ok and converged
 
-    verdict = PASS if (zero_outside and nonzero_inside and smooth_ok) else FAIL
+    zero_outside = _held(rows[:n_pts])
+    nonzero_inside = _held(rows[n_pts : 2 * n_pts])
+    smooth_ok = _held(rows[2 * n_pts :])
+    verdict = _verdict(not (zero_outside and nonzero_inside and smooth_ok), True, PASS)
     extras = {
         "zero_outside": zero_outside,
         "nonzero_inside": nonzero_inside,
@@ -616,8 +573,6 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     # Phase A: pair distances below ~1e-13 would collide with the float
     # grid around |z| <= 2, so the pair count is capped accordingly.
     steps_a = min(steps, max(8, int(math.log(1e-13) / math.log(cfg.rho))))
-    phase_a_ok = True
-    gauges_a: list[float] = []
     pairs = []
     for m in range(1, steps_a + 1):
         re = rng.uniform(-cfg.box, cfg.box)
@@ -630,53 +585,27 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
         pairs.append((z1, z2))
     quotients = _differences(curve, pairs, cfg.zero_tol)
     for m, ((z1, z2), quotient) in enumerate(zip(pairs, quotients), start=1):
-        gauge = lp_gauge(quotient, p)
-        bound = abs(z2 - z1) ** (1.0 - p)
-        ok = gauge <= bound
-        rows.append(
-            {
-                "n": m,
-                "phase": "A",
-                "nodes": _nodes_json([z1, z2]),
-                "gauge": gauge,
-                "bound": bound,
-                "support_ok": ok,
-            }
-        )
-        gauges_a.append(gauge)
-        phase_a_ok = phase_a_ok and ok
+        gauge, bound = lp_gauge(quotient, p), abs(z2 - z1) ** (1.0 - p)
+        rows.append(_row(m, [z1, z2], gauge, bound, gauge <= bound, phase="A"))
+    phase_a_ok = _held(rows)
 
-    # Phase B
+    # Phase B: its rows hold only the conjunction of the identity and dominance checks
     sched_b = ShrinkSchedule((1.0, 0.0, 2.0), cfg.rho, steps)
-    identity_ok = True
-    dominance_ok = True
-    trace_b: list[float] = []
-    ts: list[float] = []
-    tuples = [sched_b.tuple_at(0j, m) for m in range(1, steps + 1)]
-    quotients = _differences(curve, tuples, cfg.zero_tol)
-    for m, (nt, quotient) in enumerate(zip(tuples, quotients), start=1):
+    identity_ok = dominance_ok = True
+    differences = _schedule_differences(curve, 0j, sched_b, cfg.zero_tol)
+    for m, (nt, quotient) in enumerate(differences, start=1):
         t = cfg.rho**m
         gauge = lp_gauge(quotient, p)
         closed = (1.0 / (2.0 * t * t)) ** p * nu_mass(Interval(0.0, 2.0 * t))
         lower = 2.0 ** (1.0 - p) * t ** (1.0 - 2.0 * p) * BLOWUP_C
         id_ok = abs(gauge - closed) <= 1e-10 * closed
         dom_ok = gauge >= lower
-        rows.append(
-            {
-                "n": steps_a + m,
-                "phase": "B",
-                "t": t,
-                "nodes": _nodes_json(nt),
-                "gauge": gauge,
-                "closed_form": closed,
-                "bound": lower,
-                "support_ok": id_ok and dom_ok,
-            }
-        )
+        ok = id_ok and dom_ok
+        rows.append(_row(steps_a + m, nt, gauge, lower, ok, phase="B", t=t, closed_form=closed))
         identity_ok = identity_ok and id_ok
         dominance_ok = dominance_ok and dom_ok
-        trace_b.append(gauge)
-        ts.append(t)
+    ts = [row["t"] for row in rows[len(pairs) :]]
+    trace_b = [row["gauge"] for row in rows[len(pairs) :]]
 
     window = min(10, len(ts))
     slope = float(
@@ -687,14 +616,13 @@ def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
     trace_verdict = classify_trace(trace_b, cfg.convergence_tol, cfg.divergence_ceiling)
     ceiling_crossed = trace_verdict == DIVERGENT
 
-    if not (phase_a_ok and identity_ok and dominance_ok):
-        verdict = FAIL
-    elif slope_ok and ceiling_crossed:
-        verdict = DIVERGENT_AS_EXPECTED
-    else:
-        # nothing violated: the ceiling is not reached yet, or the trace is
-        # pre-asymptotic (its fitted slope or its monotone tail not settled)
-        verdict = INCONCLUSIVE
+    # nothing violated and not settled: the ceiling is not reached yet, or the
+    # trace is pre-asymptotic (its fitted slope or its monotone tail not settled)
+    verdict = _verdict(
+        not (phase_a_ok and identity_ok and dominance_ok),
+        slope_ok and ceiling_crossed,
+        DIVERGENT_AS_EXPECTED,
+    )
     extras = {
         "real_axis": real_axis,
         "phase_a_ok": phase_a_ok,
@@ -743,11 +671,10 @@ def exp_real_restriction(cfg: ExperimentConfig) -> ExperimentReport:
             region_symdiff(lower_left_quadrant(x1, 0.0), lower_left_quadrant(x2, 0.0))
         )
         injective = injective and gap > 0.0
-    report.extras["real_injectivity_ok"] = injective
-    if not injective:
-        report.verdict = FAIL
-    report.wall_time = time.perf_counter() - t0
-    return report
+    extras = {**report.extras, "real_injectivity_ok": injective}
+    violated = not (extras["all_support_ok"] and injective)
+    verdict = _verdict(violated, extras["converged"], PASS)
+    return _report(cfg, report.steps, verdict, extras, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -813,21 +740,10 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
     x, y = plane_samples(cfg.mc_samples, cfg.seed)
     estimates = mc_measures([region for _, region in checks], x, y)
     rows: list[dict] = []
-    mc_ok = True
     for n, ((label, region), est) in enumerate(zip(checks, estimates), start=1):
         exact = region_measure(region)
-        ok = abs(est - exact) <= _MC_REL_TOL * exact
-        rows.append(
-            {
-                "n": n,
-                "label": label,
-                "nodes": [],
-                "gauge": est,
-                "bound": exact,
-                "support_ok": ok,
-            }
-        )
-        mc_ok = mc_ok and ok
+        rows.append(_row(n, [], est, exact, abs(est - exact) <= _MC_REL_TOL * exact, label=label))
+    mc_ok = _held(rows)
 
     identities_ok = (
         radial_err <= 1e-12
@@ -835,7 +751,7 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
         and radial_cap_violations == 0
         and strip_cap_violations == 0
     )
-    verdict = PASS if (identities_ok and density_ok and mc_ok) else FAIL
+    verdict = _verdict(not (identities_ok and density_ok and mc_ok), True, PASS)
     extras = {
         "radial_identity_max_err": radial_err,
         "radial_cap_violations": radial_cap_violations,

@@ -14,7 +14,8 @@ the pieces out as endpoint columns and runs no sweep.
 `measure-identities` sweeps, which read the closed forms directly.
 The memoised divided-difference recursion (one `linear_combine` per
 sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
-and for when it must leave the float range.  `kernel_paths` records which
+and for when it must leave the float range; `symmetry_check` compares the
+differences over a tuple and a permutation of it.  `kernel_paths` records which
 form of the overlay kernel ran, so a test can show that it reached the
 array form.
 """
@@ -33,9 +34,12 @@ from scipy.integrate import dblquad, quad
 from gaussdiff import (
     GridRegion,
     Interval,
+    NodeTuple,
     RadialRegion,
     Region,
     annulus,
+    coefficient_distance,
+    divided_diff,
     full_plane,
     mc_measure,
     mu_grid,
@@ -361,6 +365,12 @@ def reference_supported_in(f, bound) -> bool:
         reference_combine(reg, bound.region, lambda ia, ib: ia and not ib).is_empty
         for _, reg in f.atoms
     )
+
+
+def symmetry_check(f, nodes, perm: Sequence[int], tol: float = 1e-9) -> bool:
+    """Divided differences over a tuple and a permutation of it must agree."""
+    nt = nodes if isinstance(nodes, NodeTuple) else NodeTuple(tuple(nodes))
+    return coefficient_distance(divided_diff(f, nt), divided_diff(f, nt.permuted(perm))) <= tol
 
 
 def reference_divided_diff(f, nodes, zero_tol: float = 1e-9):

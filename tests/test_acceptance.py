@@ -32,12 +32,11 @@ from gaussdiff import (
     region_measure,
     region_symdiff,
     scalar_curve,
-    symmetry_check,
     Interval,
 )
 from gaussdiff.cli import main
 
-from oracles import random_nodes
+from oracles import random_nodes, symmetry_check
 
 INF = float("inf")
 SEED = 42

@@ -31,7 +31,7 @@ from gaussdiff import (
 )
 from gaussdiff import experiments, measure
 from gaussdiff.cli import main
-from gaussdiff.divdiff import monotone_tail
+from gaussdiff.divdiff import classify_trace, monotone_tail
 from gaussdiff.measure import NEG_INF, POS_INF, _nu, _ring, annulus, mu_grid, mu_radial, rect
 from oracles import reference_identity_sweeps
 
@@ -451,6 +451,67 @@ def test_verify_all_verdicts_fast():
     ]
     for name, rep in reports:
         assert rep.ok, f"{name}: {rep.verdict}"
+
+
+def _verdict_of(flags: dict, settled: bool, success: str) -> str:
+    if not all(flags.values()):
+        return "FAIL"
+    return success if settled else "INCONCLUSIVE"
+
+
+def _held(rows) -> bool:
+    return all(row["support_ok"] for row in rows)
+
+
+def _expected_verdict(rep) -> str:
+    """Check each extras flag against its rows; return the verdict the flags give."""
+    ex, rows = rep.extras, rep.steps
+    tol, ceiling = rep.config["convergence_tol"], rep.config["divergence_ceiling"]
+    if "all_support_ok" in ex:  # smoothness, and real-restriction of example1
+        trace = [row["gauge"] for row in rows]
+        assert ex["all_support_ok"] == _held(rows)
+        assert ex["converged"] == (classify_trace(trace, tol, ceiling) == "CONVERGED-TO-ZERO")
+        flags = {"support": ex["all_support_ok"], "injective": ex.get("real_injectivity_ok", True)}
+        return _verdict_of(flags, ex["converged"], "PASS")
+    if "witnesses_ok" in ex:  # taylor-failure
+        derivatives = [row for row in rows if row.get("kind") == "derivative-trace"]
+        assert ex["witnesses_ok"] == _held(row for row in rows if "kind" not in row)
+        assert ex["derivatives_ok"] == _held(derivatives)
+        assert len(derivatives) == 4 * len(ex["centers"])
+        return _verdict_of({k: ex[k] for k in ("witnesses_ok", "derivatives_ok")}, True, "PASS")
+    if "zero_outside" in ex:  # identity-failure
+        samples = [row for row in rows if "kind" not in row]
+        outside = [row for row in samples if abs(complex(*row["nodes"][0])) >= 1.0]
+        assert len(outside) == 100 and len(samples) == 200
+        assert ex["zero_outside"] == _held(outside)
+        assert ex["nonzero_inside"] == _held(row for row in samples if row not in outside)
+        assert ex["smooth_ok"] == _held(row for row in rows if "kind" in row)
+        flags = {k: ex[k] for k in ("zero_outside", "nonzero_inside", "smooth_ok")}
+        return _verdict_of(flags, True, "PASS")
+    if "phase_a_ok" in ex:  # c1-not-c2, and real-restriction of example3
+        phase_b = [row for row in rows if row["phase"] == "B"]
+        trace = [row["gauge"] for row in phase_b]
+        assert ex["phase_a_ok"] == _held(row for row in rows if row["phase"] == "A")
+        assert _held(phase_b) == (ex["phase_b_identity_ok"] and ex["phase_b_dominance_ok"])
+        assert ex["ceiling_crossed"] == (classify_trace(trace, tol, ceiling) == "DIVERGENT")
+        assert ex["final_gauge"] == trace[-1]
+        flags = {k: ex[k] for k in ("phase_a_ok", "phase_b_identity_ok", "phase_b_dominance_ok")}
+        settled = ex["slope_ok"] and ex["ceiling_crossed"]
+        return _verdict_of(flags, settled, "DIVERGENT-AS-EXPECTED")
+    # measure-identities
+    assert ex["mc_ok"] == _held(rows) and len(rows) == 10
+    identities = max(ex["radial_identity_max_err"], ex["strip_identity_max_err"]) <= 1e-12
+    caps = ex["radial_cap_violations"] == ex["strip_cap_violations"] == 0
+    flags = {"identities": identities, "caps": caps, "density": ex["density_ok"], "mc": ex["mc_ok"]}
+    return _verdict_of(flags, True, "PASS")
+
+
+@pytest.mark.parametrize("seed", [0, 22, 42])
+def test_verdicts_are_folds_of_rows_and_extras(seed):
+    # every extras flag is the conjunction of its group of rows, and the
+    # verdict is FAIL on a violated flag, else success once settled
+    for name, rep in verify_all(seed=seed):
+        assert rep.verdict == _expected_verdict(rep), name
 
 
 # ---------------------------------------------------------------------------
