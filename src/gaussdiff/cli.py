@@ -8,9 +8,11 @@ and 2 when the options do not form a valid configuration, such as a
 negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
 (it takes only --seed, --steps, --outdir and --format), an option
 `measure-identities` does not read (it takes only --seed, --out and
---format), or --outdir for a single experiment, which writes to stdout or
---out.  A center with a negative real part needs `=`, as in
-`--center=-0.5,0.3`: argparse reads a separate `-0.5,0.3` as an option.
+--format), --k or --center for the blow-up experiment (`c1-not-c2`, and
+`real-restriction` on example3, which runs it), or --outdir for a single
+experiment, which writes to stdout or --out.  A center with a negative
+real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a separate
+`-0.5,0.3` as an option.
 """
 
 from __future__ import annotations
@@ -129,6 +131,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         unread = ("example", "k", "p", "rho", "steps", "tol", "ceiling", "center")
         why = "`measure-identities` reads only --seed, --out and --format; it takes no"
         _reject_given(args, unread, why)
+    if args.experiment == "c1-not-c2" or (
+        args.experiment == "real-restriction" and args.example == "example3"
+    ):
+        why = (
+            f"`{args.experiment}` on example3 reads only --example, --p, --rho, --steps, "
+            "--seed, --tol, --ceiling, --out and --format; it takes no"
+        )
+        _reject_given(args, ("k", "center"), why)
     if args.experiment != "measure-identities" and args.example is None:
         print(f"--example is required for {args.experiment}", file=sys.stderr)
         return 2

@@ -588,6 +588,11 @@ def test_cli_requires_example(capsys):
         ["measure-identities", "--tol", "1e-6"],
         ["measure-identities", "--ceiling", "1e6"],
         ["measure-identities", "--center", "0.3,0.7"],
+        # the blow-up experiment reads neither --k nor --center: it used to drop them and exit 0
+        ["c1-not-c2", "--example", "example3", "--k", "5"],
+        ["c1-not-c2", "--example", "example3", "--center", "0.3,0.7"],
+        ["real-restriction", "--example", "example3", "--k", "2"],
+        ["real-restriction", "--example", "example3", "--center", "0.3,0.7"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):

@@ -1,25 +1,35 @@
 """Batched Monte-Carlo estimates against the per-region mask."""
 
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussdiff import (
+    ExperimentConfig,
     GridRegion,
     Interval,
     RadialRegion,
     annulus,
     disk,
+    exp_measure_identities,
     horizontal_strip,
     mc_measure,
     mc_measures,
+    mc_plane_measures,
     plane_samples,
     rect,
     region_mask,
     region_union,
     vertical_strip,
 )
+from gaussdiff import montecarlo
+from gaussdiff.montecarlo import _BLOCK, _plane_blocks
 
 INF = float("inf")
 
@@ -88,17 +98,224 @@ def test_hand_placed_samples_follow_the_half_open_rule():
     assert mc_measures([rings, strip], x, y) == [2 / 6, 5 / 6]
 
 
-def test_radius_computed_once_and_only_for_radial_regions(monkeypatch):
-    calls = []
+def test_streamed_blocks_are_the_plane_samples():
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        blocks = list(_plane_blocks(n, seed=5))
+        assert [bx.size for bx, _ in blocks] == [by.size for _, by in blocks]
+        assert max(bx.size for bx, _ in blocks) <= _BLOCK
+        x, y = plane_samples(n, seed=5)
+        assert np.concatenate([bx for bx, _ in blocks]).tobytes() == x.tobytes()
+        assert np.concatenate([by for _, by in blocks]).tobytes() == y.tobytes()
+
+
+def test_plane_estimates_equal_the_estimates_on_plane_samples():
+    regions = GRID_REGIONS + RADIAL_REGIONS
+    n = 2 * _BLOCK + 17
+    streamed = mc_plane_measures(regions, n, seed=3)
+    whole = mc_measures(regions, *plane_samples(n, 3))
+    assert [e.hex() for e in streamed] == [e.hex() for e in whole]
+
+
+# ---------------------------------------------------------------------------
+# exactness of the per-endpoint counts
+# ---------------------------------------------------------------------------
+
+
+def _nudged(t: float, j: int) -> float:
+    """t moved by j ulps (toward +inf for j > 0)."""
+    for _ in range(abs(j)):
+        t = math.nextafter(t, math.inf if j > 0 else -math.inf)
+    return t
+
+
+def _first_radius_whose_square_overflows() -> float:
+    t = math.sqrt(sys.float_info.max)
+    while t * t < math.inf:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+_T_OVER = _first_radius_whose_square_overflows()
+# ring radii: 0; radii whose square is subnormal, up to the largest; the
+# smallest whose square is normal; plain radii; the largest whose square is
+# finite and the first that overflows; a larger one; inf
+RADII = [
+    0.0,
+    1e-300,
+    1e-160,
+    math.nextafter(2.0**-511, 0.0),
+    2.0**-511,
+    0.3,
+    0.5,
+    0.7,
+    1.0,
+    1.5,
+    2.0,
+    math.nextafter(_T_OVER, 0.0),
+    _T_OVER,
+    1e200,
+    math.inf,
+]
+EDGES = [-2.0, -1.0, -0.5, -0.25, 0.0, 0.2, 0.5, 0.75, 1.0, 1.3, 2.0]
+
+_JS = st.one_of(st.integers(-3, 3), st.integers(-40, 40))
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e200])
+_COORD = st.one_of(
+    _SPECIAL,
+    st.sampled_from(EDGES),
+    st.builds(_nudged, st.sampled_from(EDGES), _JS),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# hypot(inf, NaN) is inf, but x*x + y*y is NaN
+_NON_FINITE = st.sampled_from(
+    [
+        (math.inf, math.nan),
+        (math.nan, -math.inf),
+        (math.nan, 0.0),
+        (-math.inf, 1.0),
+        (math.nan, math.nan),
+    ]
+)
+_RADIUS = st.sampled_from(RADII)
+_EDGE = st.one_of(st.sampled_from(EDGES), st.builds(_nudged, st.sampled_from(EDGES), _JS))
+
+
+def _ordered(a: float, b: float) -> tuple[float, float]:
+    return (a, b) if a <= b else (b, a)
+
+
+_REGION = st.one_of(
+    st.builds(lambda a, b, c, d: rect(*_ordered(a, b), *_ordered(c, d)), *[_EDGE] * 4),
+    st.builds(lambda a, b: vertical_strip(*_ordered(a, b)), _EDGE, _EDGE),
+    st.builds(lambda a, b: horizontal_strip(*_ordered(a, b)), _EDGE, _EDGE),
+    st.builds(lambda a, b: annulus(*_ordered(a, b)), _RADIUS, _RADIUS),
+    st.builds(disk, _RADIUS),
+    st.builds(lambda t: annulus(t, math.inf), _RADIUS),
+)
+
+
+def _union_or_none(a, b):
+    return region_union(a, b) if a.family == b.family else None
+
+
+_REGIONS = st.lists(
+    st.one_of(_REGION, st.builds(_union_or_none, _REGION, _REGION).filter(lambda r: r is not None)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _points(draw, radii):
+    """A point at one of the radii, nudged by a few ulps, on an axis, the diagonal or a ray.
+
+    Or any point, or one with a non-finite coordinate.
+    """
+    kind = draw(st.sampled_from(("axis", "diagonal", "ray", "ray", "free", "non-finite")))
+    if kind == "free":
+        return draw(_COORD), draw(_COORD)
+    if kind == "non-finite":
+        return draw(_NON_FINITE)
+    t = draw(st.sampled_from(radii))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if kind == "axis":
+        v = sign * _nudged(t, draw(_JS))
+        return (v, 0.0) if draw(st.booleans()) else (0.0, v)
+    if kind == "diagonal":
+        d = _nudged(t / math.sqrt(2.0), draw(_JS))
+        return sign * d, _nudged(d, draw(st.integers(-2, 2)))
+    theta = draw(st.integers(0, 2**20)) * (math.pi / 2) / 2**20
+    x, y = t * math.cos(theta), t * math.sin(theta)
+    return sign * _nudged(x, draw(st.integers(-2, 2))), _nudged(y, draw(st.integers(-2, 2)))
+
+
+def _fan(t: float, seed: int) -> list[tuple[float, float]]:
+    """64 points t (cos a, sin a) at random angles a, each within an ulp or so of radius t."""
+    a = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=64)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        return list(zip((t * np.cos(a)).tolist(), (t * np.sin(a)).tolist()))
+
+
+@st.composite
+def _cases(draw):
+    """Regions, and points at their ring radii, on their edges and off them."""
+    regions = draw(_REGIONS)
+    radii = sorted({t for r in regions if not isinstance(r, GridRegion) for t in r._ends[0]})
+    points = draw(st.lists(_points(radii or RADII), min_size=1, max_size=40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return regions, points + [p for t in radii for p in _fan(t, seed)]
+
+
+_BACKGROUND = plane_samples(_BLOCK + 1_000, seed=11)
+
+
+@given(_cases(), st.sampled_from((0, _BLOCK - 20, _BLOCK + 500)))
+@settings(max_examples=200, deadline=None)
+def test_counts_equal_the_mask_mean_on_edge_samples(case, at):
+    regions, points = case
+    # the points go into Gaussian samples of two blocks, at the start, across
+    # the block boundary or in the second block
+    x, y = (v.copy() for v in _BACKGROUND)
+    x[at : at + len(points)] = [px for px, _ in points]
+    y[at : at + len(points)] = [py for _, py in points]
+    with np.errstate(over="ignore"):  # hypot of two coordinates near the float maximum
+        expected = [float(region_mask(region, x, y).mean()).hex() for region in regions]
+        assert [e.hex() for e in mc_measures(regions, x, y)] == expected
+        # the points alone: one short block
+        px = np.array([p for p, _ in points])
+        py = np.array([q for _, q in points])
+        expected = [float(region_mask(region, px, py).mean()).hex() for region in regions]
+        assert [e.hex() for e in mc_measures(regions, px, py)] == expected
+
+
+# ---------------------------------------------------------------------------
+# cost model
+# ---------------------------------------------------------------------------
+
+
+def test_grid_regions_do_no_radius_work(monkeypatch):
+    def radius_work(*args):
+        raise AssertionError("radius work for grid regions")
+
+    monkeypatch.setattr(np, "hypot", radius_work)
+    monkeypatch.setattr(montecarlo, "_squares", radius_work)
+    x, y = _samples()
+    assert [e.hex() for e in mc_measures(GRID_REGIONS, x, y)] == _per_region(GRID_REGIONS, x, y)
+
+
+def test_hypot_sees_only_band_samples(monkeypatch):
+    # plane samples plus hand-placed points, some on ring radii: only points
+    # within a few dozen ulps of a radius may reach np.hypot, once per radius
+    seen = []
     hypot = np.hypot
 
-    def counting(*args):
-        calls.append(1)
-        return hypot(*args)
+    def recording(a, b):
+        seen.append((np.array(a), np.array(b)))
+        return hypot(a, b)
 
-    monkeypatch.setattr(np, "hypot", counting)
-    x, y = plane_samples(1_000, seed=1)
+    monkeypatch.setattr(np, "hypot", recording)
+    x, y = _samples()
     mc_measures(GRID_REGIONS + RADIAL_REGIONS + GRID_REGIONS, x, y)
-    assert len(calls) == 1
-    mc_measures(GRID_REGIONS, x, y)
-    assert len(calls) == 1
+    radii = {t for region in RADIAL_REGIONS for t in region._ends[0]}
+    sx = np.concatenate([a for a, _ in seen])
+    sy = np.concatenate([b for _, b in seen])
+    s = sx * sx + sy * sy
+    near = np.zeros(s.shape, dtype=bool)
+    for t in radii:
+        near |= s <= 2.0**-1020 if t == 0.0 else np.abs(s - t * t) <= 2.0**-44 * t * t
+    hand_placed = x.size - 50_000
+    assert 0 < s.size <= hand_placed * len(radii) and near.all()
+
+
+def test_measure_identities_memory_peak():
+    # the x coordinates (8 MB for the default 10**6 samples) and a few
+    # 2**16-sample block arrays; measured 9.6 MiB, where holding both
+    # coordinate arrays and the radii took 25.3 MiB
+    cfg = ExperimentConfig(experiment="measure-identities", seed=0)
+    tracemalloc.start()
+    try:
+        assert exp_measure_identities(cfg).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20

@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -647,9 +647,23 @@ def _list_path_twins(f: SimpleFunction) -> list[SimpleFunction]:
     return [twin, copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
 
 
+def _pow_sensitive():
+    """12 diagonal squares on a 23 x 23 cell grid, weighted by moduli whose `pow` is not SIMD's.
+
+    numpy's `np.power` differs from the C library's `pow` at p = 0.51 for
+    0.3, 2.5, 3.3 and 3.5, at p = 0.75 for 0.8, 4.1, 5.8 and 10.0, and at
+    p = 0.99 for 0.4, 1.7, 3.1 and 6.6, enough to move the sums of
+    `lp_gauge` at 0.75 and 0.99.
+    """
+    coeffs = [0.3, 2.5, 3.3, 3.5, 0.8, 4.1, 5.8, 10.0, 0.4, 1.7, 3.1, 6.6]
+    ends = [(-0.9 + 0.15 * i, -0.78 + 0.15 * i) for i in range(len(coeffs))]
+    return linear_combine(coeffs, [indicator(rect(lo, hi, lo, hi)) for lo, hi in ends])
+
+
 # no shrink phase: a failing example of up to 128 pieces took hypothesis
 # minutes and hundreds of MB to shrink, and is reported as drawn instead
 @given(_gauged_functions(), st.booleans(), st.data())
+@example(_pow_sensitive, False, None)  # generated moduli do not always meet one
 @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_array_gauges_match_the_list_path(build, masses_last, data):
     with kernel_paths() as seen:
@@ -660,7 +674,8 @@ def test_array_gauges_match_the_list_path(build, masses_last, data):
     top = math.nextafter(moduli[-1] if moduli else 0.0, INF)  # above every modulus
     eps = [5e-324, 0.5, top]
     if moduli:
-        at = data.draw(st.sampled_from(moduli))
+        # the explicit example draws nothing and gauges at its largest modulus
+        at = moduli[-1] if data is None else data.draw(st.sampled_from(moduli))
         eps += [at, math.nextafter(at, INF)]  # on a modulus and one ulp above it
     got = _gauges(f, eps, masses_last)
     assert _bits(gauge_in_measure(f, top)) == (int, "0")  # as `sum` of nothing is
