@@ -9,8 +9,10 @@ negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
 (it takes only --seed, --steps, --outdir and --format), an option
 `measure-identities` does not read (it takes only --seed, --out and
 --format), --k or --center for the blow-up experiment (`c1-not-c2`, and
-`real-restriction` on example3, which runs it), or --outdir for a single
-experiment, which writes to stdout or --out.  A center with a negative
+`real-restriction` on example3, which runs it), --k for `taylor-failure`
+(it traces orders 1 to 4 itself), --center for `identity-failure` (it
+draws its two centers from --seed), or --outdir for a single experiment,
+which writes to stdout or --out.  A center with a negative
 real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a separate
 `-0.5,0.3` as an option.
 """
@@ -139,6 +141,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             "--seed, --tol, --ceiling, --out and --format; it takes no"
         )
         _reject_given(args, ("k", "center"), why)
+    if args.experiment == "taylor-failure":
+        _reject_given(args, ("k",), "`taylor-failure` traces the orders 1 to 4 itself; it takes no")
+    if args.experiment == "identity-failure":
+        why = "`identity-failure` draws its two centers from --seed; it takes no"
+        _reject_given(args, ("center",), why)
     if args.experiment != "measure-identities" and args.example is None:
         print(f"--example is required for {args.experiment}", file=sys.stderr)
         return 2

@@ -13,15 +13,21 @@ equality is therefore set equality, and Boolean operations never accumulate
 redundant pieces.  Interval endpoints are only ever copied, never combined
 arithmetically, so the set algebra is exact.
 
-A region is held in the overlay kernel's own form, as endpoint columns:
-one flat lo, hi, lo, hi, ... list of floats per axis (x and y for
-rectangles, the radius for rings), piece i spanning ]e[2i], e[2i+1]] on
-the axis of column e.  Simple functions store their terms and atoms the
-same way.  The constructors check their sides with `_piece_ends` and build
-the columns directly; a Boolean concatenates its operands' columns, and
-the kernel hands back the result's columns.  No Interval is built on the
-way.  The `cells` (or `rings`) of a region, a tuple of Intervals, is a view
-built from the columns on first read and cached.
+A region holds its canonical pieces as endpoint columns in one float64
+array with a row per axis (x and y for rectangles, the radius for
+rings): row e is the flat column lo, hi, lo, hi, ..., piece i spanning
+]e[2i], e[2i+1]] on its axis.  Simple functions (simplefn.py) lay out
+their terms and atoms the same way, but in one list of floats per axis.
+The two meet at the readers that need Python floats, each of which calls
+`.tolist()` once: `indicator(r)` and
+`SimpleFunction(...)` (which take a region's pieces into a function),
+`supported_in` (a function's atoms against a bound's region), the masses
+(`_piece_masses`), `contains_point`, json, the `cells`/`rings` views, the
+Monte-Carlo counts, and the kernel's small grids below.  The constructors
+check their sides with `_piece_ends` and build the arrays directly; a
+Boolean concatenates its operands' arrays, and the kernel hands back the
+result's.  No Interval is built on the way.  The `cells` (or `rings`) of
+a region, a tuple of Intervals, is a view built on first read and cached.
 
 One overlay kernel (the coordinate-compressed sweep of Klee's rectangle
 problem) computes all of it.  It sorts the distinct x and y endpoints of a
@@ -32,15 +38,18 @@ neighbours merge along y, then equal whole columns along x.  The result is
 the canonical cell list, as values and endpoint columns.
 
 The kernel has two forms, chosen by grid size alone.  A grid of fewer
-than `_ARRAY_CELLS` elementary cells adds each piece's weight to its
-block as one slice of a complex grid and merges the cells in Python,
-whose fixed cost is lower.  A larger grid is summed and merged on numpy
-arrays.  There, integer weights (every region operation and support
-check) are summed by a summed-area table (Crow 1984): each piece adds
-its weight at the corners of its block in a difference grid, and two
-running sums give every cell's cover count, exactly.  Complex weights
-(simple functions) keep the slice adds on every grid, in piece order
-from 0j: the rounding of a float sum depends on the order of its
+than `_ARRAY_CELLS` elementary cells is merged in Python, whose fixed cost
+is lower.  A larger grid is merged on numpy arrays.  Integer weights
+(every region operation and support check) are summed on a region's
+arrays from start to end (`_parts_sums`): `_axis` gives each sorted axis
+and every endpoint's index on it, and a summed-area table (Crow 1984)
+gives every cell's cover count, exactly: each piece adds its weight at
+the corners of its block in a difference grid, `np.bincount` adds the
+corners up, and two running sums give the counts.  Only pieces too few
+for a grid of `_ARRAY_CELLS` cells go through lists, as a function's
+columns do.  Complex weights (simple functions) are added to each
+piece's block as one slice of a complex grid, on every grid, in piece
+order from 0j: the rounding of a float sum depends on the order of its
 additions, and piece order is the order a per-cell loop adds in.  The
 array merge finds the kept cells (Python's abs decides those within a
 few ulp of the threshold), the ends of the y-runs by comparing each cell
@@ -62,12 +71,14 @@ gauged, do not.  The kernel is used four ways:
   are canonical, so a cell sums to 0 (in neither), 1 (left only), 2
   (right only) or 3 (both): union keeps != 0, intersection == 3,
   difference == 1 and symmetric difference 1 or 2.  The complement is
-  the difference from the full plane, and inclusion an empty difference;
+  the difference from the full plane;
 * simple functions (simplefn.py) weight each piece with its term's
   complex coefficient and keep the cells whose modulus clears a
   threshold; the merged runs are their atoms;
-* a support check weights a function's (disjoint) atoms 1 and the
-  bound's pieces 2; the support lies inside iff no cell sums to 1.
+* inclusion (`region_contains`, and `supported_in` with a function's
+  disjoint atoms as the inner region) weights the inner pieces 1 and the
+  outer 2, and merges nothing: inner lies inside outer iff no cell sums
+  to 1 (`_inside`).
 
 Measures: on the line, nu has density exp(-x*x)/sqrt(pi), hence
 nu(]a, b]) = (erf(b) - erf(a)) / 2 with erf(+-inf) = +-1.  On the plane,
@@ -182,23 +193,28 @@ class Interval:
 
 FULL_LINE = Interval(NEG_INF, POS_INF)
 
-#: Endpoint columns: one flat lo, hi, lo, hi, ... list of floats per axis.
-_Ends = tuple[list[float], ...]
+#: A region's endpoint columns: a float64 array of shape (axes, 2 * pieces),
+#: each row one axis's flat lo, hi, lo, hi, ... column.
+_Ends = np.ndarray
+#: A function's endpoint columns: the same layout, one list of floats per axis.
+_Columns = tuple[list[float], ...]
 
 
 # ---------------------------------------------------------------------------
 # the overlay kernel
 # ---------------------------------------------------------------------------
 
-#: Elementary cells from which the kernel sums integer weights and merges
-#: runs on numpy arrays; smaller grids keep the Python loops.  Set where the
-#: two forms break even on the benchmark workloads' own overlays (2 vCPU
+#: Elementary cells from which the kernel merges runs on numpy arrays;
+#: smaller grids keep the Python loops.  Set where the two forms broke even
+#: on the benchmark workloads' own overlays while regions held lists (2 vCPU
 #: Xeon): the array form took about 80% of the loops' time on their 64-127
 #: cell grids, the same on 32-63 cells and about a third more on 16-31.
+#: With regions held as arrays, a union's whole array path breaks even with
+#: the list path at about 20-30 cells in 1-D and 120-130 cells in 2-D.
 _ARRAY_CELLS = 64
 
 
-def _piece_ends(family: str, sides: Sequence[tuple[float, float]]) -> _Ends | None:
+def _piece_ends(family: str, sides: Sequence[tuple[float, float]]) -> _Columns | None:
     """Endpoint columns of one rectangle (x-side, y-side) or ring given by its sides, or None.
 
     Each side (lo, hi) is checked as Interval checks it, and a ring as
@@ -214,7 +230,7 @@ def _piece_ends(family: str, sides: Sequence[tuple[float, float]]) -> _Ends | No
     return ends
 
 
-def _joined(family: str, columns: Iterable[Sequence[Sequence[float]]]) -> _Ends:
+def _joined(family: str, columns: Iterable[Sequence[Sequence[float]]]) -> _Columns:
     """The endpoint columns of the pieces of all `columns`, in order, on the axes of `family`."""
     out = ([], []) if family == GRID else ([],)
     for ends in columns:
@@ -229,19 +245,19 @@ def _cell_sums(
     """Sorted distinct endpoints per axis, and every elementary cell's sum.
 
     `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
-    endpoint columns.  A piece covers a contiguous block of elementary
-    cells.  On a grid of at least `_ARRAY_CELLS` cells, Python int weights
-    are summed exactly by `_cover_counts` into an int64 grid; their callers
-    read the sums only through comparisons with small integers, where an
-    int64 sum and its complex twin agree.  Otherwise each weight is added
-    to its block as one slice of a complex grid; cells receive their
-    additions in piece order, starting from 0j, exactly as a per-cell loop
-    would.
+    endpoint columns of floats.  A piece covers a contiguous block of
+    elementary cells.  On a grid of at least `_ARRAY_CELLS` cells, Python
+    int weights are summed exactly by `_cover_counts` on the columns as
+    arrays; their callers read the sums only through comparisons with
+    small integers, where an integer sum and its complex twin agree.
+    Otherwise each weight is added to its block as one slice of a complex
+    grid; cells receive their additions in piece order, starting from 0j,
+    exactly as a per-cell loop would.
     """
     axes = [sorted(set(e)) for e in ends]
     shape = [len(a) - 1 for a in axes]
     if math.prod(shape) >= _ARRAY_CELLS and set(map(type, weights)) == {int}:
-        return axes, _cover_counts(weights, axes, ends)
+        return axes, _cover_counts(np.array(weights), _array_columns(ends))[1]
     # `block += c` on a view; `sums[...] += c` would also copy the block back
     sums = np.zeros(shape, dtype=complex)
     if len(axes) == 1:
@@ -260,29 +276,55 @@ def _cell_sums(
     return axes, sums
 
 
-def _cover_counts(
-    weights: Sequence[int], axes: list[list[float]], ends: Sequence[Sequence[float]]
-) -> np.ndarray:
-    """The int64 cell sums of integer weights, by a summed-area table.
+def _cover_counts(weights: np.ndarray, ends: _Ends) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sorted distinct endpoints per axis, and every elementary cell's sum of integer weights.
 
-    Each piece adds its weight at its block's low corner and subtracts it
-    past each high side (inclusion-exclusion on the 2**d corners of a
-    difference grid one larger per axis); a running sum along every axis
-    then leaves each cell the sum of the weights of the pieces covering it.
-    Integer sums are exact, so the order of the additions does not matter;
-    the callers' weights are 1 and 2, far from the int64 range.
+    `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
+    float64 endpoint columns (a region's, one row per axis).  `_axis` gives each axis and
+    every endpoint's index on it.  The sums come from a summed-area table
+    (Crow 1984): each piece adds its weight at its block's low corner and
+    subtracts it past each high side (inclusion-exclusion on the 2**d
+    corners of a difference grid one larger per axis), `np.bincount` adds
+    up the corners, and a running sum along every axis leaves each cell
+    the sum of the weights of the pieces covering it.  The weights are
+    small integers, so every sum and partial sum is an integer that
+    float64 holds exactly, in any order of addition.
     """
-    w = np.array(weights, dtype=np.int64)[:, None]
-    # the [lo, hi] indices of each piece on each axis, shape (pieces, 2)
-    at = [np.searchsorted(np.array(a), np.array(e)).reshape(-1, 2) for a, e in zip(axes, ends)]
-    diff = np.zeros([len(a) for a in axes], dtype=np.int64)
+    axes, at = [], []
+    for e in ends:
+        axis, index = _axis(e)
+        axes.append(axis)
+        at.append(index.reshape(-1, 2))  # the [lo, hi] indices of each piece
     if len(axes) == 1:
-        np.add.at(diff, at[0], w * _SIGNS_1D)
-        return diff.cumsum()[:-1]
+        diff = np.bincount(at[0].ravel(), (weights[:, None] * _SIGNS_1D).ravel(), len(axes[0]))
+        return axes, np.cumsum(diff, out=diff)[:-1]
+    nx, ny = len(axes[0]), len(axes[1])
     # flat corner indices [lo, lo], [lo, hi], [hi, lo], [hi, hi] (x, y) of each piece
-    corners = at[0][:, _CORNER_X] * diff.shape[1] + at[1][:, _CORNER_Y]
-    np.add.at(diff.reshape(-1), corners, w * _SIGNS_2D)
-    return diff.cumsum(0).cumsum(1)[:-1, :-1]
+    corners = at[0][:, _CORNER_X] * ny + at[1][:, _CORNER_Y]
+    diff = np.bincount(corners.ravel(), (weights[:, None] * _SIGNS_2D).ravel(), nx * ny)
+    diff = diff.reshape(nx, ny)
+    # running sums in place: a grid-sized temporary fewer per axis
+    np.cumsum(diff, 0, out=diff)
+    np.cumsum(diff, 1, out=diff)
+    return axes, diff[:-1, :-1]
+
+
+def _axis(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of one endpoint column, and each endpoint's index among them.
+
+    What `np.unique(e, return_inverse=True)` computes, by the same
+    argsort, without its fixed cost (about 5 us a call on a 2 vCPU Xeon,
+    half the time of this on a Boolean's short columns).  The order is
+    that of `sorted(set(e))`: no endpoint is NaN or -0.0.
+    """
+    order = e.argsort()
+    ends = e[order]
+    new = np.empty(len(ends), dtype=bool)
+    new[:1] = True
+    np.not_equal(ends[1:], ends[:-1], out=new[1:])
+    index = np.empty(len(ends), dtype=np.intp)
+    index[order] = new.cumsum() - 1
+    return ends[new], index
 
 
 _SIGNS_1D = np.array([1, -1])
@@ -302,7 +344,7 @@ def _runs(edges: Sequence[float], values: Sequence, tol: float) -> list[list]:
     return runs
 
 
-def _merged(axes: list[list[float]], values: list, tol: float) -> tuple[list, _Ends]:
+def _merged(axes: list[list[float]], values: list, tol: float) -> tuple[list, _Columns]:
     """Values and endpoint columns of the merged kept cells (abs(v) > tol).
 
     Kept neighbouring cells with equal values merge into runs along the
@@ -341,7 +383,7 @@ def _overlay(
     tol: float,
     keep: Callable = lambda sums: sums,
     arrays: list | None = None,
-) -> tuple[list, _Ends]:
+) -> tuple[list, _Columns]:
     """`_merged` values and columns of the cells whose value `keep(sum)` has abs > tol.
 
     With fewer than two pieces numpy is skipped: a single (non-empty)
@@ -385,7 +427,7 @@ def _kept(values: np.ndarray, tol: float) -> np.ndarray:
 
 def _array_merged(
     axes: list[list[float]], values: np.ndarray, tol: float, arrays: list | None = None
-) -> tuple[list, _Ends]:
+) -> tuple[list, _Columns]:
     """`_merged(axes, values.tolist(), tol)`, with every cell visited by numpy.
 
     The merged runs are found by `_array_runs`, whose cell grids are freed
@@ -446,17 +488,62 @@ def _column(axis: list[float], lo: np.ndarray, hi: np.ndarray) -> list[float]:
     Read through an object array, so the column holds the axis's own float
     objects, as `_merged`'s columns do, rather than a new float per endpoint.
     """
-    return np.array(axis, dtype=object)[np.stack((lo, hi), axis=1).ravel()].tolist()
+    return np.array(axis, dtype=object)[_interleaved(lo, hi)].tolist()
 
 
-def _sweep(
-    weights: Sequence[int],
-    ends: Sequence[Sequence[float]],
-    keep: Callable[[np.ndarray], np.ndarray],
-) -> _Ends:
-    """Endpoint columns of the canonical pieces of the cells whose weight sum `keep` accepts."""
-    # a bool mask: abs(True) > 0 keeps a cell, and kept neighbours are equal
-    return _overlay(weights, ends, 0.0, keep)[1]
+def _interleaved(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The index array lo[0], hi[0], lo[1], hi[1], ...: an endpoint column's layout."""
+    at = np.empty(2 * len(lo), dtype=np.intp)
+    at[::2] = lo
+    at[1::2] = hi
+    return at
+
+
+def _parts_sums(parts: Sequence[Sequence[Sequence[float]]]) -> tuple[list, np.ndarray]:
+    """Sorted distinct endpoints per axis, and every elementary cell's integer sum.
+
+    The pieces of part k (endpoint columns, all parts in one form) weigh
+    k + 1.  n pieces make a grid of at most (2n - 1)**d cells.  Float64
+    arrays (regions) of enough pieces for `_ARRAY_CELLS` cells are summed
+    by `_cover_counts`, and the axes are arrays.  Fewer pieces, and lists
+    of floats (a function's atoms), are summed by `_cell_sums` on lists,
+    which also decides by the grid's true size, and the axes are lists.
+    """
+    if isinstance(parts[0], np.ndarray):
+        sizes = [part.shape[1] // 2 for part in parts]
+        if (2 * sum(sizes) - 1) ** len(parts[0]) >= _ARRAY_CELLS:
+            weights = np.repeat(np.arange(1, len(parts) + 1), sizes)
+            return _cover_counts(weights, np.concatenate(parts, axis=1))
+        parts = [part.tolist() for part in parts]
+    weights = []
+    for k, part in enumerate(parts, 1):
+        weights += [k] * (len(part[0]) // 2)
+    return _cell_sums(weights, [sum(axis, []) for axis in zip(*parts)])
+
+
+def _sweep(parts: Sequence[_Ends], keep: Callable[[np.ndarray], np.ndarray]) -> _Ends:
+    """Float64 endpoint columns of the canonical pieces of the cells whose sum `keep` accepts.
+
+    The region form of the overlay kernel; the pieces of part k weigh
+    k + 1 (see `_parts_sums`).  Fewer than two pieces are canonical as
+    given, a single one kept iff `keep` accepts its weight.  A grid of
+    fewer than `_ARRAY_CELLS` cells is merged by `_merged`'s loops on
+    lists; a larger one by `_array_runs`, and the runs' columns are read
+    off the sorted axes by index.  `keep` gives a bool mask: abs(True) > 0
+    keeps a cell, and kept neighbours are equal.
+    """
+    if sum(part.shape[1] for part in parts) // 2 < 2:
+        for k, part in enumerate(parts, 1):
+            if len(part[0]) and keep(k):
+                return part
+        return _empty(len(parts[0]))
+    axes, sums = _parts_sums(parts)
+    kept = keep(sums)
+    if kept.size < _ARRAY_CELLS:
+        axes = [a if isinstance(a, list) else a.tolist() for a in axes]
+        return _array_columns(_merged(axes, kept.tolist(), 0.0)[1])
+    _, at = _array_runs(axes, kept, 0.0)
+    return np.array([axis[_interleaved(*sides)] for axis, sides in zip(axes, at)])
 
 
 def _nonzero(sums: np.ndarray) -> np.ndarray:
@@ -465,10 +552,31 @@ def _nonzero(sums: np.ndarray) -> np.ndarray:
 
 def _canon(ends: _Ends) -> _Ends:
     """Endpoint columns of the canonical form of the union of non-empty pieces."""
-    n = len(ends[0]) // 2
-    if n < 2:
-        return ends
-    return _sweep([1] * n, ends, _nonzero)
+    return _sweep((ends,), _nonzero)
+
+
+def _inside(inner: Sequence[Sequence[float]], outer: Sequence[Sequence[float]]) -> bool:
+    """Whether the disjoint pieces of `inner` lie inside the union of those of `outer`.
+
+    One sum of the cells (`_parts_sums`): inner's pieces weigh 1 and
+    outer's 2, so a cell sums to exactly 1 iff inner covers it and outer
+    does not.  No cell sums to 1 iff inner lies inside outer; an empty
+    inner always does.  Both are a region's float64 arrays, or both lists
+    of floats (a function's atoms and its bound's `.tolist()`).
+    """
+    if not len(inner[0]):
+        return True
+    return not (_parts_sums((inner, outer))[1] == 1).any()
+
+
+def _empty(axes: int) -> _Ends:
+    """The endpoint columns of no piece, on `axes` axes."""
+    return np.empty((axes, 0))
+
+
+def _array_columns(columns: Sequence[list[float]]) -> _Ends:
+    """The float64 endpoint columns of equally long lists of floats, one per axis."""
+    return np.array(columns, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +587,13 @@ def _canon(ends: _Ends) -> _Ends:
 class _Region:
     """What the two region families share: endpoint columns and value semantics.
 
-    `_ends` holds the canonical pieces as endpoint columns, the overlay
-    kernel's form (see the module docstring); `_view` caches the Interval
-    view of them.  Immutable, slotted, and with the `==`, `hash` and
-    `repr` of a frozen dataclass with the one field `cells` (or `rings`):
-    `==` compares the columns, so it is set equality.
+    `_ends` holds the canonical pieces as float64 endpoint columns, one row
+    per axis (see the module docstring), which nothing changes; `_view`
+    caches the Interval view of them.  Immutable, slotted, and with the
+    `==`, `hash` and `repr` of a frozen dataclass with the one field
+    `cells` (or `rings`): `==` compares the columns elementwise, so it is
+    set equality, and `hash` hashes their values as Python floats, as the
+    view's would be.
     """
 
     __slots__ = ("_ends", "_view")
@@ -503,14 +613,14 @@ class _Region:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._ends == other._ends
+        return np.array_equal(self._ends, other._ends)
 
     def __hash__(self) -> int:
-        return hash(tuple(map(tuple, self._ends)))
+        return hash(tuple(map(tuple, self._ends.tolist())))
 
     @property
     def is_empty(self) -> bool:
-        return not self._ends[0]
+        return not self._ends.shape[1]
 
 
 _new_object = object.__new__
@@ -522,11 +632,12 @@ def _hold(region: _Region, ends: _Ends) -> None:
     _set_field(region, "_view", None)  # built on first read
 
 
-def _intervals(e: list[float]) -> list[Interval]:
+def _intervals(e: np.ndarray) -> list[Interval]:
     """The Intervals ]e[2i], e[2i+1]] of one endpoint column; equal sides share one Interval."""
     shared: dict[tuple, Interval] = {}
     out = []
-    for lo, hi in zip(e[::2], e[1::2]):
+    ends = iter(e.tolist())
+    for lo, hi in zip(ends, ends):
         key = (lo, hi)
         iv = shared.get(key)
         if iv is None:
@@ -553,7 +664,7 @@ class GridRegion(_Region):
         live = [(cx, cy) for cx, cy in cells if not cx.is_empty and not cy.is_empty]
         xe = [p for cx, _ in live for p in (cx.lo, cx.hi)]
         ye = [p for _, cy in live for p in (cy.lo, cy.hi)]
-        _hold(self, _canon((xe, ye)))
+        _hold(self, _canon(_array_columns((xe, ye))))
 
     @property
     def cells(self) -> tuple[tuple[Interval, Interval], ...]:
@@ -564,7 +675,7 @@ class GridRegion(_Region):
 
     def contains_point(self, w: complex) -> bool:
         x, y = w.real, w.imag
-        xe, ye = self._ends
+        xe, ye = self._ends.tolist()
         return any(
             xlo < x <= xhi and ylo < y <= yhi
             for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2])
@@ -593,7 +704,7 @@ class RadialRegion(_Region):
             _nonnegative(ring.lo)
             if not ring.is_empty:
                 re += (ring.lo, ring.hi)
-        _hold(self, _canon((re,)))
+        _hold(self, _canon(_array_columns((re,))))
 
     @property
     def rings(self) -> tuple[Interval, ...]:
@@ -603,7 +714,7 @@ class RadialRegion(_Region):
 
     def contains_point(self, w: complex) -> bool:
         r = abs(w)
-        (re,) = self._ends
+        re = self._ends[0].tolist()
         return any(lo < r <= hi for lo, hi in zip(re[::2], re[1::2]))
 
     def __repr__(self) -> str:
@@ -614,7 +725,7 @@ Region = Union[GridRegion, RadialRegion]
 
 
 def _canonical_region(cls: type, ends: _Ends) -> Region:
-    """A region of `cls` held as `ends`, endpoint columns the caller knows to be canonical.
+    """A region of `cls` held as `ends`, float64 endpoint columns the caller knows to be canonical.
 
     Skips the canonicalising sweep of `__init__`; a single non-empty
     rectangle or ring is always canonical.  Nothing is checked here.
@@ -635,9 +746,7 @@ def _combine(a: Region, b: Region, keep) -> Region:
     # both operands are canonical (disjoint pieces), so a cell sums to
     # 0 (in neither), 1 (only in a), 2 (only in b) or 3 (in both)
     _require_same_family(a, b)
-    weights = [1] * (len(a._ends[0]) // 2) + [2] * (len(b._ends[0]) // 2)
-    ends = tuple(ea + eb for ea, eb in zip(a._ends, b._ends))
-    return _canonical_region(type(a), _sweep(weights, ends, keep))
+    return _canonical_region(type(a), _sweep((a._ends, b._ends), keep))
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -661,8 +770,9 @@ def region_complement(a: Region) -> Region:
 
 
 def region_contains(outer: Region, inner: Region) -> bool:
-    """Set inclusion inner <= outer, decided exactly on endpoints."""
-    return region_difference(inner, outer).is_empty
+    """Set inclusion inner <= outer, decided exactly on endpoints (see `_inside`)."""
+    _require_same_family(inner, outer)
+    return _inside(inner._ends, outer._ends)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +783,7 @@ def region_contains(outer: Region, inner: Region) -> bool:
 def _piece_region(cls: type, *sides: tuple[float, float]) -> Region:
     """The region of one rectangle (x-side, y-side) or ring given by its sides, checked."""
     ends = _piece_ends(cls.family, sides)
-    return _canonical_region(cls, tuple([] for _ in sides) if ends is None else ends)
+    return _canonical_region(cls, _empty(len(sides)) if ends is None else _array_columns(ends))
 
 
 def rect(x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> GridRegion:
@@ -706,9 +816,10 @@ def disk(r: float) -> RadialRegion:
 
 def full_plane(family: str) -> Region:
     if family == GRID:
-        return _canonical_region(GridRegion, ([NEG_INF, POS_INF], [NEG_INF, POS_INF]))
+        plane = _array_columns(([NEG_INF, POS_INF], [NEG_INF, POS_INF]))
+        return _canonical_region(GridRegion, plane)
     if family == RADIAL:
-        return _canonical_region(RadialRegion, ([0.0, POS_INF],))
+        return _canonical_region(RadialRegion, _array_columns(([0.0, POS_INF],)))
     raise ValueError(f"unknown region family {family!r}")
 
 
@@ -778,12 +889,12 @@ def _indexed_masses(axes: list[list[float]], at: tuple) -> np.ndarray:
     return nus[0] * nus[1]
 
 
-def _ends_measure(ends: Sequence[Sequence[float]]) -> float:
-    """Gaussian mass of disjoint pieces held in endpoint columns, summed in piece order.
+def _ends_measure(ends: _Ends) -> float:
+    """Gaussian mass of disjoint pieces held in float64 endpoint columns, summed in piece order.
 
     This is the mass of a region: `region_measure(r)` is `_ends_measure(r._ends)`.
     """
-    return sum(_piece_masses(ends))
+    return sum(_piece_masses(ends.tolist()))
 
 
 def mu_grid(r: GridRegion) -> float:
@@ -825,8 +936,9 @@ def _endpoint_from_json(v) -> float:
     return float(v)
 
 
-def _sides_to_json(e: list[float]) -> list[list]:
-    return [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in zip(e[::2], e[1::2])]
+def _sides_to_json(e: np.ndarray) -> list[list]:
+    ends = iter(e.tolist())
+    return [[_endpoint_to_json(lo), _endpoint_to_json(hi)] for lo, hi in zip(ends, ends)]
 
 
 def _interval_from_json(v) -> Interval:

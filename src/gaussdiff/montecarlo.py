@@ -89,12 +89,12 @@ def region_mask(region: Region, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Boolean membership of the sample points in the region."""
     mask = np.zeros(x.shape, dtype=bool)
     if isinstance(region, GridRegion):
-        xe, ye = region._ends
+        xe, ye = region._ends.tolist()
         for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2]):
             mask |= (x > xlo) & (x <= xhi) & (y > ylo) & (y <= yhi)
         return mask
     r = np.hypot(x, y)
-    (re,) = region._ends
+    re = region._ends[0].tolist()
     for lo, hi in zip(re[::2], re[1::2]):
         mask |= (r > lo) & (r <= hi)
     return mask
@@ -156,11 +156,14 @@ class _BlockCounts:
         return self.le(axis, POS_INF) - self.le(axis, NEG_INF) == self.size
 
     def hits(self, region: Region) -> int:
-        """Samples of the block in the region: the sum over its disjoint pieces."""
+        """Samples of the block in the region: the sum over its disjoint pieces.
+
+        The region's endpoints are read as Python floats, the keys of the counts.
+        """
         if not isinstance(region, GridRegion):
-            (re,) = region._ends
+            re = region._ends[0].tolist()
             return sum(self.le("r", hi) - self.le("r", lo) for lo, hi in zip(re[::2], re[1::2]))
-        xe, ye = region._ends
+        xe, ye = region._ends.tolist()
         count = 0
         for xlo, xhi, ylo, yhi in zip(xe[::2], xe[1::2], ye[::2], ye[1::2]):
             if ylo == NEG_INF and yhi == POS_INF and self._full_line("y"):

@@ -9,25 +9,28 @@ then reduce to sums over atoms.
 A function is stored as columns of plain floats, not as regions: per term
 its coefficient, its number of pieces and their endpoints; per atom its
 coefficient and endpoints, laid out as the overlay kernel of measure.py
-takes them (one flat lo, hi, ... sequence per axis).  The (coefficient,
-region) tuples of `terms` and `atoms` are views, and the atom masses are
+takes them (one flat lo, hi, ... list per axis; a region holds the same
+layout as one float64 array, a row per axis).  The (coefficient, region)
+tuples of `terms` and `atoms` are views, and the atom masses are
 computed, on first read.  A function is its atoms: `==` and `hash`
 compare family, zero_tol and the atom columns, and `repr` shows them.
 
 Every constructor ends in one column constructor (`_from_columns`, or
 `SimpleFunction._fill` for `__init__`), and its `terms` record how it was
-built.  `SimpleFunction(...)` concatenates its regions' columns, which
-are the terms; `indicator(r)` takes r's pieces as its one term and as
-its atoms, without an overlay, since a region's pieces are canonical
-already (the kernel would hand back the same columns), and shares r's
-column lists, which neither ever changes; `_piece_function`, behind the
+built.  `SimpleFunction(...)` concatenates its regions' columns, read
+by `.tolist()`, which are the terms; `indicator(r)` takes r's pieces as
+its one term and as its atoms, without an overlay, since a region's
+pieces are canonical already (the kernel would hand back the same
+columns), and its term and atoms share the lists of one `.tolist()` of
+r's arrays, which nothing changes; `_piece_function`, behind the
 three curve maps and `scalar_curve`, takes the endpoints of one
 rectangle or ring, checked as the region constructors check them;
 `linear_combine` feeds its inputs' atom columns, scaled, to the kernel as
 terms; and a divided difference's terms are its own atoms.  None of them
 builds an Interval, and the regions of the views are slices of the
-columns.  A support bound holds its region, and `supported_in` sweeps the
-region's columns.
+columns, made float64 arrays once per view.  A support bound holds its
+region; `supported_in` tests the atom columns against the region's
+`.tolist()` with the inclusion test of `region_contains`.
 
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
@@ -87,14 +90,16 @@ from .measure import (
     GridRegion,
     RadialRegion,
     Region,
-    _Ends,
+    _Columns,
+    _array_columns,
     _canonical_region,
-    _cell_sums,
     _ends_measure,
+    _inside,
     _joined,
     _overlay,
     _piece_ends,
     _piece_masses,
+    _side,
     region_to_json,
 )
 
@@ -118,17 +123,19 @@ _Term = tuple[complex, Region]
 
 
 def _view(
-    family: str, coeffs: Sequence[complex], sizes: Iterable[int], ends: _Ends
+    family: str, coeffs: Sequence[complex], sizes: Iterable[int], ends: _Columns
 ) -> tuple[_Term, ...]:
     """(coefficient, region) pairs; term i owns the next `sizes[i]` pieces of `ends`.
 
-    Each region holds its slice of the columns; no Interval is built.
+    The columns become one float64 array once, and each region holds its
+    slice of it; no Interval is built.
     """
     cls = GridRegion if family == GRID else RadialRegion
+    ends = _array_columns(ends)
     view, i = [], 0
     for c, n in zip(coeffs, sizes):
         j = i + 2 * n
-        view.append((c, _canonical_region(cls, tuple(e[i:j] for e in ends))))
+        view.append((c, _canonical_region(cls, ends[:, i:j])))
         i = j
     return tuple(view)
 
@@ -176,7 +183,7 @@ class SimpleFunction:
                     f"term region family {reg.family!r} != function family {family!r}"
                 )
         sizes = [len(reg._ends[0]) // 2 for _, reg in terms]
-        ends = _joined(family, (reg._ends for _, reg in terms))
+        ends = _joined(family, (reg._ends.tolist() for _, reg in terms))
         self._fill(family, zero_tol, [c for c, _ in terms], sizes, ends)
 
     def _fill(
@@ -185,8 +192,8 @@ class SimpleFunction:
         zero_tol: float,
         coeffs: list[complex],
         sizes: list[int],
-        ends: _Ends,
-        atoms: tuple[list[complex], _Ends] | None = None,
+        ends: _Columns,
+        atoms: tuple[list[complex], _Columns] | None = None,
     ) -> None:
         """Set every column from the term columns; every constructor ends here.
 
@@ -315,9 +322,9 @@ def _from_columns(
     family: str,
     coeffs: list[complex],
     sizes: list[int],
-    ends: _Ends,
+    ends: _Columns,
     zero_tol: float = ZERO_TOL,
-    atoms: tuple[list[complex], _Ends] | None = None,
+    atoms: tuple[list[complex], _Columns] | None = None,
 ) -> SimpleFunction:
     """The function of these term columns (see `SimpleFunction._fill`); no region is built."""
     out = object.__new__(SimpleFunction)
@@ -340,9 +347,13 @@ def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> Sim
 
 
 def indicator(r: Region) -> SimpleFunction:
-    """The indicator of r; its atoms are r's pieces, which are canonical already."""
-    n = len(r._ends[0]) // 2
-    return _from_columns(r.family, [1.0 + 0j], [n], r._ends, ZERO_TOL, ([1.0 + 0j] * n, r._ends))
+    """The indicator of r; its atoms are r's pieces, which are canonical already.
+
+    Its one term and its atoms share the columns of r's `.tolist()`.
+    """
+    ends = tuple(r._ends.tolist())
+    n = len(ends[0]) // 2
+    return _from_columns(r.family, [1.0 + 0j], [n], ends, ZERO_TOL, ([1.0 + 0j] * n, ends))
 
 
 def linear_combine(
@@ -418,7 +429,7 @@ class SupportBound:
     """A region that a function's support is claimed to lie inside.
 
     The region holds its canonical pieces as endpoint columns, as every
-    region does: `supported_in` sweeps them and `mass` sums them.
+    region does: `supported_in` tests against them and `mass` sums them.
     `support_bound_of` builds the region with `_union_bound`.  Immutable;
     `==`, `hash` and `repr` are those of a frozen dataclass with the one
     field `region`.
@@ -470,22 +481,22 @@ def _union_bound(family: str, sides: Sequence[tuple[float, float]]) -> SupportBo
     `_strip_union`, as the region constructors and Booleans would merge
     them.
     """
-    line = (NEG_INF, POS_INF)
-    if family == GRID:
-        x, y = sides
-        pieces = [_piece_ends(GRID, (x, line)), _piece_ends(GRID, (line, y))]
+    if family != GRID:
+        ends = _piece_ends(family, sides)
+        ring = _array_columns(([],) if ends is None else ends)
+        return SupportBound(_canonical_region(RadialRegion, ring))
+    x, y = (_side(lo, hi) for lo, hi in sides)
+    line = [NEG_INF, POS_INF]
+    if x[0] == x[1]:  # the vertical strip is empty
+        ends = ([], []) if y[0] == y[1] else (line, y)
+    elif y[0] == y[1]:  # the horizontal strip is empty
+        ends = (x, line)
     else:
-        pieces = [_piece_ends(family, sides)]
-    live = [ends for ends in pieces if ends is not None]
-    if len(live) == 2:
-        ends = _strip_union(live[0][0], live[1][1])
-    else:
-        ends = live[0] if live else tuple([] for _ in sides)
-    cls = GridRegion if family == GRID else RadialRegion
-    return SupportBound(_canonical_region(cls, ends))
+        ends = _strip_union(x, y)
+    return SupportBound(_canonical_region(GridRegion, _array_columns(ends)))
 
 
-def _strip_union(x: Sequence[float], y: Sequence[float]) -> _Ends:
+def _strip_union(x: Sequence[float], y: Sequence[float]) -> _Columns:
     """Endpoint columns of the canonical pieces of the union of two non-empty strips.
 
     The strips lie over the x-side ]x_lo, x_hi] and the y-side ]y_lo, y_hi].
@@ -511,24 +522,17 @@ def _strip_union(x: Sequence[float], y: Sequence[float]) -> _Ends:
 def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
     """True iff every atom lies inside the bound region (exact inclusion).
 
-    One sweep: the atoms (disjoint) weigh 1 and the bound's pieces
-    (disjoint) 2, so a cell sums to exactly 1 iff an atom covers it and
-    the bound does not.  Atoms below the zero tolerance were already
-    dropped at construction, so this is the thresholded support of the
-    function.  The zero function has empty support and is contained in
-    every bound.  No region is built.
+    The inclusion test of `region_contains` (`measure._inside`), with the
+    atoms (disjoint) as the inner pieces: no cell sums to 1.  Atoms below
+    the zero tolerance were already dropped at construction, so this is
+    the thresholded support of the function.  The zero function has empty
+    support and is contained in every bound.  No region is built.
     """
     if f.family != bound.family:
         raise FamilyMismatchError(
             f"function family {f.family!r} != bound family {bound.family!r}"
         )
-    if f.is_zero:
-        return True
-    bound_ends = bound.region._ends
-    weights = [1] * len(f._atom_coeffs) + [2] * (len(bound_ends[0]) // 2)
-    ends = [atoms + b for atoms, b in zip(f._atom_ends, bound_ends)]
-    _, sums = _cell_sums(weights, ends)
-    return not (sums == 1).any()
+    return _inside(f._atom_ends, bound.region._ends.tolist())
 
 
 def simple_function_to_json(f: SimpleFunction) -> dict:

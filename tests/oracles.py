@@ -9,7 +9,10 @@ sweeps at the end (per-slab 1-D unions and per-slab Boolean profiles, one
 sweep each for canonicalisation, grid and radial combination) must give
 the same point sets and cell order as the kernel's 1/2-weighted overlay;
 their results become regions through `canonical_region`, which only lays
-the pieces out as endpoint columns and runs no sweep.
+the pieces out as endpoint columns and runs no sweep.  The list kernel
+(`list_sweep` and its Booleans, inclusion and masses) is the overlay
+kernel as it ran while regions held lists of floats; the array-held
+regions must match it bit for bit.
 `reference_identity_sweeps` measures one region per pair of the
 `measure-identities` sweeps, which read the closed forms directly.
 The memoised divided-difference recursion (one `linear_combine` per
@@ -257,7 +260,71 @@ def piece_columns(pieces: Sequence, family: str) -> tuple[list[float], ...]:
 
 def canonical_region(cls: type, pieces: Sequence) -> Region:
     """The region of `cls` whose canonical pieces are `pieces`, built without a sweep."""
-    return _canonical_region(cls, piece_columns(pieces, cls.family))
+    return _canonical_region(cls, np.array(piece_columns(pieces, cls.family), dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# the list kernel: regions as lists of floats
+# ---------------------------------------------------------------------------
+
+
+def list_sweep(weights: list[int], ends: Sequence[list[float]], keep) -> tuple[list[float], ...]:
+    """Endpoint columns (lists of floats) of the cells whose weight sum `keep` accepts.
+
+    The overlay kernel as regions ran it while they held lists: the axes
+    by `sorted(set(e))`; on a grid of fewer than `_ARRAY_CELLS` cells the
+    complex slice adds of `_cell_sums` and `_merged`'s loops; on a larger
+    one integer cover counts by `np.add.at` (`list_cover_counts`),
+    `_array_runs`, and output columns read through an object array of the
+    axis.  The array-held regions must match it bit for bit.
+    """
+    if len(weights) < 2:
+        if weights and abs(keep(0j + weights[0])) > 0.0:
+            return tuple(list(e) for e in ends)
+        return tuple([] for _ in ends)
+    axes = [sorted(set(e)) for e in ends]
+    if math.prod(len(a) - 1 for a in axes) < measure._ARRAY_CELLS:
+        _, sums = measure._cell_sums(weights, ends)
+        return measure._merged(axes, keep(sums).tolist(), 0.0)[1]
+    _, at = measure._array_runs(axes, keep(list_cover_counts(weights, axes, ends)), 0.0)
+    return tuple(
+        np.array(axis, dtype=object)[np.stack(sides, axis=1).ravel()].tolist()
+        for axis, sides in zip(axes, at)
+    )
+
+
+def list_cover_counts(weights: list[int], axes: list[list[float]], ends) -> np.ndarray:
+    """The int64 cell sums of integer weights, by a summed-area table built with `np.add.at`."""
+    w = np.array(weights, dtype=np.int64)[:, None]
+    at = [np.searchsorted(np.array(a), np.array(e)).reshape(-1, 2) for a, e in zip(axes, ends)]
+    diff = np.zeros([len(a) for a in axes], dtype=np.int64)
+    if len(axes) == 1:
+        np.add.at(diff, at[0], w * np.array([1, -1]))
+        return diff.cumsum()[:-1]
+    corners = at[0][:, [0, 0, 1, 1]] * diff.shape[1] + at[1][:, [0, 1, 0, 1]]
+    np.add.at(diff.reshape(-1), corners, w * np.array([1, -1, -1, 1]))
+    return diff.cumsum(0).cumsum(1)[:-1, :-1]
+
+
+def list_canon(ends: Sequence[list[float]]) -> tuple[list[float], ...]:
+    """The list kernel's canonical columns of the union of non-empty pieces."""
+    return list_sweep([1] * (len(ends[0]) // 2), ends, lambda s: s != 0)
+
+
+def list_combine(a: Sequence[list[float]], b: Sequence[list[float]], keep) -> tuple[list, ...]:
+    """The list kernel's Boolean of two canonical operands, a weighing 1 and b 2."""
+    weights = [1] * (len(a[0]) // 2) + [2] * (len(b[0]) // 2)
+    return list_sweep(weights, [ea + eb for ea, eb in zip(a, b)], keep)
+
+
+def list_contains(outer: Sequence[list[float]], inner: Sequence[list[float]]) -> bool:
+    """Inclusion as the list kernel decided it: the difference inner - outer is empty."""
+    return not list_combine(inner, outer, lambda s: s == 1)[0]
+
+
+def list_measure(ends: Sequence[list[float]]) -> float:
+    """The Gaussian mass of list columns, summed in piece order."""
+    return sum(measure._piece_masses(ends))
 
 
 def reference_canon_1d(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -454,14 +521,18 @@ def _memo_diff(f, zs, idx, zero_tol, memo):
 def kernel_paths():
     """Record which form of the overlay kernel runs, while the context is open.
 
-    Yields {"grids": cell counts of the grids `_overlay` sums, "merges":
-    merges on the array form, "counts": integer sums on the array form}.
+    Yields {"grids": cell counts of the grids summed (a function's
+    complex sums by `_cell_sums`, a region's integer cover counts by
+    `_cover_counts`), "counts": the number of integer sums, "merges": the
+    number of merges on the array form (`_array_runs`), "merged": (cell
+    count, on the array form) of every merge}.
     """
-    seen = {"grids": [], "merges": 0, "counts": 0}
-    cell_sums, array_merged, cover_counts = (
+    seen = {"grids": [], "merges": 0, "counts": 0, "merged": []}
+    cell_sums, cover_counts, merged, array_runs = (
         measure._cell_sums,
-        measure._array_merged,
         measure._cover_counts,
+        measure._merged,
+        measure._array_runs,
     )
 
     def counted_sums(*args):
@@ -469,16 +540,24 @@ def kernel_paths():
         seen["grids"].append(sums.size)
         return axes, sums
 
-    def counted_merge(*args):
-        seen["merges"] += 1
-        return array_merged(*args)
-
     def counted_counts(*args):
+        axes, sums = cover_counts(*args)
         seen["counts"] += 1
-        return cover_counts(*args)
+        seen["grids"].append(sums.size)
+        return axes, sums
+
+    def counted_loops(axes, *args):
+        seen["merged"].append((math.prod(len(a) - 1 for a in axes), False))
+        return merged(axes, *args)
+
+    def counted_runs(axes, values, *args):
+        seen["merges"] += 1
+        seen["merged"].append((values.size, True))
+        return array_runs(axes, values, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "_cell_sums", counted_sums)
-        mp.setattr(measure, "_array_merged", counted_merge)
         mp.setattr(measure, "_cover_counts", counted_counts)
+        mp.setattr(measure, "_merged", counted_loops)
+        mp.setattr(measure, "_array_runs", counted_runs)
         yield seen

@@ -64,6 +64,7 @@ from gaussdiff.measure import (
     NEG_INF,
     POS_INF,
     RADIAL,
+    _array_columns,
     _ends_measure,
     _joined,
     _nonzero,
@@ -464,7 +465,7 @@ def test_small_overlays_stay_off_the_array_path():
     with kernel_paths() as seen:
         divided_diff(QUADRANT_CURVE, nodes)
         run_experiment(ExperimentConfig(experiment=experiment, example=example, seed=42, **extra))
-    assert seen["merges"] == seen["counts"] == 0
+    assert seen["merges"] == 0 and max(seen["grids"]) < measure._ARRAY_CELLS
     rng = np.random.default_rng(12)
     rects = [rect(*np.sort(rng.uniform(-2, 2, 2)), *np.sort(rng.uniform(-2, 2, 2))) for _ in range(128)]
     with kernel_paths() as seen:
@@ -750,8 +751,10 @@ def test_strip_union_is_the_overlays(x, y):
     bound = _union_bound(GRID, [x, y])
     line = (NEG_INF, POS_INF)
     live = [ends for ends in (_piece_ends(GRID, (x, line)), _piece_ends(GRID, (line, y))) if ends]
-    want = _sweep([1] * len(live), _joined(GRID, live), _nonzero)
-    assert [list(map(repr, e)) for e in bound.region._ends] == [list(map(repr, e)) for e in want]
+    want = _sweep((_array_columns(_joined(GRID, live)),), _nonzero)
+    assert [list(map(repr, e.tolist())) for e in bound.region._ends] == [
+        list(map(repr, e.tolist())) for e in want
+    ]
     mass = _ends_measure(want)
     assert type(bound.mass) is type(mass) and repr(bound.mass) == repr(mass)
 

@@ -593,6 +593,13 @@ def test_cli_requires_example(capsys):
         ["c1-not-c2", "--example", "example3", "--center", "0.3,0.7"],
         ["real-restriction", "--example", "example3", "--k", "2"],
         ["real-restriction", "--example", "example3", "--center", "0.3,0.7"],
+        # taylor-failure traces orders 1-4 and identity-failure draws its
+        # centers: each used to drop one of these, write it into `config`
+        # and exit 0
+        ["taylor-failure", "--example", "example1", "--k", "3"],
+        ["taylor-failure", "--example", "example1", "--k", "3", "--center", "0.3,0.7"],
+        ["identity-failure", "--example", "example2", "--center", "0.3,0.7"],
+        ["identity-failure", "--example", "example2", "--k", "2", "--center", "0.3,0.7"],
     ],
 )
 def test_cli_config_error_exits_2(argv, tmp_path, capsys):
@@ -601,6 +608,33 @@ def test_cli_config_error_exits_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["taylor-failure", "--example", "example1", "--k", "2"], "--k"),
+        (["identity-failure", "--example", "example2", "--center", "0.3,0.7"], "--center"),
+    ],
+)
+def test_cli_names_the_option_an_experiment_does_not_read(argv, unread, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: `{argv[0]}` ")
+    assert err.rstrip().endswith(f"it takes no {unread}")
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["taylor-failure", "--example", "example1", "--center", "0.3,0.7"], "center", [0.3, 0.7]),
+        (["identity-failure", "--example", "example2", "--k", "2"], "k", 2),
+    ],
+)
+def test_cli_keeps_the_options_an_experiment_reads(argv, key, value, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"][key] == value
 
 
 def test_cli_measure_identities_takes_a_seed(tmp_path, capsys):

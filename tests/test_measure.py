@@ -56,7 +56,12 @@ from oracles import (
     annulus_quad,
     canonical_region,
     kernel_paths,
+    list_canon,
+    list_combine,
+    list_contains,
+    list_measure,
     mc_oracle,
+    piece_columns,
     nu_quad,
     rect_dblquad,
     reference_canon_1d,
@@ -715,10 +720,197 @@ def test_region_algebra_on_the_array_path(case):
         _assert_same(region_complement(a), reference_complement(a))
         assert region_contains(a, b) == reference_combine(b, a, _BOOLEANS[2][1]).is_empty
         assert region_contains(both, a) and region_contains(both, b)
-    # the array path ran, exactly on the grids of at least _ARRAY_CELLS cells
-    large = sum(n >= measure._ARRAY_CELLS for n in seen["grids"])
-    assert large >= 1
-    assert seen["merges"] == seen["counts"] == large
+    # every grid of at least _ARRAY_CELLS cells was an integer cover
+    # count, and the array merge ran, exactly on those grids
+    assert seen["counts"] >= sum(n >= measure._ARRAY_CELLS for n in seen["grids"])
+    assert seen["merges"] >= 1
+    assert all((n >= measure._ARRAY_CELLS) == on_arrays for n, on_arrays in seen["merged"])
+
+
+
+# ---------------------------------------------------------------------------
+# array-held regions against the list kernel
+# ---------------------------------------------------------------------------
+
+# The list kernel's keeps, on its complex or int64 cell sums
+_LIST_KEEPS = (
+    (region_union, lambda s: s != 0),
+    (region_intersect, lambda s: s == 3),
+    (region_difference, lambda s: s == 1),
+    (region_symdiff, lambda s: (s == 1) | (s == 2)),
+)
+
+
+def _live(cls, pieces) -> list:
+    if cls is RadialRegion:
+        return [ring for ring in pieces if not ring.is_empty]
+    return [(cx, cy) for cx, cy in pieces if not cx.is_empty and not cy.is_empty]
+
+
+def _hex_columns(columns) -> list:
+    """Every endpoint's bits, column by column, of arrays or lists."""
+    return [[v.hex() for v in (e.tolist() if isinstance(e, np.ndarray) else e)] for e in columns]
+
+
+def _assert_float64(region) -> None:
+    ends = region._ends
+    assert type(ends) is np.ndarray and ends.dtype == np.float64 and ends.ndim == 2
+    assert len(ends) == (2 if region.family == "grid" else 1) and ends.shape[1] % 2 == 0
+
+
+def _assert_matches_list_kernel(cls, pa, pb) -> None:
+    """Constructors, Booleans, complement, inclusion and masses, bit for bit the list kernel's."""
+    a, b = cls(tuple(pa)), cls(tuple(pb))
+    la, lb = (list_canon(piece_columns(_live(cls, p), cls.family)) for p in (pa, pb))
+    pairs = [(a, la), (b, lb)]
+    for op, keep in _LIST_KEEPS:
+        pairs += [(op(a, b), list_combine(la, lb, keep)), (op(b, a), list_combine(lb, la, keep))]
+    full = piece_columns(_pieces(full_plane(cls.family)), cls.family)
+    pairs += [(region_complement(a), list_combine(full, la, lambda s: s == 1))]
+    for region, columns in pairs:
+        _assert_float64(region)
+        assert _hex_columns(region._ends) == _hex_columns(columns)
+        mass, want = region_measure(region), list_measure(columns)
+        assert type(mass) is type(want) and repr(mass) == repr(want)
+    assert region_contains(a, b) == list_contains(la, lb)
+    assert region_contains(b, a) == list_contains(lb, la)
+    union = region_union(a, b)
+    assert region_contains(union, a) and region_contains(union, b)
+
+
+_STRIPS = st.builds(
+    lambda x, y, vertical: (x, Interval(-INF, INF)) if vertical else (Interval(-INF, INF), y),
+    _side(_ARRAY_END),
+    _side(_ARRAY_END),
+    st.booleans(),
+)
+_LIST_GRIDS = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(_side(_ARRAY_END), _side(_ARRAY_END)), min_size=1, max_size=1),
+    st.lists(_STRIPS, min_size=1, max_size=3),
+    st.lists(st.tuples(_side(_ARRAY_END), _side(_ARRAY_END)), min_size=2, max_size=5),
+    _ARRAY_RECTS,
+)
+_LIST_RINGS = st.one_of(
+    st.just([]),
+    st.lists(_side(_ARRAY_RADIUS), min_size=1, max_size=1),
+    st.lists(_side(_ARRAY_RADIUS), min_size=2, max_size=5),
+    _ARRAY_RINGS,
+)
+_LIST_CASES = st.one_of(
+    st.tuples(st.just(GridRegion), _LIST_GRIDS, _LIST_GRIDS),
+    st.tuples(st.just(RadialRegion), _LIST_RINGS, _LIST_RINGS),
+)
+
+
+@given(_LIST_CASES)
+@settings(max_examples=150, deadline=None)
+def test_array_regions_match_the_list_kernel(case):
+    _assert_matches_list_kernel(*case)
+
+
+def _grid_pieces(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    sides = np.sort(rng.uniform(-2, 2, (n, 2, 2)), axis=2).tolist()
+    return [(Interval(*x), Interval(*y)) for x, y in sides]
+
+
+_LIST_KERNEL_CASES = [
+    (GridRegion, [], _grid_pieces(3, 0)),
+    (GridRegion, _grid_pieces(1, 1), _grid_pieces(2, 2)),
+    (GridRegion, _grid_pieces(24, 3), _grid_pieces(24, 4)),
+    (GridRegion, _grid_pieces(24, 5) + [(Interval(-INF, 0.5), Interval(-INF, INF))], []),
+    (
+        GridRegion,
+        [(Interval(-INF, INF), Interval(0.0, 1.0))],
+        [(Interval(0.5, INF), Interval(-INF, INF))],
+    ),
+    (RadialRegion, [Interval(0.0, INF)], [Interval(0.5, 1.0)]),
+    (RadialRegion, [Interval(k / 16, k / 16 + 0.05) for k in range(40)], [Interval(1.0, INF)]),
+]
+
+
+def test_array_regions_match_the_list_kernel_on_fixed_cases():
+    with kernel_paths() as seen:
+        for case in _LIST_KERNEL_CASES:
+            _assert_matches_list_kernel(*case)
+    # the cases reach both sides of _ARRAY_CELLS
+    assert {on_arrays for _, on_arrays in seen["merged"]} == {False, True}
+
+
+def _region_paths() -> list:
+    """The same two sets, each built by every path that makes a region."""
+    xs = [np.sort(np.random.default_rng(k).uniform(-2, 2, 2)).tolist() for k in range(40)]
+    rects = [rect(*x, 0.0, 1.0) for x in xs]
+    big = functools.reduce(region_union, rects)
+    f = SimpleFunction("grid", [(1.0, big)])
+    square = rect(0.0, 1.0, 0.0, 1.0)
+    same_square = [
+        square,
+        GridRegion(((Interval(0.0, 1.0), Interval(0.0, 1.0)),)),
+        region_union(square, rect(0.25, 0.75, 0.25, 0.75)),
+        region_intersect(square, full_plane("grid")),
+        region_complement(region_complement(square)),
+        region_from_json(region_to_json(square)),
+        indicator(square).atoms[0][1],
+        SimpleFunction("grid", [(2.0, square)]).terms[0][1],
+        linear_combine([3.0], [indicator(square)]).atoms[0][1],
+    ]
+    same_big = [
+        big,
+        GridRegion(tuple(cell for r in rects for cell in r.cells)),
+        region_from_json(region_to_json(big)),
+        f.terms[0][1],
+        functools.reduce(region_union, [r for _, r in f.atoms]),
+    ]
+    return [same_square, same_big]
+
+
+def test_every_region_holds_float64_arrays():
+    made = [
+        rect(0.0, 1.0, -INF, 0.5),
+        rect(1.0, 1.0, 0.0, 1.0),
+        vertical_strip(-1.0, 1.0),
+        horizontal_strip(0.0, INF),
+        left_half_plane(0.3),
+        lower_left_quadrant(0.3, 0.7),
+        annulus(0.5, 1.0),
+        annulus(0.5, 0.5),
+        disk(2.0),
+        GridRegion(),
+        RadialRegion((Interval(0.0, 1.0), Interval(0.5, 2.0), Interval(3.0, 3.0))),
+        support_bound_of((0.25, 1 + 0.5j, -0.0), "grid").region,
+        support_bound_of((-1.0, 1.0), "grid").region,
+        support_bound_of((0.5, 1j), "radial").region,
+        *(fn("grid") for fn in (full_plane, empty_region)),
+        *(fn("radial") for fn in (full_plane, empty_region)),
+        *(r for _, r in QUADRANT_CURVE(0.3 + 0.7j).atoms),
+        *(r for _, r in ANNULUS_CURVE(0.5j).terms),
+    ]
+    a, b = annulus(0.5, 1.5), RadialRegion((Interval(0.0, 0.7), Interval(1.2, 2.0)))
+    made += [op(a, b) for op, _ in _BOOLEANS] + [region_complement(b)]
+    for same in _region_paths():
+        made += same
+    for region in made:
+        _assert_float64(region)
+        for again in (
+            copy.copy(region),
+            copy.deepcopy(region),
+            pickle.loads(pickle.dumps(region)),
+            region_from_json(json.loads(json.dumps(region_to_json(region)))),
+        ):
+            _assert_float64(again)
+            assert again == region and hash(again) == hash(region)
+            assert repr(again) == repr(region)
+
+
+def test_every_path_to_one_set_gives_one_region():
+    square, big = _region_paths()
+    for same in (square, big):
+        assert all(r == same[0] and hash(r) == hash(same[0]) for r in same)
+        assert len(set(same)) == 1
+    assert square[0] != big[0] and big[0] != square[0]
+    assert square[0] != annulus(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

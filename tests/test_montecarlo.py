@@ -240,7 +240,8 @@ def _fan(t: float, seed: int) -> list[tuple[float, float]]:
 def _cases(draw):
     """Regions, and points at their ring radii, on their edges and off them."""
     regions = draw(_REGIONS)
-    radii = sorted({t for r in regions if not isinstance(r, GridRegion) for t in r._ends[0]})
+    rings = [r for r in regions if not isinstance(r, GridRegion)]
+    radii = sorted({t for r in rings for t in r._ends[0].tolist()})
     points = draw(st.lists(_points(radii or RADII), min_size=1, max_size=40))
     seed = draw(st.integers(0, 2**32 - 1))
     return regions, points + [p for t in radii for p in _fan(t, seed)]
@@ -296,7 +297,7 @@ def test_hypot_sees_only_band_samples(monkeypatch):
     monkeypatch.setattr(np, "hypot", recording)
     x, y = _samples()
     mc_measures(GRID_REGIONS + RADIAL_REGIONS + GRID_REGIONS, x, y)
-    radii = {t for region in RADIAL_REGIONS for t in region._ends[0]}
+    radii = {t for region in RADIAL_REGIONS for t in region._ends[0].tolist()}
     sx = np.concatenate([a for a, _ in seen])
     sy = np.concatenate([b for _, b in seen])
     s = sx * sx + sy * sy

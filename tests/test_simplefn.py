@@ -830,7 +830,7 @@ def test_indicator_takes_its_regions_pieces_as_atoms(region):
     with kernel_paths() as seen, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplefn, "_overlay", None)  # an overlay would raise TypeError
         f = indicator(region)
-    assert seen == {"grids": [], "merges": 0, "counts": 0}
+    assert seen == {"grids": [], "merges": 0, "counts": 0, "merged": []}
     g = SimpleFunction(region.family, [(1, region)])  # runs the overlay kernel
     assert f == g and hash(f) == hash(g)
     assert repr(f) == repr(g) and repr(f.terms) == repr(g.terms)
@@ -951,7 +951,7 @@ _SINGLE_COEFFS = [1.0 + 0j, complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0
 @pytest.mark.parametrize("region", _SINGLE_PIECES, ids=repr)
 def test_single_piece_function_matches_the_kernel(region):
     # one piece skips numpy: its own atom, valued 0j + c, kept iff abs > tol
-    ends = region._ends
+    ends = tuple(e.tolist() for e in region._ends)
     reference = reference_grid_atoms if region.family == "grid" else reference_radial_atoms
     assert repr(indicator(region).atoms) == repr(reference(((1.0 + 0j, region),), 1e-9))
     for coeff in _SINGLE_COEFFS:
