@@ -30,10 +30,11 @@ per sub-tuple would build; they are also the result's terms.
 schedule) together: each tuple keeps its own grid, and each triangle level
 is one pass of float64 array operations over every tuple and row;
 `divided_diff` is its one-tuple call.  The arrays compute Python's complex
-arithmetic bit for bit.  A product w*x is formed from the parts as
-wr*xr - wi*xi and wr*xi + wi*xr, which is what CPython's complex multiply
-computes, with no fused multiply-add (a test pins this), whereas numpy's
-complex multiply may fuse them.  A modulus is `np.hypot`, the libm
+arithmetic bit for bit.  A level runs on the real and imaginary planes of
+the cells, and a product w*x is formed on whole planes as wr*xr - wi*xi
+and wr*xi + wi*xr, which is what CPython's complex multiply computes, with
+no fused multiply-add (a test pins this), whereas numpy's complex multiply
+may fuse them.  A modulus is `np.hypot`, the libm
 `hypot` that Python's complex `abs` calls.  w itself is a Python complex
 division, because numpy's rounds differently.  A cell is
 (0.0 + w*x) + (-w)*y with no branch on absent terms: for finite w this is
@@ -323,13 +324,14 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
     )
     bad_w = ~(np.isfinite(ws) & (ws != 0))
     any_bad_w = bad_w.any()
-    parts = cells.view(float).reshape(steps, n, size, 2)  # (re, im) of every cell
+    re, im = cells.real, cells.imag  # the two planes of the cells, as views
     failed: dict[int, str] = {}  # tuple -> the message of its first failing row
     at = 0
     with np.errstate(all="ignore"):
         for m in range(n - 1, 0, -1):
             level = slice(at, at + m)
-            cmax, mod = _next_level(parts[:, :m], parts[:, m : m + 1], ws[:, level], zero_tol)
+            x, y = slice(m), slice(m, m + 1)
+            cmax, mod = _next_level(re[:, x], im[:, x], re[:, y], im[:, y], ws[:, level], zero_tol)
             if any_bad_w or not cmax.max() <= _SAFE_PRODUCT:
                 faults = ~np.isfinite(cmax) | ~np.isfinite(mod).all(axis=2) | bad_w[:, level]
                 for s, a in zip(*np.nonzero(faults)):
@@ -354,35 +356,39 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
 
 
 def _next_level(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, zero_tol: float
+    xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray, w: np.ndarray, zero_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overwrite rows x of a level with the rows of the next, as they pivot on row y.
 
-    x holds the (re, im) parts of rows 0..m-1 of each tuple, shape
-    (tuples, m, cells, 2), y those of row m, shape (tuples, 1, cells, 2),
-    and w, shape (tuples, m), the complex 1/(z_a - z_m) of each row a.  A
-    cell becomes (0.0 + w*x) + (-w)*y, or 0 where its modulus is at most
-    zero_tol * cmax.  Returns cmax, shape (tuples, m), and the cell
-    moduli, shape (tuples, m, cells).  A product w*x is computed as the
-    parts wr*(xr, xi) + (-wi, wi)*(xi, xr), the same float operations as
-    Python's wr*xr - wi*xi and wr*xi + wi*xr (see the module docstring).
+    xr and xi hold the real and imaginary planes of rows 0..m-1 of each
+    tuple, shape (tuples, m, cells), yr and yi those of row m, shape
+    (tuples, 1, cells), and w, shape (tuples, m), the complex
+    1/(z_a - z_m) of each row a.  A cell becomes (0.0 + w*x) + (-w)*y, or
+    0 where its modulus is at most zero_tol * cmax.  Returns cmax, shape
+    (tuples, m), and the cell moduli, shape (tuples, m, cells).  A product
+    w*x is wr*xr - wi*xi and wr*xi + wi*xr on whole planes, the float
+    operations of Python's complex multiply (see the module docstring).
     """
-    p, q, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    wr, wi = w.real[..., None, None], w.imag[..., None, None]
-    np.multiply(wr, x, out=p)
-    np.add(p, np.multiply(wi * _CROSS, x[..., ::-1], out=t), out=p)
-    np.multiply(-wr, y, out=q)
-    np.add(q, np.multiply(wi * -_CROSS, y[..., ::-1], out=t), out=q)
-    mod = t[..., 0]
-    cmax = np.hypot(p[..., 0], p[..., 1], out=mod).max(axis=2, initial=0.0)
-    np.maximum(cmax, np.hypot(q[..., 0], q[..., 1], out=mod).max(axis=2, initial=0.0), out=cmax)
-    np.add(np.add(p, 0.0, out=p), q, out=x)
-    np.hypot(x[..., 0], x[..., 1], out=mod)
-    x[mod <= zero_tol * cmax[..., None]] = 0.0
+    wr, wi = w.real[..., None], w.imag[..., None]
+    pr, t = np.multiply(wr, xr), np.multiply(wi, xi)
+    np.subtract(pr, t, out=pr)
+    pi = np.multiply(wr, xi)
+    np.add(pi, np.multiply(wi, xr, out=t), out=pi)
+    wr, wi = -wr, -wi  # the parts of -w, for (-w)*y
+    qr = np.multiply(wr, yr)
+    np.subtract(qr, np.multiply(wi, yi, out=t), out=qr)
+    qi = np.multiply(wr, yi)
+    np.add(qi, np.multiply(wi, yr, out=t), out=qi)
+    mod = t
+    cmax = np.hypot(pr, pi, out=mod).max(axis=2, initial=0.0)
+    np.maximum(cmax, np.hypot(qr, qi, out=mod).max(axis=2, initial=0.0), out=cmax)
+    np.add(np.add(pr, 0.0, out=pr), qr, out=xr)
+    np.add(np.add(pi, 0.0, out=pi), qi, out=xi)
+    np.hypot(xr, xi, out=mod)
+    drop = mod <= zero_tol * cmax[..., None]
+    xr[drop] = 0.0
+    xi[drop] = 0.0
     return cmax, mod
-
-
-_CROSS = np.array([-1.0, 1.0])  # wi * _CROSS = (-wi, wi), exactly
 
 
 class _CellGrid:

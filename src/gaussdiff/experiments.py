@@ -39,6 +39,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,10 +124,17 @@ _TAYLOR_RADII = tuple(10.0**-e for e in range(1, 9))
 _MAX_DERIVATIVE_ORDER = 4
 
 # Regions with Gaussian mass >= 0.3, where a 10**6-sample Monte-Carlo
-# estimate resolves three significant digits with wide margin.
+# estimate resolves about three significant digits.
 _MC_RADIAL_CHECKS = ((0.0, 1.0), (0.3, 0.7), (0.0, 0.7), (0.5, 2.0), (0.2, 1.5))
 _MC_STRIP_CHECKS = ((-1.0, 1.0), (0.0, 1.0), (-0.5, 0.5), (-2.0, 0.0), (0.2, 1.3))
-_MC_REL_TOL = 5e-3  # agreement to three significant digits
+# The chance that a run of a correct engine FAILs the Monte-Carlo
+# cross-check.  An estimate of mass m from N samples is a binomial hit
+# fraction with standard deviation sqrt(m (1 - m) / N); a check passes
+# within _MC_Z of those, two-sided, which by the union bound over the ten
+# checks and the normal approximation of the hit count gives that chance.
+_MC_FALSE_FAIL = 1e-6
+_MC_CHECKS = len(_MC_RADIAL_CHECKS) + len(_MC_STRIP_CHECKS)
+_MC_Z = NormalDist().inv_cdf(1.0 - _MC_FALSE_FAIL / (2 * _MC_CHECKS))
 
 
 @dataclass(frozen=True)
@@ -689,8 +697,9 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
     mu = exp(-r*r) - exp(-R*R) with its cap R - r, and the strip identity
     mu(S(a, b)) = nu(]a, b]) with its cap b - a; checks the density bound
     2 t exp(-t*t) <= sqrt(2/e) on a dense grid; and cross-checks ten
-    fixed regions against the Monte-Carlo oracle to three significant
-    digits.
+    fixed regions against the Monte-Carlo oracle, each within `_MC_Z`
+    binomial standard deviations of its exact mass (a chance of
+    `_MC_FALSE_FAIL` per run that a correct engine FAILs).
 
     A sweep pair's mass is the one-piece closed form that `mu_radial` and
     `mu_grid` evaluate (`_ring(r, R)`; `_nu(a, b)` times the full line's
@@ -750,7 +759,8 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[dict] = []
     for n, ((label, region), est) in enumerate(zip(checks, estimates), start=1):
         exact = region_measure(region)
-        rows.append(_row(n, [], est, exact, abs(est - exact) <= _MC_REL_TOL * exact, label=label))
+        ok = abs(est - exact) <= _MC_Z * math.sqrt(exact * (1.0 - exact) / cfg.mc_samples)
+        rows.append(_row(n, [], est, exact, ok, label=label))
     mc_ok = _held(rows)
 
     identities_ok = (

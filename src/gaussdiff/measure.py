@@ -21,7 +21,8 @@ their terms and atoms the same way, but in one list of floats per axis.
 The two meet at the readers that need Python floats, each of which calls
 `.tolist()` once: `indicator(r)` and
 `SimpleFunction(...)` (which take a region's pieces into a function),
-`supported_in` (a function's atoms against a bound's region), the masses
+the inclusion walk (`supported_in`: a function's atoms against a bound's
+region; `region_contains` on small regions), the masses
 (`_piece_masses`), `contains_point`, json, the `cells`/`rings` views, the
 Monte-Carlo counts, and the kernel's small grids below.  The constructors
 check their sides with `_piece_ends` and build the arrays directly; a
@@ -40,8 +41,8 @@ the canonical cell list, as values and endpoint columns.
 The kernel has two forms, chosen by grid size alone.  A grid of fewer
 than `_ARRAY_CELLS` elementary cells is merged in Python, whose fixed cost
 is lower.  A larger grid is merged on numpy arrays.  Integer weights
-(every region operation and support check) are summed on a region's
-arrays from start to end (`_parts_sums`): `_axis` gives each sorted axis
+(every region operation) are summed on a region's arrays from start to
+end (`_parts_sums`): `_axis` gives each sorted axis
 and every endpoint's index on it, and a summed-area table (Crow 1984)
 gives every cell's cover count, exactly: each piece adds its weight at
 the corners of its block in a difference grid, `np.bincount` adds the
@@ -62,7 +63,8 @@ arrays it read the pieces off: moduli by `np.hypot` of the kept values
 exp) per axis endpoint and each piece's sides as index arrays into the
 sorted axes (`_indexed_masses`, bitwise `_piece_masses`).  Simple
 functions ask for them, for their gauges; regions, which are never
-gauged, do not.  The kernel is used four ways:
+gauged, do not.  The kernel is used in three ways, and inclusion in
+one more:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -76,9 +78,12 @@ gauged, do not.  The kernel is used four ways:
   complex coefficient and keep the cells whose modulus clears a
   threshold; the merged runs are their atoms;
 * inclusion (`region_contains`, and `supported_in` with a function's
-  disjoint atoms as the inner region) weights the inner pieces 1 and the
-  outer 2, and merges nothing: inner lies inside outer iff no cell sums
-  to 1 (`_inside`).
+  disjoint atoms as the inner pieces, `_inside`) mostly needs no grid: it
+  walks the outer region's canonical x-columns and their y-runs, finding
+  each inner piece's first column by bisection (`_walk_inside`).  Only
+  regions of enough pieces for a grid of `_ARRAY_CELLS` cells are summed,
+  the inner pieces weighing 1 and the outer 2, with nothing merged: inner
+  lies inside outer iff no cell sums to 1.
 
 Measures: on the line, nu has density exp(-x*x)/sqrt(pi), hence
 nu(]a, b]) = (erf(b) - erf(a)) / 2 with erf(+-inf) = +-1.  On the plane,
@@ -96,6 +101,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
@@ -499,26 +505,28 @@ def _interleaved(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return at
 
 
-def _parts_sums(parts: Sequence[Sequence[Sequence[float]]]) -> tuple[list, np.ndarray]:
+def _array_grid(parts: Sequence[_Ends]) -> bool:
+    """Whether `parts` have pieces enough for `_ARRAY_CELLS` cells: n make (2n - 1)**d at most."""
+    n = sum(part.shape[1] for part in parts) // 2
+    return (2 * n - 1) ** len(parts[0]) >= _ARRAY_CELLS
+
+
+def _parts_sums(parts: Sequence[_Ends]) -> tuple[list, np.ndarray]:
     """Sorted distinct endpoints per axis, and every elementary cell's integer sum.
 
-    The pieces of part k (endpoint columns, all parts in one form) weigh
-    k + 1.  n pieces make a grid of at most (2n - 1)**d cells.  Float64
-    arrays (regions) of enough pieces for `_ARRAY_CELLS` cells are summed
-    by `_cover_counts`, and the axes are arrays.  Fewer pieces, and lists
-    of floats (a function's atoms), are summed by `_cell_sums` on lists,
-    which also decides by the grid's true size, and the axes are lists.
+    The pieces of part k (float64 endpoint columns) weigh k + 1.  Enough
+    pieces for `_ARRAY_CELLS` cells (`_array_grid`) are summed by
+    `_cover_counts`, and the axes are arrays.  Fewer pieces are summed by
+    `_cell_sums` on `.tolist()`, and the axes are lists.
     """
-    if isinstance(parts[0], np.ndarray):
-        sizes = [part.shape[1] // 2 for part in parts]
-        if (2 * sum(sizes) - 1) ** len(parts[0]) >= _ARRAY_CELLS:
-            weights = np.repeat(np.arange(1, len(parts) + 1), sizes)
-            return _cover_counts(weights, np.concatenate(parts, axis=1))
-        parts = [part.tolist() for part in parts]
+    sizes = [part.shape[1] // 2 for part in parts]
+    if _array_grid(parts):
+        weights = np.repeat(np.arange(1, len(parts) + 1), sizes)
+        return _cover_counts(weights, np.concatenate(parts, axis=1))
     weights = []
-    for k, part in enumerate(parts, 1):
-        weights += [k] * (len(part[0]) // 2)
-    return _cell_sums(weights, [sum(axis, []) for axis in zip(*parts)])
+    for k, n in enumerate(sizes, 1):
+        weights += [k] * n
+    return _cell_sums(weights, np.concatenate(parts, axis=1).tolist())
 
 
 def _sweep(parts: Sequence[_Ends], keep: Callable[[np.ndarray], np.ndarray]) -> _Ends:
@@ -556,17 +564,73 @@ def _canon(ends: _Ends) -> _Ends:
 
 
 def _inside(inner: Sequence[Sequence[float]], outer: Sequence[Sequence[float]]) -> bool:
-    """Whether the disjoint pieces of `inner` lie inside the union of those of `outer`.
+    """Whether the non-empty pieces of `inner` lie inside the union of those of `outer`.
 
-    One sum of the cells (`_parts_sums`): inner's pieces weigh 1 and
-    outer's 2, so a cell sums to exactly 1 iff inner covers it and outer
-    does not.  No cell sums to 1 iff inner lies inside outer; an empty
-    inner always does.  Both are a region's float64 arrays, or both lists
-    of floats (a function's atoms and its bound's `.tolist()`).
+    Both are a region's float64 arrays, or both lists of floats (a
+    function's atoms and its bound's `.tolist()`); `outer` is canonical.
+    An empty inner always lies inside.  Arrays of enough pieces for
+    `_ARRAY_CELLS` cells (`_array_grid`) are decided by one sum of the
+    cells (`_parts_sums`): inner's pieces weigh 1 and outer's 2, so a cell
+    sums to exactly 1 iff inner covers it and outer does not, and inner
+    lies inside iff no cell does.  Everything else is walked on lists
+    (`_walk_inside`).
     """
     if not len(inner[0]):
         return True
-    return not (_parts_sums((inner, outer))[1] == 1).any()
+    if isinstance(inner, np.ndarray):
+        if _array_grid((inner, outer)):
+            return not (_parts_sums((inner, outer))[1] == 1).any()
+        inner, outer = inner.tolist(), outer.tolist()
+    return _walk_inside(inner, outer)
+
+
+def _walk_inside(inner: _Columns, outer: _Columns) -> bool:
+    """`_inside` on lists of floats, by a walk over the canonical structure of `outer`.
+
+    In 1-D the outer rings are sorted, disjoint and never adjacent, so
+    their endpoints rise strictly, and ]lo, hi] lies inside iff one ring
+    ]a, b] holds it: `bisect_right` of lo is odd (a <= lo < b), and
+    hi <= b.  In 2-D the outer pieces group into x-columns, consecutive
+    pieces with one x-side; the columns are sorted and disjoint (so their
+    high ends tell them apart), and the y-runs of a column are such rings.
+    A rectangle lies inside iff the columns that meet its x-side cover it
+    with no gap and each holds its y-side in one run.  Its first column is
+    found by `bisect_right` on the columns' high ends, so a rectangle
+    costs a bisection plus the columns it spans.
+    """
+    if len(outer) == 1:
+        (runs,), ends = outer, iter(inner[0])
+        for lo, hi in zip(ends, ends):
+            k = bisect_right(runs, lo)
+            if not (k & 1 and hi <= runs[k]):
+                return False
+        return True
+    col_lo: list[float] = []
+    col_hi: list[float] = []
+    col_runs: list[list[float]] = []
+    xs, ys = map(iter, outer)
+    for xlo, xhi, ylo, yhi in zip(xs, xs, ys, ys):
+        if col_hi and xhi == col_hi[-1]:
+            col_runs[-1] += (ylo, yhi)
+        else:
+            col_lo.append(xlo)
+            col_hi.append(xhi)
+            col_runs.append([ylo, yhi])
+    columns = len(col_hi)
+    xs, ys = map(iter, inner)
+    for xlo, xhi, ylo, yhi in zip(xs, xs, ys, ys):
+        i = bisect_right(col_hi, xlo)  # the first column reaching past xlo
+        at = xlo  # ]xlo, at] is covered so far
+        while at < xhi:
+            if i == columns or col_lo[i] > at:
+                return False
+            runs = col_runs[i]
+            k = bisect_right(runs, ylo)
+            if not (k & 1 and yhi <= runs[k]):
+                return False
+            at = col_hi[i]
+            i += 1
+    return True
 
 
 def _empty(axes: int) -> _Ends:
@@ -893,8 +957,10 @@ def _ends_measure(ends: _Ends) -> float:
     """Gaussian mass of disjoint pieces held in float64 endpoint columns, summed in piece order.
 
     This is the mass of a region: `region_measure(r)` is `_ends_measure(r._ends)`.
+    The sum starts from 0.0, so an empty region's mass is the float 0.0;
+    every other mass has the bits a sum from 0 gives it.
     """
-    return sum(_piece_masses(ends.tolist()))
+    return sum(_piece_masses(ends.tolist()), 0.0)
 
 
 def mu_grid(r: GridRegion) -> float:

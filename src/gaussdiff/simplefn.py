@@ -29,8 +29,9 @@ rectangle or ring, checked as the region constructors check them;
 terms; and a divided difference's terms are its own atoms.  None of them
 builds an Interval, and the regions of the views are slices of the
 columns, made float64 arrays once per view.  A support bound holds its
-region; `supported_in` tests the atom columns against the region's
-`.tolist()` with the inclusion test of `region_contains`.
+region; `supported_in` walks the atom columns against the region's
+`.tolist()` with the inclusion test of `region_contains`, and sums no
+cell grid.
 
 Atoms are the merged cells of the overlay kernel, with each term's
 coefficient as the weight of its pieces.  A cell is dropped when Python's
@@ -338,12 +339,19 @@ def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> Sim
     The function `SimpleFunction(family, ((c, <region of the piece>),))`
     would be, built without a region: the sides are checked as Interval
     and RadialRegion check them, and a piece with an empty side is the
-    empty term.
+    empty term.  As in `indicator`, the one piece is its own atom, valued
+    0j + c as the kernel values a single piece, and dropped as the kernel
+    drops it, when its modulus is at most ZERO_TOL * abs(c): so c = 0 and
+    an infinite c give the zero function, and a NaN c is kept.  The term
+    and the atom share the columns.
     """
     ends = _piece_ends(family, sides)
     if ends is None:
         return _from_columns(family, [c], [0], tuple([] for _ in sides))
-    return _from_columns(family, [c], [1], ends, ZERO_TOL, _overlay([c], ends, ZERO_TOL * abs(c)))
+    value = 0j + c
+    if abs(value) <= ZERO_TOL * abs(c):
+        return _from_columns(family, [c], [1], ends, ZERO_TOL, ([], tuple([] for _ in sides)))
+    return _from_columns(family, [c], [1], ends, ZERO_TOL, ([value], ends))
 
 
 def indicator(r: Region) -> SimpleFunction:
@@ -523,10 +531,12 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
     """True iff every atom lies inside the bound region (exact inclusion).
 
     The inclusion test of `region_contains` (`measure._inside`), with the
-    atoms (disjoint) as the inner pieces: no cell sums to 1.  Atoms below
-    the zero tolerance were already dropped at construction, so this is
-    the thresholded support of the function.  The zero function has empty
-    support and is contained in every bound.  No region is built.
+    atoms as the inner pieces, on lists: each atom is walked against the
+    canonical columns and runs of the bound's region (`_walk_inside`),
+    with no cell grid.  Atoms below the zero tolerance were already
+    dropped at construction, so this is the thresholded support of the
+    function.  The zero function has empty support and is contained in
+    every bound.  No region is built.
     """
     if f.family != bound.family:
         raise FamilyMismatchError(

@@ -323,8 +323,8 @@ def list_contains(outer: Sequence[list[float]], inner: Sequence[list[float]]) ->
 
 
 def list_measure(ends: Sequence[list[float]]) -> float:
-    """The Gaussian mass of list columns, summed in piece order."""
-    return sum(measure._piece_masses(ends))
+    """The Gaussian mass of list columns, summed in piece order from 0.0."""
+    return sum(measure._piece_masses(ends), 0.0)
 
 
 def reference_canon_1d(intervals: Iterable[Interval]) -> tuple[Interval, ...]:

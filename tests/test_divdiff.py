@@ -298,9 +298,12 @@ def test_level_arithmetic_is_pythons(w, x, y, zero_tol):
     # pins the platform assumption of the array triangle: CPython's complex
     # multiply is wr*xr - wi*xi, wr*xi + wi*xr with no fused multiply-add,
     # and its abs is the hypot that np.hypot calls
-    parts = np.array([[[x], [y]]]).view(float).reshape(1, 2, 1, 2)
+    cells = np.array([[[x], [y]]])
+    re, im = cells.real, cells.imag
     with np.errstate(all="ignore"):
-        cmax, mod = _next_level(parts[:, :1], parts[:, 1:], np.array([[w]]), zero_tol)
+        rows, pivot = slice(1), slice(1, 2)
+        args = re[:, rows], im[:, rows], re[:, pivot], im[:, pivot], np.array([[w]])
+        cmax, mod = _next_level(*args, zero_tol)
     products = [_modulus(w * x), _modulus(-w * y)]
     v = 0j + w * x + (-w) * y
     if not all(map(math.isfinite, [*products, _modulus(v)])):
@@ -310,7 +313,7 @@ def test_level_arithmetic_is_pythons(w, x, y, zero_tol):
     assert cmax[0, 0].hex() == max(products).hex()
     assert mod[0, 0, 0].hex() == abs(v).hex()
     kept = 0j if abs(v) <= zero_tol * max(products) else v
-    assert _bits(complex(*parts[0, 0, 0])) == _bits(kept)
+    assert _bits(cells[0, 0, 0].item()) == _bits(kept)
 
 
 _CENTERS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -458,14 +461,16 @@ def test_traces_and_differences_gauge_atom_by_atom(monkeypatch):
 
 def test_small_overlays_stay_off_the_array_path():
     # divided differences and smoothness traces overlay a few pieces at a
-    # time, below _ARRAY_CELLS cells; a union of many rectangles does not
+    # time, below _ARRAY_CELLS cells, and their support checks sum no grid
+    # at all; a union of many rectangles does
     nodes = ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5)
     experiment, example, extra = VERIFY_ALL_SUITE[1]
     assert (experiment, example) == ("smoothness", "example1")
     with kernel_paths() as seen:
         divided_diff(QUADRANT_CURVE, nodes)
         run_experiment(ExperimentConfig(experiment=experiment, example=example, seed=42, **extra))
-    assert seen["merges"] == 0 and max(seen["grids"]) < measure._ARRAY_CELLS
+    assert seen["merges"] == 0
+    assert max(seen["grids"], default=0) < measure._ARRAY_CELLS
     rng = np.random.default_rng(12)
     rects = [rect(*np.sort(rng.uniform(-2, 2, 2)), *np.sort(rng.uniform(-2, 2, 2))) for _ in range(128)]
     with kernel_paths() as seen:

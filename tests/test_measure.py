@@ -237,6 +237,17 @@ def test_region_contains():
     assert region_contains(empty_region("grid"), GridRegion())
 
 
+@pytest.mark.parametrize("family", ["grid", "radial"])
+def test_empty_region_mass_is_the_float_zero(family):
+    # a sum from 0.0: an empty region's mass is 0.0, not the int 0
+    piece = rect(0, 1, 0, 1) if family == "grid" else annulus(0.0, 1.0)
+    mu = mu_grid if family == "grid" else mu_radial
+    for empty in (empty_region(family), region_difference(piece, piece)):
+        masses = [region_measure(empty), mu(empty), SupportBound(empty).mass]
+        assert [m.hex() for m in masses] == [(0.0).hex()] * 3
+    assert region_measure(piece).hex() == mu(piece).hex() == SupportBound(piece).mass.hex()
+
+
 def test_equal_sets_have_equal_canonical_forms():
     # x-adjacent split
     assert region_union(rect(0, 1, 0, 1), rect(1, 2, 0, 1)) == rect(0, 2, 0, 1)

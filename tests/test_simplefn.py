@@ -22,6 +22,7 @@ from gaussdiff import (
     SupportBound,
     annulus,
     coefficient_distance,
+    disk,
     empty_region,
     full_plane,
     gauge_in_measure,
@@ -35,6 +36,7 @@ from gaussdiff import (
     quadrant_map,
     rect,
     region_complement,
+    region_contains,
     region_difference,
     region_from_json,
     region_intersect,
@@ -61,6 +63,7 @@ from oracles import (
     mc_oracle,
     nu_quad,
     reference_grid_atoms,
+    reference_combine,
     reference_radial_atoms,
     reference_supported_in,
 )
@@ -439,6 +442,86 @@ def test_supported_in_matches_per_atom_reference(case, widen):
         region = functools.reduce(region_union, [reg for _, reg in terms], region)
     bound = SupportBound(region)
     assert supported_in(f, bound) == reference_supported_in(f, bound)
+
+
+# Endpoints on a small lattice, so that unions share endpoints and their
+# columns and y-runs touch: the walk's gap and run checks meet every case.
+_LATTICE = {
+    "grid": [-INF, -1.0, -0.5, 0.0, 0.5, 1.0, INF],
+    "radial": [0.0, 0.25, 0.5, 1.0, 2.0, INF],
+}
+
+
+def _lattice_side(family):
+    ends = st.sampled_from(_LATTICE[family])
+    return st.lists(ends, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def _lattice_piece(family):
+    if family == "grid":
+        sides = st.tuples(_lattice_side("grid"), _lattice_side("grid"))
+        return sides.map(lambda s: rect(*s[0], *s[1]))
+    return _lattice_side("radial").map(lambda s: annulus(*s))
+
+
+def _lattice_region(family):
+    """Unions of lattice pieces, empty included, and differences of two such unions."""
+    union = st.lists(_lattice_piece(family), max_size=6).map(
+        lambda ps: functools.reduce(region_union, ps, empty_region(family))
+    )
+    return st.one_of(union, st.tuples(union, union).map(lambda ab: region_difference(*ab)))
+
+
+def _lattice_function(family):
+    """Functions whose atoms are not region pieces: differences and weighted sums of indicators."""
+    weights = st.lists(st.sampled_from([1.0, -1.0, 0.5j, 2.0 - 1.0j]), min_size=1, max_size=4)
+    return st.builds(
+        lambda cs, regions: linear_combine(cs, [indicator(r) for r in regions[: len(cs)]]),
+        weights,
+        st.lists(_lattice_region(family), min_size=4, max_size=4),
+    )
+
+
+def _inclusion_case(family):
+    return st.tuples(_lattice_region(family), _lattice_region(family), _lattice_function(family))
+
+
+_GAP = region_union(rect(-1, 0, 0, 1), rect(0.5, 1, 0, 1))  # two columns, a gap between
+_TOUCHING = region_union(rect(-1, 0, -1, 1), rect(0, 1, 0, 2))  # two columns, one x-end shared
+
+
+@given(st.sampled_from(["grid", "radial"]).flatmap(_inclusion_case))
+@example((rect(-1, 1, 0, 1), _GAP, indicator(rect(-0.5, 1, 0, 1))))
+@example((rect(-0.5, 0.5, 0, 1), _TOUCHING, indicator(rect(-0.5, 0.5, -0.5, 1))))
+@example((rect(0, 1, 0, 1), _TOUCHING, indicator(rect(-1, 1, 0, 2))))
+@example((annulus(0.25, 2), region_union(annulus(0.25, 0.5), annulus(1, 2)), indicator(disk(2))))
+@settings(max_examples=300, deadline=None)
+def test_inclusion_walk_matches_the_reference(case):
+    inner, outer, f = case
+    contained = reference_combine(inner, outer, lambda ia, ib: ia and not ib).is_empty
+    assert region_contains(outer, inner) == contained
+    assert supported_in(indicator(inner), SupportBound(outer)) == contained
+    for g in (f, linear_combine([1.0, -1.0], [f, indicator(inner)])):
+        for region in (outer, inner, region_union(outer, inner)):
+            bound = SupportBound(region)
+            assert supported_in(g, bound) == reference_supported_in(g, bound)
+
+
+def test_support_checks_sum_no_grid():
+    # the walk reads the bound's columns: no cell grid, however many atoms
+    rng = np.random.default_rng(5)
+    sides = np.sort(rng.normal(size=(128, 2, 2)), axis=2)
+    rects = [rect(*x, *y) for x, y in sides]
+    f = linear_combine(rng.normal(size=128) + 1j * rng.normal(size=128), [*map(indicator, rects)])
+    bounds = [SupportBound(region_union(vertical_strip(-1.0, 1.0), horizontal_strip(-1.0, 1.0)))]
+    bounds.append(SupportBound(functools.reduce(region_union, rects)))
+    rings = [annulus(r, r + 0.5) for r in (0.0, 1.0, 3.0)]
+    rings = indicator(functools.reduce(region_union, rings))
+    with kernel_paths() as seen:
+        assert [supported_in(f, bound) for bound in bounds] == [False, True]
+        assert supported_in(rings, SupportBound(annulus(0.0, 3.5)))
+        assert not supported_in(rings, SupportBound(annulus(0.0, 3.25)))
+    assert seen["grids"] == [] and seen["counts"] == 0
 
 
 def test_threshold_follows_python_abs():
@@ -968,14 +1051,21 @@ def test_single_piece_function_matches_the_kernel(region):
 _ENDPOINTS = st.sampled_from([-INF, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, INF, float("nan")])
 
 
+# zero, signed zero parts, infinite and NaN coefficients: an infinite one is
+# dropped (its modulus is not above ZERO_TOL times itself), a NaN one kept
+_EDGE_COEFFS = [0j, complex(0.0, -0.0), complex(-0.0, 2.5), complex(INF, 0.0), complex(-0.0, -INF)]
+_EDGE_COEFFS += [complex(INF, -INF), complex(math.nan, 0.5), complex(0.0, math.nan)]
+
+
 @given(
     st.sampled_from(["grid", "radial"]),
-    st.sampled_from(_SINGLE_COEFFS),
+    st.sampled_from(_SINGLE_COEFFS + _EDGE_COEFFS),
     st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), min_size=2, max_size=2),
 )
 @settings(max_examples=300)
 def test_piece_function_matches_the_region_constructors(family, coeff, sides):
-    # the checks of Interval and RadialRegion, with the same exception types
+    # the checks of Interval and RadialRegion, with the same exception types;
+    # the one piece is its own atom, kept or dropped as the kernel decides
     def by_region():
         if family == "grid":
             region = rect(*sides[0], *sides[1])
