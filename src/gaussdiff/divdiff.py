@@ -557,15 +557,21 @@ def classify_trace(
     return INCONCLUSIVE
 
 
-def _float_grid_fault(schedule: ShrinkSchedule, tuples: Sequence[NodeTuple]) -> str | None:
-    """The first step whose nodes no longer resolve the offsets, said why, or None.
+class _GridFault(ValueError):
+    """A shrink step puts its nodes onto the float grid of the center (`_schedule_tuples`)."""
 
-    Once ratio**n * offset drops below half an ulp of the center, nodes
-    round onto one float: two nodes coincide, or offsets whose real
-    (imaginary) parts differ give nodes with one real (imaginary) part,
-    and a curve that reads only that part sees a zero difference.  Parts
-    that differ by a few ulps only are rounding residue, not spread: the
-    imaginary parts 0 and sin(pi) = 1.2e-16 of `roots_of_unity(1)`.
+
+def _schedule_tuples(schedule: ShrinkSchedule, center: complex) -> list[NodeTuple]:
+    """Each step's node tuple, built one step at a time and checked as it is built.
+
+    Raises _GridFault at the first step whose nodes no longer resolve the
+    offsets, and builds no later step.  Once ratio**n * offset drops below
+    half an ulp of the center, nodes round onto one float: two nodes
+    coincide, or offsets whose real (imaginary) parts differ give nodes
+    with one real (imaginary) part, and a curve that reads only that part
+    sees a zero difference.  Parts that differ by a few ulps only are
+    rounding residue, not spread: the imaginary parts 0 and
+    sin(pi) = 1.2e-16 of `roots_of_unity(1)`.
     """
     residue = 4 * math.ulp(max(map(abs, schedule.offsets)))
     spread = []
@@ -573,17 +579,19 @@ def _float_grid_fault(schedule: ShrinkSchedule, tuples: Sequence[NodeTuple]) -> 
         values = [getattr(u, part) for u in schedule.offsets]
         if max(values) - min(values) > residue:
             spread.append(part)
-    for n, nt in enumerate(tuples, start=1):
-        if not nt.pairwise_distinct:
-            return f"step {n} of {schedule.steps} puts two nodes on the same float"
+    tuples = []
+    for n in range(1, schedule.steps + 1):
+        nt = schedule.tuple_at(center, n)
+        fault = None if nt.pairwise_distinct else "two nodes"
         for part in spread:
-            if len({getattr(z, part) for z in nt.nodes}) == 1:
-                return f"step {n} of {schedule.steps} puts every node's {part} part on the same float"
-    return None
-
-
-class _GridFault(ValueError):
-    """A shrink step puts its nodes onto the float grid of the center (`_float_grid_fault`)."""
+            if fault is None and len({getattr(z, part) for z in nt.nodes}) == 1:
+                fault = f"every node's {part} part"
+        if fault is not None:
+            raise _GridFault(
+                f"step {n} of {schedule.steps} puts {fault} on the same float at center {center}"
+            )
+        tuples.append(nt)
+    return tuples
 
 
 def _schedule_differences(
@@ -592,14 +600,12 @@ def _schedule_differences(
     """Each step's node tuple and divided difference along a shrink schedule.
 
     Raises _GridFault, before any curve is evaluated, naming the first
-    step whose nodes round onto the float grid of the center, and
-    FloatRangeError prefixed with the step whose difference leaves the
-    float range.  Callers add their own advice to either message.
+    step whose nodes round onto the float grid of the center
+    (`_schedule_tuples`), and FloatRangeError prefixed with the step whose
+    difference leaves the float range.  Callers add their own advice to
+    either message.
     """
-    tuples = [schedule.tuple_at(center, n) for n in range(1, schedule.steps + 1)]
-    fault = _float_grid_fault(schedule, tuples)
-    if fault is not None:
-        raise _GridFault(f"{fault} at center {center}")
+    tuples = _schedule_tuples(schedule, center)
     try:
         yield from zip(tuples, _differences(f, tuples, zero_tol))
     except FloatRangeError as exc:
@@ -621,7 +627,7 @@ def derivative_by_limit(
     each divided difference, and classifies the trace; the k-th
     derivative is k! times the limit, so it vanishes or blows up with it.
     Raises ValueError, before tracing, naming the first step whose nodes
-    round onto the float grid of the center (see `_float_grid_fault`), and
+    round onto the float grid of the center (see `_schedule_tuples`), and
     FloatRangeError naming the step where a difference leaves the float
     range.
     """

@@ -21,8 +21,8 @@ their terms and atoms the same way, but in one list of floats per axis.
 The two meet at the readers that need Python floats, each of which calls
 `.tolist()` once: `indicator(r)` and
 `SimpleFunction(...)` (which take a region's pieces into a function),
-the inclusion walk (`supported_in`: a function's atoms against a bound's
-region; `region_contains` on small regions), the masses
+the inclusion walk (`region_contains`, and `supported_in`: a function's
+atoms against a bound's region), the masses
 (`_piece_masses`), `contains_point`, json, the `cells`/`rings` views, the
 Monte-Carlo counts, and the kernel's small grids below.  The constructors
 check their sides with `_piece_ends` and build the arrays directly; a
@@ -40,31 +40,30 @@ the canonical cell list, as values and endpoint columns.
 
 The kernel has two forms, chosen by grid size alone.  A grid of fewer
 than `_ARRAY_CELLS` elementary cells is merged in Python, whose fixed cost
-is lower.  A larger grid is merged on numpy arrays.  Integer weights
-(every region operation) are summed on a region's arrays from start to
-end (`_parts_sums`): `_axis` gives each sorted axis
-and every endpoint's index on it, and a summed-area table (Crow 1984)
-gives every cell's cover count, exactly: each piece adds its weight at
-the corners of its block in a difference grid, `np.bincount` adds the
-corners up, and two running sums give the counts.  Only pieces too few
-for a grid of `_ARRAY_CELLS` cells go through lists, as a function's
-columns do.  Complex weights (simple functions) are added to each
-piece's block as one slice of a complex grid, on every grid, in piece
-order from 0j: the rounding of a float sum depends on the order of its
-additions, and piece order is the order a per-cell loop adds in.  The
-array merge finds the kept cells (Python's abs decides those within a
-few ulp of the threshold), the ends of the y-runs by comparing each cell
-with its neighbour and the equal columns by comparing whole columns; it
-then reads the output columns off the sorted axes by index.  Both forms
-give the same values and columns.  On request the array form also hands
-back its pieces' moduli and masses as float64 arrays, computed from the
+is lower.  A larger grid is merged on numpy arrays.  A region operation's
+integer weights are summed on its arrays from start to end
+(`_parts_sums`): `_axis` gives each sorted axis and every endpoint's
+index on it, and a summed-area table (Crow 1984) gives every cell's
+cover count, exactly: each piece adds its weight at the corners of its
+block in a difference grid, `np.bincount` adds the corners up, and two
+running sums give the counts.  Only pieces too few for a grid of
+`_ARRAY_CELLS` cells go through lists, as a function's columns do:
+`_cell_sums` adds each piece's weight to its block as one slice of a
+complex grid, in piece order from 0j.  The rounding of a float sum
+depends on the order of its additions, and piece order is the order a
+per-cell loop adds in.  The array merge finds the kept cells (Python's
+abs decides those within a few ulp of the threshold), the ends of the
+y-runs by comparing each cell with its neighbour and the equal columns
+by comparing whole columns; it then reads the output columns off the
+sorted axes by index.  Both forms give the same values and columns.  A
+function's array form (`_array_merged`) also hands back its pieces'
+moduli and masses as float64 arrays, for the gauges, computed from the
 arrays it read the pieces off: moduli by `np.hypot` of the kept values
 (the libm hypot Python's complex abs calls), masses from one erf (or
 exp) per axis endpoint and each piece's sides as index arrays into the
-sorted axes (`_indexed_masses`, bitwise `_piece_masses`).  Simple
-functions ask for them, for their gauges; regions, which are never
-gauged, do not.  The kernel is used in three ways, and inclusion in
-one more:
+sorted axes (`_indexed_masses`, bitwise `_piece_masses`).  Regions,
+which are never gauged, stop at the runs (`_array_runs`).  The kernel is
+used in three ways; inclusion needs no grid:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
   single non-empty rectangle or ring is canonical already and is kept
@@ -78,12 +77,9 @@ one more:
   complex coefficient and keep the cells whose modulus clears a
   threshold; the merged runs are their atoms;
 * inclusion (`region_contains`, and `supported_in` with a function's
-  disjoint atoms as the inner pieces, `_inside`) mostly needs no grid: it
-  walks the outer region's canonical x-columns and their y-runs, finding
-  each inner piece's first column by bisection (`_walk_inside`).  Only
-  regions of enough pieces for a grid of `_ARRAY_CELLS` cells are summed,
-  the inner pieces weighing 1 and the outer 2, with nothing merged: inner
-  lies inside outer iff no cell sums to 1.
+  disjoint atoms as the inner pieces) walks the outer region's canonical
+  x-columns and their y-runs on lists, finding each inner piece's first
+  column by bisection (`_inside`), at every region size.
 
 Measures: on the line, nu has density exp(-x*x)/sqrt(pi), hence
 nu(]a, b]) = (erf(b) - erf(a)) / 2 with erf(+-inf) = +-1.  On the plane,
@@ -248,24 +244,20 @@ def _joined(family: str, columns: Iterable[Sequence[Sequence[float]]]) -> _Colum
 def _cell_sums(
     weights: Sequence[complex], ends: Sequence[Sequence[float]]
 ) -> tuple[list[list[float]], np.ndarray]:
-    """Sorted distinct endpoints per axis, and every elementary cell's sum.
+    """Sorted distinct endpoints per axis, and every elementary cell's complex sum.
 
     `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
     endpoint columns of floats.  A piece covers a contiguous block of
-    elementary cells.  On a grid of at least `_ARRAY_CELLS` cells, Python
-    int weights are summed exactly by `_cover_counts` on the columns as
-    arrays; their callers read the sums only through comparisons with
-    small integers, where an integer sum and its complex twin agree.
-    Otherwise each weight is added to its block as one slice of a complex
-    grid; cells receive their additions in piece order, starting from 0j,
-    exactly as a per-cell loop would.
+    elementary cells, and its weight is added to the block as one slice
+    of a complex grid; cells receive their additions in piece order,
+    starting from 0j, exactly as a per-cell loop would.  Integer weights
+    (a region's pieces too few for `_cover_counts`) are summed the same
+    way; their callers read the sums only through comparisons with small
+    integers, where an integer sum and its complex twin agree.
     """
     axes = [sorted(set(e)) for e in ends]
-    shape = [len(a) - 1 for a in axes]
-    if math.prod(shape) >= _ARRAY_CELLS and set(map(type, weights)) == {int}:
-        return axes, _cover_counts(np.array(weights), _array_columns(ends))[1]
     # `block += c` on a view; `sums[...] += c` would also copy the block back
-    sums = np.zeros(shape, dtype=complex)
+    sums = np.zeros([len(a) - 1 for a in axes], dtype=complex)
     if len(axes) == 1:
         (rs,), (re,) = axes, ends
         ir = dict(zip(rs, range(len(rs))))
@@ -384,34 +376,29 @@ def _merged(axes: list[list[float]], values: list, tol: float) -> tuple[list, _C
 
 
 def _overlay(
-    weights: Sequence[complex],
-    ends: Sequence[Sequence[float]],
-    tol: float,
-    keep: Callable = lambda sums: sums,
-    arrays: list | None = None,
-) -> tuple[list, _Columns]:
-    """`_merged` values and columns of the cells whose value `keep(sum)` has abs > tol.
+    weights: Sequence[complex], ends: Sequence[Sequence[float]], tol: float
+) -> tuple[list, _Columns, tuple | None]:
+    """`_merged` values and columns of the cells whose sum has abs > tol, and their arrays.
 
     With fewer than two pieces numpy is skipped: a single (non-empty)
     piece is its own elementary cell, valued 0j + w as `_cell_sums` would
     value it.  This is the endpoint form of `_canon`'s rule that a single
     piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
-    is merged on arrays by `_array_merged`, a smaller one by `_merged`;
-    both give the same values and columns.  Only the array form extends
-    `arrays`, if given, with the pieces' moduli and masses (see
-    `_array_merged`).
+    is merged on arrays by `_array_merged`, which also hands back the
+    pieces' moduli and masses as arrays; a smaller one by `_merged`, and
+    the arrays are None.  Both give the same values and columns.
     """
     if not weights:
-        return [], tuple([] for _ in ends)
+        return [], tuple([] for _ in ends), None
     if len(weights) == 1:
-        value = keep(0j + weights[0])
+        value = 0j + weights[0]
         if abs(value) <= tol:  # dropped as `_runs` drops a cell
-            return [], tuple([] for _ in ends)
-        return [value], tuple(list(e) for e in ends)
+            return [], tuple([] for _ in ends), None
+        return [value], tuple(list(e) for e in ends), None
     axes, sums = _cell_sums(weights, ends)
     if sums.size < _ARRAY_CELLS:
-        return _merged(axes, keep(sums).tolist(), tol)
-    return _array_merged(axes, keep(sums), tol, arrays)
+        return *_merged(axes, sums.tolist(), tol), None
+    return _array_merged(axes, sums, tol)
 
 
 def _kept(values: np.ndarray, tol: float) -> np.ndarray:
@@ -432,24 +419,22 @@ def _kept(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _array_merged(
-    axes: list[list[float]], values: np.ndarray, tol: float, arrays: list | None = None
-) -> tuple[list, _Columns]:
-    """`_merged(axes, values.tolist(), tol)`, with every cell visited by numpy.
+    axes: list[list[float]], values: np.ndarray, tol: float
+) -> tuple[list, _Columns, tuple[np.ndarray, np.ndarray]]:
+    """`_merged(axes, values.tolist(), tol)` with every cell visited by numpy, and its arrays.
 
     The merged runs are found by `_array_runs`, whose cell grids are freed
     before the output lists are built.  No Python list is built per run:
     the endpoint columns are read off the axes by index (`_column`) and
-    the values are the first cells' `.tolist()` values.  If `arrays` is a
-    list, it is extended with two float64 arrays: the values' moduli
-    (`np.hypot`, bitwise Python's abs) and the pieces' masses
-    (`_indexed_masses`, bitwise `_piece_masses`).  They are computed after
-    the lists, so a build's peak memory does not grow by them.
+    the values are the first cells' `.tolist()` values.  The arrays are
+    two float64 arrays: the values' moduli (`np.hypot`, bitwise Python's
+    abs) and the pieces' masses (`_indexed_masses`, bitwise
+    `_piece_masses`).  They are computed after the lists, so a build's
+    peak memory does not grow by them.
     """
     out, at = _array_runs(axes, values, tol)
     merged = out.tolist(), tuple(_column(axis, *sides) for axis, sides in zip(axes, at))
-    if arrays is not None:
-        arrays += (np.hypot(out.real, out.imag), _indexed_masses(axes, at))
-    return merged
+    return *merged, (np.hypot(out.real, out.imag), _indexed_masses(axes, at))
 
 
 def _array_runs(
@@ -505,22 +490,16 @@ def _interleaved(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return at
 
 
-def _array_grid(parts: Sequence[_Ends]) -> bool:
-    """Whether `parts` have pieces enough for `_ARRAY_CELLS` cells: n make (2n - 1)**d at most."""
-    n = sum(part.shape[1] for part in parts) // 2
-    return (2 * n - 1) ** len(parts[0]) >= _ARRAY_CELLS
-
-
 def _parts_sums(parts: Sequence[_Ends]) -> tuple[list, np.ndarray]:
     """Sorted distinct endpoints per axis, and every elementary cell's integer sum.
 
-    The pieces of part k (float64 endpoint columns) weigh k + 1.  Enough
-    pieces for `_ARRAY_CELLS` cells (`_array_grid`) are summed by
-    `_cover_counts`, and the axes are arrays.  Fewer pieces are summed by
-    `_cell_sums` on `.tolist()`, and the axes are lists.
+    The pieces of part k (float64 endpoint columns) weigh k + 1.  n pieces
+    make (2n - 1)**d cells at most: enough pieces for `_ARRAY_CELLS` cells
+    are summed by `_cover_counts`, and the axes are arrays.  Fewer pieces
+    are summed by `_cell_sums` on `.tolist()`, and the axes are lists.
     """
     sizes = [part.shape[1] // 2 for part in parts]
-    if _array_grid(parts):
+    if (2 * sum(sizes) - 1) ** len(parts[0]) >= _ARRAY_CELLS:
         weights = np.repeat(np.arange(1, len(parts) + 1), sizes)
         return _cover_counts(weights, np.concatenate(parts, axis=1))
     weights = []
@@ -563,29 +542,13 @@ def _canon(ends: _Ends) -> _Ends:
     return _sweep((ends,), _nonzero)
 
 
-def _inside(inner: Sequence[Sequence[float]], outer: Sequence[Sequence[float]]) -> bool:
+def _inside(inner: _Columns, outer: _Columns) -> bool:
     """Whether the non-empty pieces of `inner` lie inside the union of those of `outer`.
 
-    Both are a region's float64 arrays, or both lists of floats (a
-    function's atoms and its bound's `.tolist()`); `outer` is canonical.
-    An empty inner always lies inside.  Arrays of enough pieces for
-    `_ARRAY_CELLS` cells (`_array_grid`) are decided by one sum of the
-    cells (`_parts_sums`): inner's pieces weigh 1 and outer's 2, so a cell
-    sums to exactly 1 iff inner covers it and outer does not, and inner
-    lies inside iff no cell does.  Everything else is walked on lists
-    (`_walk_inside`).
-    """
-    if not len(inner[0]):
-        return True
-    if isinstance(inner, np.ndarray):
-        if _array_grid((inner, outer)):
-            return not (_parts_sums((inner, outer))[1] == 1).any()
-        inner, outer = inner.tolist(), outer.tolist()
-    return _walk_inside(inner, outer)
-
-
-def _walk_inside(inner: _Columns, outer: _Columns) -> bool:
-    """`_inside` on lists of floats, by a walk over the canonical structure of `outer`.
+    Both are endpoint columns as lists of floats: a region's `.tolist()`,
+    or a function's atoms as the inner pieces.  `outer` is canonical, and
+    no cell grid is built: this walks its canonical structure.  An empty
+    inner always lies inside.
 
     In 1-D the outer rings are sorted, disjoint and never adjacent, so
     their endpoints rise strictly, and ]lo, hi] lies inside iff one ring
@@ -598,6 +561,8 @@ def _walk_inside(inner: _Columns, outer: _Columns) -> bool:
     found by `bisect_right` on the columns' high ends, so a rectangle
     costs a bisection plus the columns it spans.
     """
+    if not inner[0]:
+        return True
     if len(outer) == 1:
         (runs,), ends = outer, iter(inner[0])
         for lo, hi in zip(ends, ends):
@@ -836,7 +801,7 @@ def region_complement(a: Region) -> Region:
 def region_contains(outer: Region, inner: Region) -> bool:
     """Set inclusion inner <= outer, decided exactly on endpoints (see `_inside`)."""
     _require_same_family(inner, outer)
-    return _inside(inner._ends, outer._ends)
+    return _inside(inner._ends.tolist(), outer._ends.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -212,13 +212,12 @@ class SimpleFunction:
         few container allocations those collections are rare: tuple columns
         raised the peak RSS of a `verify all` loop by about 2 MB.
         """
-        arrays = None
         if atoms is None:
             weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
-            arrays = []
             tol = zero_tol * max(map(abs, coeffs), default=0.0)
-            atoms = _overlay(weights, ends, tol, arrays=arrays)
-        atom_coeffs, atom_ends = atoms
+            atom_coeffs, atom_ends, arrays = _overlay(weights, ends, tol)
+        else:
+            (atom_coeffs, atom_ends), arrays = atoms, None
         init = object.__setattr__
         init(self, "family", family)
         init(self, "zero_tol", zero_tol)
@@ -230,7 +229,7 @@ class SimpleFunction:
         init(self, "_terms", None)  # the views, built on first access
         init(self, "_atoms", None)
         init(self, "_masses", None)
-        init(self, "_arrays", tuple(arrays) if arrays else None)  # (moduli, masses)
+        init(self, "_arrays", arrays)  # (moduli, masses) or None
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
@@ -532,11 +531,11 @@ def supported_in(f: SimpleFunction, bound: SupportBound) -> bool:
 
     The inclusion test of `region_contains` (`measure._inside`), with the
     atoms as the inner pieces, on lists: each atom is walked against the
-    canonical columns and runs of the bound's region (`_walk_inside`),
-    with no cell grid.  Atoms below the zero tolerance were already
-    dropped at construction, so this is the thresholded support of the
-    function.  The zero function has empty support and is contained in
-    every bound.  No region is built.
+    canonical columns and runs of the bound's region, with no cell grid.
+    Atoms below the zero tolerance were already dropped at construction,
+    so this is the thresholded support of the function.  The zero
+    function has empty support and is contained in every bound.  No
+    region is built.
     """
     if f.family != bound.family:
         raise FamilyMismatchError(

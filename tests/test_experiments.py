@@ -32,7 +32,7 @@ from gaussdiff import (
 )
 from gaussdiff import experiments, measure
 from gaussdiff.cli import main
-from gaussdiff.divdiff import classify_trace, monotone_tail
+from gaussdiff.divdiff import CurveMap, ShrinkSchedule, classify_trace, monotone_tail
 from gaussdiff.measure import NEG_INF, POS_INF, _nu, _ring, annulus, mu_grid, mu_radial, rect
 from oracles import reference_identity_sweeps
 
@@ -678,6 +678,25 @@ def test_cli_smoothness_on_the_float_grid_exits_2(capsys):
         "verify: step 53 of 60 puts every node's real part on the same float at center "
         "(1.5+0j); use fewer steps, a larger rho or a center nearer 0\n"
     )
+
+
+def test_cli_smoothness_stops_building_steps_at_the_float_grid(monkeypatch, capsys):
+    # the check builds one step at a time and stops at the first fault;
+    # no curve is evaluated, however many steps were asked for
+    built = []
+    tuple_at = ShrinkSchedule.tuple_at
+    monkeypatch.setattr(
+        ShrinkSchedule, "tuple_at", lambda self, *args: built.append(args) or tuple_at(self, *args)
+    )
+    evaluated = []
+    curve = experiments.curve_for("example1")
+    watched = CurveMap(curve.family, lambda z: evaluated.append(z) or curve(z))
+    monkeypatch.setattr(experiments, "curve_for", lambda ex: watched)
+    assert main(["smoothness", "--example", "example1", "--steps", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: step 53 of 100000 puts two nodes on the same float ")
+    assert 0 < len(built) <= 53 and evaluated == []
 
 
 def test_cli_center_with_a_negative_real_part(tmp_path, capsys):

@@ -51,7 +51,7 @@ from gaussdiff import (
 )
 
 from gaussdiff import simplefn
-from gaussdiff.measure import _ARRAY_CELLS, _cell_sums, _merged, _overlay
+from gaussdiff.measure import _ARRAY_CELLS, _array_merged, _cell_sums, _merged, _overlay
 from gaussdiff.simplefn import ZERO_TOL, _from_columns, _piece_function
 from oracles import (
     agrees_3sig,
@@ -508,19 +508,26 @@ def test_inclusion_walk_matches_the_reference(case):
 
 
 def test_support_checks_sum_no_grid():
-    # the walk reads the bound's columns: no cell grid, however many atoms
+    # the walk reads the outer columns: no cell grid, however many atoms or pieces
     rng = np.random.default_rng(5)
     sides = np.sort(rng.normal(size=(128, 2, 2)), axis=2)
     rects = [rect(*x, *y) for x, y in sides]
     f = linear_combine(rng.normal(size=128) + 1j * rng.normal(size=128), [*map(indicator, rects)])
+    union = functools.reduce(region_union, rects)
+    half = functools.reduce(region_union, rects[:64])
     bounds = [SupportBound(region_union(vertical_strip(-1.0, 1.0), horizontal_strip(-1.0, 1.0)))]
-    bounds.append(SupportBound(functools.reduce(region_union, rects)))
+    bounds.append(SupportBound(union))
     rings = [annulus(r, r + 0.5) for r in (0.0, 1.0, 3.0)]
     rings = indicator(functools.reduce(region_union, rings))
+    many = functools.reduce(region_union, [annulus(k / 4, k / 4 + 0.125) for k in range(128)])
+    some = functools.reduce(region_union, [annulus(k / 2, k / 2 + 0.125) for k in range(64)])
     with kernel_paths() as seen:
         assert [supported_in(f, bound) for bound in bounds] == [False, True]
         assert supported_in(rings, SupportBound(annulus(0.0, 3.5)))
         assert not supported_in(rings, SupportBound(annulus(0.0, 3.25)))
+        assert region_contains(union, union) and region_contains(union, half)
+        assert not region_contains(half, union)
+        assert region_contains(many, some) and not region_contains(some, many)
     assert seen["grids"] == [] and seen["counts"] == 0
 
 
@@ -610,10 +617,12 @@ def test_array_merge_matches_the_python_merge(overlay, tol, keep):
     weights, ends = overlay
     axes, sums = _cell_sums(weights, ends)
     assume(sums.size >= _ARRAY_CELLS)
-    with kernel_paths() as seen:
-        got = _outcome(lambda: _overlay(weights, ends, tol, keep))
-    assert (seen["merges"], seen["counts"]) == (1, 0)  # complex weights keep the slice adds
+    got = _outcome(lambda: _array_merged(axes, keep(sums), tol)[:2])
     assert got == _outcome(lambda: _merged(axes, keep(sums).tolist(), tol))
+    with kernel_paths() as seen:
+        kernel = _outcome(lambda: _overlay(weights, ends, tol)[:2])
+    assert (seen["merges"], seen["counts"]) == (1, 0)  # complex weights keep the slice adds
+    assert kernel == _outcome(lambda: _merged(axes, sums.tolist(), tol))
 
 
 def test_array_merge_raises_where_python_abs_overflows():
@@ -1041,7 +1050,9 @@ def test_single_piece_function_matches_the_kernel(region):
         for zero_tol in (ZERO_TOL, 0.0, 0.999, 1.0, 2.0):
             tol = zero_tol * abs(coeff)
             axes, sums = _cell_sums([coeff], ends)
-            assert repr(_overlay([coeff], ends, tol)) == repr(_merged(axes, sums.tolist(), tol))
+            values, columns, arrays = _overlay([coeff], ends, tol)
+            assert repr((values, columns)) == repr(_merged(axes, sums.tolist(), tol))
+            assert arrays is None
             f = SimpleFunction(region.family, ((coeff, region),), zero_tol)
             assert repr(f.atoms) == repr(reference(f.terms, tol))
             assert [m.hex() for m in f.masses] == [region_measure(r).hex() for _, r in f.atoms]
