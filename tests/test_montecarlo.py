@@ -247,7 +247,9 @@ def _cases(draw):
     return regions, points + [p for t in radii for p in _fan(t, seed)]
 
 
-_BACKGROUND = plane_samples(_BLOCK + 1_000, seed=11)
+# room past the last insertion point for the most points `_cases` draws: 40,
+# and a fan of 64 at each of at most 16 radii (4 regions of up to 2 rings)
+_BACKGROUND = plane_samples(_BLOCK + 500 + 40 + 64 * 16, seed=11)
 
 
 @given(_cases(), st.sampled_from((0, _BLOCK - 20, _BLOCK + 500)))
