@@ -304,11 +304,9 @@ def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunct
     each level overwrites row a of the level below.  A cell of row a at
     pivot m is (0.0 + w*x) + (-w)*y, w = 1/(z_a - z_m), x and y the cells
     of rows a and m below, and 0j where its modulus is at most zero_tol
-    times the larger of cmax, the largest product modulus |w*x| or
-    |(-w)*y| of the row, and the largest cell modulus of the row (the
-    threshold of `linear_combine`); padded cells stay 0.  A row fails
-    where w is not a finite non-zero float, or cmax or a cell modulus is
-    not finite.  The differences of
+    times cmax, the largest product modulus |w*x| or |(-w)*y| of the row;
+    padded cells stay 0.  A row fails where w is not a finite non-zero
+    float, or cmax or a cell modulus is not finite.  The differences of
     the tuples before the first failing one are yielded, then its error is
     raised.
     """
@@ -366,8 +364,7 @@ def _next_level(
     tuple, shape (tuples, m, cells), yr and yi those of row m, shape
     (tuples, 1, cells), and w, shape (tuples, m), the complex
     1/(z_a - z_m) of each row a.  A cell becomes (0.0 + w*x) + (-w)*y, or
-    0 where its modulus is at most zero_tol times the larger of cmax and
-    the row's largest cell modulus.  Returns cmax, shape
+    0 where its modulus is at most zero_tol * cmax.  Returns cmax, shape
     (tuples, m), and the cell moduli, shape (tuples, m, cells).  A product
     w*x is wr*xr - wi*xi and wr*xi + wi*xr on whole planes, the float
     operations of Python's complex multiply (see the module docstring).
@@ -388,8 +385,7 @@ def _next_level(
     np.add(np.add(pr, 0.0, out=pr), qr, out=xr)
     np.add(np.add(pi, 0.0, out=pi), qi, out=xi)
     np.hypot(xr, xi, out=mod)
-    top = np.maximum(cmax, mod.max(axis=2, initial=0.0))
-    drop = mod <= zero_tol * top[..., None]
+    drop = mod <= zero_tol * cmax[..., None]
     xr[drop] = 0.0
     xi[drop] = 0.0
     return cmax, mod

@@ -98,7 +98,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
@@ -377,65 +376,40 @@ def _merged(axes: list[list[float]], values: list, tol: float) -> tuple[list, _C
 
 
 def _overlay(
-    weights: Sequence[complex], ends: Sequence[Sequence[float]], tol: float, rel: float = 0.0
+    weights: Sequence[complex], ends: Sequence[Sequence[float]], tol: float
 ) -> tuple[list, _Columns, tuple | None]:
-    """`_merged` values and columns of the cells whose sum has abs > the threshold, and their arrays.
+    """`_merged` values and columns of the cells whose sum has abs > tol, and their arrays.
 
-    The threshold is tol, or, where rel > 0, rel times the largest finite
-    modulus of the cell sums if that is larger (`_raised`).  With fewer
-    than two pieces numpy is skipped: a single (non-empty) piece is its
-    own elementary cell, valued 0j + w as `_cell_sums` would value it.
-    This is the endpoint form of `_canon`'s rule that a single piece is
-    canonical as given.  A grid of at least `_ARRAY_CELLS` cells is
-    merged on arrays by `_array_merged`, which also hands back the pieces'
-    moduli and masses as arrays; a smaller one by `_merged`, and the
-    arrays are None.  Both give the same values and columns.
+    With fewer than two pieces numpy is skipped: a single (non-empty)
+    piece is its own elementary cell, valued 0j + w as `_cell_sums` would
+    value it.  This is the endpoint form of `_canon`'s rule that a single
+    piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
+    is merged on arrays by `_array_merged`, which also hands back the
+    pieces' moduli and masses as arrays; a smaller one by `_merged`, and
+    the arrays are None.  Both give the same values and columns.
     """
     if not weights:
         return [], tuple([] for _ in ends), None
     if len(weights) == 1:
         value = 0j + weights[0]
-        if abs(value) <= _raised(tol, rel, [abs(value)]):  # dropped as `_runs` drops a cell
+        if abs(value) <= tol:  # dropped as `_runs` drops a cell
             return [], tuple([] for _ in ends), None
         return [value], tuple(list(e) for e in ends), None
     axes, sums = _cell_sums(weights, ends)
     if sums.size < _ARRAY_CELLS:
-        values = sums.tolist()
-        cells = chain.from_iterable(values) if len(axes) > 1 else values
-        return *_merged(axes, values, _raised(tol, rel, map(abs, cells))), None
-    return _array_merged(axes, sums, tol, rel)
+        return *_merged(axes, sums.tolist(), tol), None
+    return _array_merged(axes, sums, tol)
 
 
-def _raised(tol: float, rel: float, moduli: Iterable[float]) -> float:
-    """tol, or where rel > 0, rel times the largest finite of `moduli` if that is larger.
-
-    With `moduli` the cell sums' moduli, the threshold of a sum of pieces
-    is at least that of its rebuilt atoms, whose cells are some of its
-    cells: the atoms of the atoms are the atoms.
-    """
-    if not rel > 0:
-        return tol
-    return max(tol, rel * max((m for m in moduli if m < math.inf), default=0.0))
-
-
-def _kept(values: np.ndarray, tol: float, rel: float = 0.0) -> np.ndarray:
+def _kept(values: np.ndarray, tol: float) -> np.ndarray:
     """The cells `_runs` keeps, abs(v) > tol or NaN, decided as Python's abs decides them.
 
-    tol is first raised by rel as `_raised` raises it.  numpy's complex
-    modulus may differ from Python's by a few ulp, so the largest finite
-    modulus is taken over the cells within 16 ulp of numpy's largest, by
-    `np.hypot` (bitwise Python's abs), and Python's abs re-decides the
-    cells within 16 ulp of tol.  It also re-decides the cells whose numpy
-    modulus is infinite: there Python's abs raises OverflowError for
-    finite parts, as `_runs` would.
+    numpy's complex modulus may differ from Python's by a few ulp, so
+    Python's abs re-decides the cells within 16 ulp of tol.  It also
+    re-decides the cells whose numpy modulus is infinite: there Python's
+    abs raises OverflowError for finite parts, as `_runs` would.
     """
     mag = np.abs(values)
-    if rel > 0:
-        top = mag.max(initial=0.0)
-        if not top < math.inf:
-            top = mag[np.isfinite(mag)].max(initial=0.0)
-        near = values[np.abs(mag - top) <= 16 * np.spacing(top)] if top > 0 else values[:0]
-        tol = _raised(tol, rel, np.hypot(near.real, near.imag).tolist())
     kept = ~(mag <= tol)
     if values.dtype.kind == "c":
         recheck = (np.abs(mag - tol) <= 16 * np.spacing(tol)) | np.isinf(mag)
@@ -445,13 +419,12 @@ def _kept(values: np.ndarray, tol: float, rel: float = 0.0) -> np.ndarray:
 
 
 def _array_merged(
-    axes: list[list[float]], values: np.ndarray, tol: float, rel: float = 0.0
+    axes: list[list[float]], values: np.ndarray, tol: float
 ) -> tuple[list, _Columns, tuple[np.ndarray, np.ndarray]]:
     """`_merged(axes, values.tolist(), tol)` with every cell visited by numpy, and its arrays.
 
-    tol is first raised by rel (`_kept`).  The merged runs are found by
-    `_array_runs`, whose cell grids are freed before the output lists are
-    built.  No Python list is built per run:
+    The merged runs are found by `_array_runs`, whose cell grids are freed
+    before the output lists are built.  No Python list is built per run:
     the endpoint columns are read off the axes by index (`_column`) and
     the values are the first cells' `.tolist()` values.  The arrays are
     two float64 arrays: the values' moduli (`np.hypot`, bitwise Python's
@@ -459,13 +432,13 @@ def _array_merged(
     `_piece_masses`).  They are computed after the lists, so a build's
     peak memory does not grow by them.
     """
-    out, at = _array_runs(axes, values, tol, rel)
+    out, at = _array_runs(axes, values, tol)
     merged = out.tolist(), tuple(_column(axis, *sides) for axis, sides in zip(axes, at))
     return *merged, (np.hypot(out.real, out.imag), _indexed_masses(axes, at))
 
 
 def _array_runs(
-    axes: list[list[float]], values: np.ndarray, tol: float, rel: float = 0.0
+    axes: list[list[float]], values: np.ndarray, tol: float
 ) -> tuple[np.ndarray, tuple]:
     """The first cell's value of each merged run, and per axis the run's (lo, hi) axis indices.
 
@@ -477,7 +450,7 @@ def _array_runs(
     the one to its left iff the two are equal as a whole, which is
     `_merged`'s comparison of their runs.
     """
-    kept = _kept(values, tol, rel)
+    kept = _kept(values, tol)
     masked = np.where(kept, values, np.zeros((), values.dtype))
     if len(axes) == 1:
         masked, kept = masked[None], kept[None]

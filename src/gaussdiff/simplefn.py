@@ -43,11 +43,7 @@ Why drop "negligible" coefficients at all: divided-difference arithmetic
 cancels coefficients on shared atoms, and when the combination is formed in
 one pass (Lagrange style) those cancellations leave float residue that is
 many orders below the honest coefficients.  An atom is therefore dropped
-when its modulus is <= zero_tol times the larger of the largest term
-coefficient modulus and the largest finite cell value modulus.  The second
-bound makes canonicalization idempotent: overlapping terms can sum to a
-value larger than every term, and rebuilding a function from its atoms
-(whose largest coefficient is that value) must keep every atom it kept.
+when its modulus is <= zero_tol times the largest term coefficient modulus.
 
 Gauges on a function f with atoms (c_i, A_i):
 
@@ -122,7 +118,7 @@ __all__ = [
     "simple_function_to_json",
 ]
 
-ZERO_TOL = 1e-9  # relative to the largest term coefficient or cell value modulus
+ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
 
 _Term = tuple[complex, Region]
 
@@ -205,9 +201,8 @@ class SimpleFunction:
         Term i is coeffs[i] times the indicator of the next sizes[i] pieces
         of `ends`.  `atoms` are the overlay kernel's values and columns of
         the terms' merged cells if the caller has them; otherwise the
-        overlay runs here, with the threshold zero_tol times the larger of
-        the largest term coefficient modulus and the largest finite cell
-        value modulus, and the atoms' moduli and masses that its
+        overlay runs here, with the threshold zero_tol times the largest
+        term coefficient modulus, and the atoms' moduli and masses that its
         array form hands back, if it ran, are kept for the gauges.
 
         The columns are lists that nothing changes and that are never
@@ -220,7 +215,7 @@ class SimpleFunction:
         if atoms is None:
             weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
             tol = zero_tol * max(map(abs, coeffs), default=0.0)
-            atom_coeffs, atom_ends, arrays = _overlay(weights, ends, tol, zero_tol)
+            atom_coeffs, atom_ends, arrays = _overlay(weights, ends, tol)
         else:
             (atom_coeffs, atom_ends), arrays = atoms, None
         init = object.__setattr__

@@ -244,21 +244,6 @@ def reference_radial_atoms(terms: Sequence[_Term], tol: float) -> tuple[_Term, .
     )
 
 
-def reference_zero_threshold(family: str, terms: Sequence[_Term], zero_tol: float) -> float:
-    """The overlay's drop threshold for these terms, from the reference cells.
-
-    zero_tol times the larger of the largest term coefficient modulus and,
-    for zero_tol > 0, the largest finite cell value modulus.
-    """
-    tol = zero_tol * max((abs(complex(c)) for c, _ in terms), default=0.0)
-    if zero_tol > 0:
-        reference = reference_grid_atoms if family == "grid" else reference_radial_atoms
-        moduli = [abs(v) for v, _ in reference(terms, -math.inf)]  # every cell kept
-        top = max((m for m in moduli if m < math.inf), default=0.0)
-        tol = max(tol, zero_tol * top)
-    return tol
-
-
 def piece_columns(pieces: Sequence, family: str) -> tuple[list[float], ...]:
     """Endpoint columns of Interval pieces, as regions hold theirs: layout only.
 

@@ -312,7 +312,7 @@ def test_level_arithmetic_is_pythons(w, x, y, zero_tol):
         return
     assert cmax[0, 0].hex() == max(products).hex()
     assert mod[0, 0, 0].hex() == abs(v).hex()
-    kept = 0j if abs(v) <= zero_tol * max(*products, abs(v)) else v
+    kept = 0j if abs(v) <= zero_tol * max(products) else v
     assert _bits(cells[0, 0, 0].item()) == _bits(kept)
 
 
