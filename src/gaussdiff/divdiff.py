@@ -16,43 +16,47 @@ than extending it by continuity, `derivative_by_limit` drives the tuple
 toward a diagonal point along an explicit shrink schedule and classifies
 the gauge trace.
 
-Two independent evaluation orders are provided.  `divided_diff` runs the
-recursion's triangle, each distinct sub-tuple once (keeping cancellations
-local), on one grid of cells: per axis the sorted union of the curve
-values' atom endpoints (radii for rings).  Level j, row a of the triangle
-is the difference over (a, m, ..., n-1) with m = n - j, held as a row of
-cell values.  A cell is summed as `linear_combine([w, -w], [left, right])`
-would sum it, w = 1/(z_a - z_m), and set to 0j under the same zero_tol
-threshold.  Canonical atoms do not depend on how fine the grid is, so only
-the result is merged into atoms, bitwise the atoms one `linear_combine`
-per sub-tuple would build; they are also the result's terms.
-`divided_diffs` runs the triangles of many tuples (the steps of a shrink
-schedule) together: each tuple keeps its own grid, and each triangle level
-is one pass of float64 array operations over every tuple and row;
-`divided_diff` is its one-tuple call.  The arrays compute Python's complex
-arithmetic bit for bit.  A level runs on the real and imaginary planes of
-the cells, and a product w*x is formed on whole planes as wr*xr - wi*xi
-and wr*xi + wi*xr, which is what CPython's complex multiply computes, with
-no fused multiply-add (a test pins this), whereas numpy's complex multiply
-may fuse them.  A modulus is `np.hypot`, the libm
-`hypot` that Python's complex `abs` calls.  w itself is a Python complex
-division, because numpy's rounds differently.  A cell is
-(0.0 + w*x) + (-w)*y with no branch on absent terms: for finite w this is
-the kernel's sum from 0j of the terms present, since 0.0 + (+-0) is +0
-and adding +-0 leaves any value but -0 as it is.  Where that recursion
-would leave the float range (w not a finite non-zero float, as for nodes
-a subnormal distance apart, or a coefficient whose modulus overflows),
-FloatRangeError is raised instead, naming the triangle level.
-`divided_diff_lagrange`, the single-pass barycentric form
-sum_i f(z_i) / prod_{j != i} (z_i - z_j), runs through the overlay kernel
-and is kept as a cross-check oracle.
+The recursion unrolls into the barycentric weight sum
+
+    dd_k = sum_m w_m f(z_m),    w_m = 1 / prod_{l != m} (z_m - z_l),
+
+which is how every difference is computed: in floating point it stays
+within a few ulp of the exact sum of the same weights, where the Newton
+triangle of the recursion loses digits from order 12 on (Berrut and
+Trefethen, SIAM Review 46, 2004; de Boor, "Divided differences", 2005).
+`divided_diff_lagrange` is the sum as `linear_combine(weights, values)`.
+`divided_diffs` computes the sums of many tuples (the steps of a shrink
+schedule) in one pass of float64 array operations, on one grid of cells
+per tuple: per axis the sorted union of the curve values' atom endpoints
+(radii for rings); `divided_diff` is its one-tuple call.  A cell is
+0.0 + w_0*x_0 + ... + w_k*x_k, x_m the value of f(z_m) on the cell (0
+where it has no atom), set to 0j where its modulus is at most zero_tol
+times the largest product modulus |w_m*x_m|.  That is `linear_combine`'s
+sum and its zero_tol rule, whose terms are the w_m times the values'
+atoms.  Canonical atoms do not depend on how fine the grid is, so only
+the sums are merged into atoms, bit for bit the atoms
+`divided_diff_lagrange` builds; they are also the result's terms.
+
+The arrays compute Python's complex arithmetic bit for bit.  The weights
+are Python complex divisions, in node order, because numpy's divide
+rounds differently.  A product w*x is formed on the real and imaginary
+planes as wr*xr - wi*xi and wr*xi + wi*xr, which is what CPython's
+complex multiply computes, with no fused multiply-add (a test pins this),
+whereas numpy's complex multiply may fuse them.  A modulus is `np.hypot`,
+the libm `hypot` that Python's complex `abs` calls.  The sum starts at +0
+and adds every node's product, also the products w*0 of the nodes whose
+value has no atom on the cell: a sum from +0 is never -0, and adding +-0
+leaves any value but -0 as it is, so this is the kernel's sum from 0j of
+the terms present.  Where the sum would leave the float range (a weight
+that is not a finite non-zero float, as for nodes a subnormal distance
+apart, or a product or cell whose modulus is not finite),
+FloatRangeError is raised instead.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
@@ -102,19 +106,14 @@ class RepeatedNodeError(ValueError):
 class FloatRangeError(ValueError):
     """A divided difference needs a value outside the finite floats.
 
-    Raised for nodes whose reciprocal difference is not a finite non-zero
-    float, and for coefficients whose modulus is not a finite float; the
-    message names the triangle level, and the shrink step where there is
-    one.  `index` is the position of the failing node tuple in the list
-    given to `divided_diffs`.
+    Raised for nodes whose barycentric weight is not a finite non-zero
+    float, naming the node, and where a weighted curve value or a sum of
+    them has no finite modulus; along a schedule the message names the
+    shrink step.  `index` is the position of the failing node tuple in the
+    list given to `divided_diffs`.
     """
 
     index: int = 0
-
-
-# Where every product modulus of a row is at most this, each of its cells
-# is a sum of two such products and has a finite modulus.
-_SAFE_PRODUCT = sys.float_info.max / 4
 
 
 Nodes = Union["NodeTuple", Sequence[complex]]
@@ -236,11 +235,12 @@ def support_bound_of(nodes: Nodes, family: str) -> SupportBound:
 
 
 def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFunction:
-    """Order-k divided difference over pairwise distinct nodes, recursively.
+    """Order-k divided difference over pairwise distinct nodes, as a weight sum.
 
-    The one-tuple call of `divided_diffs` (see the module docstring).
-    Raises FloatRangeError, naming the triangle level, when a reciprocal
-    node difference or a coefficient leaves the float range.
+    The one-tuple call of `divided_diffs` (see the module docstring);
+    bitwise `divided_diff_lagrange`.  Raises FloatRangeError when a
+    barycentric weight, a weighted curve value or a cell sum leaves the
+    float range.
     """
     return divided_diffs(f, [nodes], zero_tol)[0]
 
@@ -248,12 +248,11 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
 def divided_diffs(
     f: CurveMap, tuples: Sequence[Nodes], zero_tol: float = 1e-9
 ) -> list[SimpleFunction]:
-    """The divided differences over node tuples of one order, all triangles at once.
+    """The divided differences over node tuples of one order, all weight sums at once.
 
     Item i is bitwise `divided_diff(f, tuples[i], zero_tol)`.  Raises
-    FloatRangeError for the first tuple in list order whose triangle
-    leaves the float range, naming the triangle level; its `index` is
-    that tuple's position.
+    FloatRangeError for the first tuple in list order whose weight sum
+    leaves the float range; its `index` is that tuple's position.
     """
     return list(_differences(f, tuples, zero_tol))
 
@@ -263,10 +262,10 @@ def _differences(
 ) -> Iterator[SimpleFunction]:
     """`divided_diffs`, one difference at a time.
 
-    The triangles run together, on float64 arrays, and each result is
+    The weight sums run together, on float64 arrays, and each result is
     merged only when it is asked for, so a caller that gauges one
     difference at a time holds one.  The tuples' nodes are checked before
-    any curve is evaluated.
+    any curve is evaluated, and a tuple's weights before its curve values.
     """
     zss = [_distinct_nodes(nodes) for nodes in tuples]
     if len(set(map(len, zss))) > 1:
@@ -274,121 +273,112 @@ def _differences(
     if zss and len(zss[0]) == 1:
         yield from (f(zs[0]) for zs in zss)
         return
-    batch: list = []  # (nodes, curve values, grid) of the tuples of the next pass
+    batch: list = []  # (weights, curve values, grid) of the tuples of the next pass
     start = widest = 0
+    fault = None
     for i, zs in enumerate(zss):
+        try:
+            weights = _weights(zs)
+        except FloatRangeError as exc:
+            fault, exc.index = exc, i
+            break
         values = [f(z) for z in zs]
         grid = _CellGrid(values)
         widest = max(widest, grid.size)
         if batch and (len(batch) + 1) * len(zs) * widest > _PASS_CELLS:
-            yield from _triangles(batch, start, zero_tol)
+            yield from _batch_differences(batch, start, zero_tol)
             batch, start, widest = [], i, grid.size
-        batch.append((zs, values, grid))
+        batch.append((weights, values, grid))
     if batch:
-        yield from _triangles(batch, start, zero_tol)
+        yield from _batch_differences(batch, start, zero_tol)
+    if fault is not None:
+        raise fault
 
 
-#: Level-0 cells, padding included, of the tuples whose triangles share one
-#: array pass; a pass holds about 70 bytes per cell.  Measured on the
-#: divdiff-deep benchmark (2 vCPU Xeon): passes of 2**12 cells ran as fast
-#: as passes of whole 40-step schedules, which raised its peak RSS by
-#: 2.7 MB (7%); at 2**12 the peak RSS stays at its level before arrays.
+#: Curve-value cells, padding included, of the tuples whose weight sums
+#: share one array pass.  A pass holds 16 bytes per such cell, plus about
+#: 64 bytes per cell of one row (the sums, their moduli, a node's products
+#: and their temporaries): 16 + 64/n bytes per cell for n nodes, at most
+#: 48.  On the divdiff-deep benchmark (2 vCPU Xeon), passes of whole
+#: 40-step schedules ran 1% faster (p90 8.5 against 9.0 ms) and raised its
+#: peak RSS by 0.6 MB; 2**12 keeps the pass of any schedule small.
 _PASS_CELLS = 2**12
 
 
-def _triangles(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunction]:
-    """The differences over tuples of n >= 2 distinct nodes, by one array pass per level.
+def _weights(zs: Sequence[complex]) -> list[complex]:
+    """The barycentric weights 1 / prod_{l != m} (z_m - z_l) of distinct nodes.
 
-    Tuple s keeps its own grid; its level-0 cells are rows 0..n-1 of
-    `cells[s]`, padded with zero cells to the largest grid, and row a of
-    each level overwrites row a of the level below.  A cell of row a at
-    pivot m is (0.0 + w*x) + (-w)*y, w = 1/(z_a - z_m), x and y the cells
-    of rows a and m below, and 0j where its modulus is at most zero_tol
-    times cmax, the largest product modulus |w*x| or |(-w)*y| of the row;
-    padded cells stay 0.  A row fails where w is not a finite non-zero
-    float, or cmax or a cell modulus is not finite.  The differences of
-    the tuples before the first failing one are yielded, then its error is
-    raised.
+    Each is Python's complex division, in node order.  Raises
+    FloatRangeError for the first weight that is not a finite non-zero
+    float.
     """
-    zss, values, grids = zip(*batch)
-    n = len(zss[0])
+    weights = []
+    for m, zm in enumerate(zs):
+        w = 1.0 + 0j
+        for l, zl in enumerate(zs):
+            if l != m:
+                w /= zm - zl
+        if not (w and cmath.isfinite(w)):
+            raise FloatRangeError(
+                f"the barycentric weight {w} of node {zm} is not a finite non-zero float"
+            )
+        weights.append(w)
+    return weights
+
+
+def _batch_differences(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunction]:
+    """The differences over tuples of n >= 2 distinct nodes, by one array pass.
+
+    Tuple s keeps its own grid; its curve values fill rows 0..n-1 of
+    `cells[s]`, padded with zero cells to the largest grid, and
+    `_weighted_sum` sums them.  A tuple fails where a product or a cell
+    modulus is not finite.  The differences of the tuples before the first
+    failing one are yielded, then its error is raised.
+    """
+    weights, values, grids = zip(*batch)
     sizes = [grid.size for grid in grids]
-    steps, size = len(zss), max(sizes)
-    cells = np.zeros((steps, n, size), dtype=complex)
+    cells = np.zeros((len(grids), len(weights[0]), max(sizes)), dtype=complex)
     for grid, vs, rows in zip(grids, values, cells):
         for v, row in zip(vs, rows):
             grid.fill(row, v)
-    # w of row a at pivot m, levels in triangle order, by Python's division
-    ws = np.array(
-        [[1.0 / (zs[a] - zs[m]) for m in range(n - 1, 0, -1) for a in range(m)] for zs in zss]
-    )
-    bad_w = ~(np.isfinite(ws) & (ws != 0))
-    any_bad_w = bad_w.any()
-    re, im = cells.real, cells.imag  # the two planes of the cells, as views
-    failed: dict[int, str] = {}  # tuple -> the message of its first failing row
-    at = 0
-    with np.errstate(all="ignore"):
-        for m in range(n - 1, 0, -1):
-            level = slice(at, at + m)
-            x, y = slice(m), slice(m, m + 1)
-            cmax, mod = _next_level(re[:, x], im[:, x], re[:, y], im[:, y], ws[:, level], zero_tol)
-            if any_bad_w or not cmax.max() <= _SAFE_PRODUCT:
-                faults = ~np.isfinite(cmax) | ~np.isfinite(mod).all(axis=2) | bad_w[:, level]
-                for s, a in zip(*np.nonzero(faults)):
-                    if s in failed:
-                        continue
-                    # w is computed before the row's cells, as the recursion meets it
-                    why = "a coefficient's modulus is past the largest float"
-                    if bad_w[s, at + a]:
-                        za, zm, w = zss[s][a], zss[s][m], ws[s, at + a].item()
-                        why = f"nodes {za} and {zm} give 1/(a - b) = {w}, "
-                        why += "not a finite non-zero float"
-                    failed[s] = f"triangle level {n - m} of {n - 1}: {why}"
-            at += m
-    stop = min(failed, default=len(zss))
-    for grid, row, size in zip(grids[:stop], cells[:, 0], sizes):
+    sums, cmax, mod = _weighted_sum(np.array(weights), cells, zero_tol)
+    failed = ~np.isfinite(cmax) | ~np.isfinite(mod).all(axis=1)
+    stop = int(failed.argmax()) if failed.any() else len(grids)
+    for grid, row, size in zip(grids[:stop], sums, sizes):
         ac, ae = grid.merged(row[:size].tolist())  # a difference's terms are its atoms
         yield _from_columns(grid.family, ac, [1] * len(ac), ae, zero_tol, (ac, ae))
-    if failed:
-        exc = FloatRangeError(failed[stop])
+    if stop < len(grids):
+        exc = FloatRangeError("a coefficient's modulus is past the largest float")
         exc.index = start + stop
         raise exc
 
 
-def _next_level(
-    xr: np.ndarray, xi: np.ndarray, yr: np.ndarray, yi: np.ndarray, w: np.ndarray, zero_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite rows x of a level with the rows of the next, as they pivot on row y.
+def _weighted_sum(
+    w: np.ndarray, cells: np.ndarray, zero_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each tuple's cells 0.0 + sum_m w_m * x_m, and 0 where the modulus is at most zero_tol * cmax.
 
-    xr and xi hold the real and imaginary planes of rows 0..m-1 of each
-    tuple, shape (tuples, m, cells), yr and yi those of row m, shape
-    (tuples, 1, cells), and w, shape (tuples, m), the complex
-    1/(z_a - z_m) of each row a.  A cell becomes (0.0 + w*x) + (-w)*y, or
-    0 where its modulus is at most zero_tol * cmax.  Returns cmax, shape
-    (tuples, m), and the cell moduli, shape (tuples, m, cells).  A product
-    w*x is wr*xr - wi*xi and wr*xi + wi*xr on whole planes, the float
-    operations of Python's complex multiply (see the module docstring).
+    w, shape (tuples, n), holds each tuple's weights and cells, shape
+    (tuples, n, cells), its rows of curve values x_m.  Returns the sums,
+    shape (tuples, cells), cmax, the largest product modulus |w_m * x_m|
+    of each tuple, and the moduli of the sums before the drop.  Products
+    and sums are formed on the real and imaginary planes (see the module
+    docstring).
     """
-    wr, wi = w.real[..., None], w.imag[..., None]
-    pr, t = np.multiply(wr, xr), np.multiply(wi, xi)
-    np.subtract(pr, t, out=pr)
-    pi = np.multiply(wr, xi)
-    np.add(pi, np.multiply(wi, xr, out=t), out=pi)
-    wr, wi = -wr, -wi  # the parts of -w, for (-w)*y
-    qr = np.multiply(wr, yr)
-    np.subtract(qr, np.multiply(wi, yi, out=t), out=qr)
-    qi = np.multiply(wr, yi)
-    np.add(qi, np.multiply(wi, yr, out=t), out=qi)
-    mod = t
-    cmax = np.hypot(pr, pi, out=mod).max(axis=2, initial=0.0)
-    np.maximum(cmax, np.hypot(qr, qi, out=mod).max(axis=2, initial=0.0), out=cmax)
-    np.add(np.add(pr, 0.0, out=pr), qr, out=xr)
-    np.add(np.add(pi, 0.0, out=pi), qi, out=xi)
-    np.hypot(xr, xi, out=mod)
-    drop = mod <= zero_tol * cmax[..., None]
-    xr[drop] = 0.0
-    xi[drop] = 0.0
-    return cmax, mod
+    sums = np.zeros((cells.shape[0], cells.shape[2]), dtype=complex)
+    sr, si = sums.real, sums.imag
+    cmax = np.zeros(len(w))
+    with np.errstate(all="ignore"):
+        for m in range(w.shape[1]):
+            wr, wi = w.real[:, m, None], w.imag[:, m, None]
+            xr, xi = cells.real[:, m], cells.imag[:, m]
+            pr, pi = wr * xr - wi * xi, wr * xi + wi * xr
+            np.maximum(cmax, np.hypot(pr, pi).max(axis=1, initial=0.0), out=cmax)
+            sr += pr
+            si += pi
+        mod = np.hypot(sr, si)
+        sums[mod <= zero_tol * cmax[:, None]] = 0
+    return sums, cmax, mod
 
 
 class _CellGrid:
@@ -436,24 +426,14 @@ class _CellGrid:
 def divided_diff_lagrange(
     f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9
 ) -> SimpleFunction:
-    """Same value as `divided_diff` via the one-pass barycentric identity.
+    """The barycentric weight sum as `linear_combine(weights, values)`.
 
-    Raises FloatRangeError when a barycentric weight is not a finite
-    non-zero float.
+    `divided_diff` returns the same function bit for bit.  Raises
+    FloatRangeError when a barycentric weight is not a finite non-zero
+    float.
     """
     zs = _distinct_nodes(nodes)
-    weights = []
-    for i, zi in enumerate(zs):
-        w = 1.0 + 0j
-        for j, zj in enumerate(zs):
-            if j != i:
-                w /= zi - zj
-        if not (w and cmath.isfinite(w)):
-            raise FloatRangeError(
-                f"the barycentric weight {w} of node {zi} is not a finite non-zero float"
-            )
-        weights.append(w)
-    return linear_combine(weights, [f(z) for z in zs], zero_tol)
+    return linear_combine(_weights(zs), [f(z) for z in zs], zero_tol)
 
 
 def coefficient_distance(f: SimpleFunction, g: SimpleFunction) -> float:

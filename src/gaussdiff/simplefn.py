@@ -39,11 +39,18 @@ coefficient as the weight of its pieces.  A cell is dropped when Python's
 differ in the last ulp); an atom's mass nu(column side) * nu(row side) is
 bitwise what `mu_grid` gives its region.
 
-Why drop "negligible" coefficients at all: divided-difference arithmetic
-cancels coefficients on shared atoms, and when the combination is formed in
-one pass (Lagrange style) those cancellations leave float residue that is
-many orders below the honest coefficients.  An atom is therefore dropped
-when its modulus is <= zero_tol times the largest term coefficient modulus.
+The zero_tol rule: a cell is dropped when its modulus is <= zero_tol
+times the largest term coefficient modulus.  Why drop "negligible"
+coefficients at all: a divided difference is one weighted sum of its
+curve values (see divdiff.py), and its cancellations on shared cells leave
+float residue many orders below the honest coefficients.  Divided
+differences apply this same rule, as `linear_combine` does, with the
+weighted curve values as the terms.  The rule reads the terms, and an
+atom summed from overlapping terms can exceed every term, so a function
+rebuilt from its own atoms, `SimpleFunction(f.family, f.atoms,
+f.zero_tol)`, may drop an atom that f kept: only an atom whose modulus is
+<= zero_tol times f's largest atom modulus.  Rebuilding that function
+again changes nothing.
 
 Gauges on a function f with atoms (c_i, A_i):
 
@@ -118,7 +125,7 @@ __all__ = [
     "simple_function_to_json",
 ]
 
-ZERO_TOL = 1e-9  # relative to the largest term coefficient modulus
+ZERO_TOL = 1e-9  # drop a cell of modulus <= ZERO_TOL * the largest term modulus (see above)
 
 _Term = tuple[complex, Region]
 

@@ -16,8 +16,11 @@ regions must match it bit for bit.
 `reference_identity_sweeps` measures one region per pair of the
 `measure-identities` sweeps, which read the closed forms directly.
 The memoised divided-difference recursion (one `linear_combine` per
-sub-tuple) is the reference for the cell-grid triangle of `divided_diff`,
-and for when it must leave the float range; `symmetry_check` compares the
+sub-tuple) is the Newton form that the weight sums of `divided_diff` are
+cross-checked against.  `exact_divided_diff` sums the exact rational
+barycentric weights of the float nodes on every cell, the referee of the
+float weight sums, and `barycentric_overflows` says when those must leave
+the float range; `symmetry_check` compares the
 differences over a tuple and a permutation of it.  `kernel_paths` records which
 form of the overlay kernel ran, so a test can show that it reached the
 array form.
@@ -26,8 +29,10 @@ array form.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -515,6 +520,134 @@ def _memo_diff(f, zs, idx, zero_tol, memo):
         out = linear_combine([w, -w], [left, right], zero_tol)
     memo[idx] = out
     return out
+
+
+def _curve_cells(values) -> tuple[list[list[float]], dict]:
+    """The common cell grid of some simple functions, and their coefficients on each cell.
+
+    The axes are per axis the sorted distinct atom endpoints of all the
+    functions (radii for rings).  A cell is a tuple of axis indices, one
+    per axis, and maps to the list of the functions' coefficients there,
+    0j where a function has no atom.
+    """
+    ends = zip(*(v._atom_ends for v in values))
+    axes = [sorted(set(itertools.chain.from_iterable(axis))) for axis in ends]
+    blocks = itertools.product(*(range(len(a) - 1) for a in axes))
+    table = {idx: [0j] * len(values) for idx in blocks}
+    for m, v in enumerate(values):
+        for idx, c in cell_values(v, axes).items():
+            table[idx][m] = c
+    return axes, table
+
+
+def cell_values(f, axes) -> dict:
+    """The coefficient of f on every cell of `axes` that an atom of f covers.
+
+    Every atom endpoint of f must be an axis value (KeyError otherwise).
+    """
+    index = [dict(zip(a, range(len(a)))) for a in axes]
+    sides = [zip(e[::2], e[1::2]) for e in f._atom_ends]
+    out = {}
+    for c, *spans in zip(f._atom_coeffs, *sides):
+        ranges = [range(at[lo], at[hi]) for at, (lo, hi) in zip(index, spans)]
+        out.update(dict.fromkeys(itertools.product(*ranges), c))
+    return out
+
+
+def _float_weights(zs) -> list[complex] | None:
+    """The weights 1/prod_{l != m}(z_m - z_l), by Python's complex division.
+
+    None where one is not a finite non-zero float.
+    """
+    weights = []
+    for m, zm in enumerate(zs):
+        w = 1.0 + 0j
+        for l, zl in enumerate(zs):
+            if l != m:
+                w /= zm - zl
+        if not (w and cmath.isfinite(w)):
+            return None
+        weights.append(w)
+    return weights
+
+
+def barycentric_overflows(f, nodes) -> bool:
+    """True iff the barycentric weight sum of the curve f over the nodes leaves the floats.
+
+    That is, some weight 1/prod_{l != m}(z_m - z_l), Python's complex
+    division in node order, is not a finite non-zero float, or on some
+    cell of the curve values' grid a product w_m * c_m or the sum
+    0j + w_0 * c_0 + ... + w_k * c_k has no finite modulus.
+    `divided_diff` must raise FloatRangeError exactly then.
+    """
+    from gaussdiff.divdiff import _distinct_nodes
+
+    zs = _distinct_nodes(nodes)
+    weights = _float_weights(zs)
+    if weights is None:
+        return True
+    _, cells = _curve_cells([f(z) for z in zs])
+    for coeffs in cells.values():
+        total = 0j
+        for w, c in zip(weights, coeffs):
+            product = w * c
+            total += product
+            if not _fits(product):
+                return True
+        if not _fits(total):
+            return True
+    return False
+
+
+def _times(a: tuple, b: tuple) -> tuple[Fraction, Fraction]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _exact_weights(zs) -> list[tuple[Fraction, Fraction]]:
+    """The exact barycentric weights 1/prod_{l != m}(z_m - z_l) of float nodes.
+
+    Float nodes are dyadic rationals, so every weight is a pair of
+    Fractions (real part, imaginary part) with no rounding at all.
+    """
+    exact = [(Fraction(z.real), Fraction(z.imag)) for z in zs]
+    out = []
+    for m, (xm, ym) in enumerate(exact):
+        p = (Fraction(1), Fraction(0))
+        for l, (xl, yl) in enumerate(exact):
+            if l != m:
+                p = _times(p, (xm - xl, ym - yl))
+        norm = p[0] * p[0] + p[1] * p[1]
+        out.append((p[0] / norm, -p[1] / norm))
+    return out
+
+
+def exact_divided_diff(f, nodes) -> tuple[list[list[float]], dict]:
+    """The exact order-k difference of the curve f over float nodes, cell by cell.
+
+    Returns (axes, cells): the curve values' common grid (`_curve_cells`),
+    and for every cell a triple (exact, size, top).  exact is the sum of
+    w_m * c_m over the nodes, with the exact weights of `_exact_weights` and
+    c_m the coefficient of f(z_m) on the cell, as a pair of Fractions;
+    size is the sum and top the largest of the moduli |w_m * c_m|, rounded
+    to floats.  Cells with the same coefficients share one sum.
+    """
+    from gaussdiff.divdiff import _distinct_nodes
+
+    zs = _distinct_nodes(nodes)
+    weights = _exact_weights(zs)
+    axes, table = _curve_cells([f(z) for z in zs])
+    sums: dict = {}
+    for idx, coeffs in table.items():
+        key = tuple(coeffs)
+        if key not in sums:
+            terms = [
+                _times(w, (Fraction(c.real), Fraction(c.imag))) for w, c in zip(weights, coeffs)
+            ]
+            exact = (sum(t[0] for t in terms), sum(t[1] for t in terms))
+            moduli = [math.hypot(float(t[0]), float(t[1])) for t in terms]
+            sums[key] = exact, math.fsum(moduli), max(moduli)
+        table[idx] = sums[key]
+    return axes, table
 
 
 @contextmanager

@@ -664,7 +664,7 @@ def test_cli_derivative_order_past_the_float_range_exits_2(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("verify: step 37 of 40: triangle level 28 of 28: ")
+    assert captured.err.startswith("verify: step 37 of 40: the barycentric weight ")
 
 
 def test_cli_smoothness_on_the_float_grid_exits_2(capsys):
