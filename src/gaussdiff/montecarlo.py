@@ -42,13 +42,18 @@ hits without building masks, and each estimate is bitwise
   `plane_samples(n, seed)` whole and the y coordinates block by block from
   the same generator, which continues the stream bitwise, so it holds x
   (8n bytes) and a few block-sized arrays, never y, radii or masks for
-  all n samples.
+  all n samples.  One worker thread draws the next y block while the
+  current one is counted; it alone uses the generator after x, in block
+  order, so the stream is unchanged, and it ends with the call.  Given no
+  samples, the estimates raise `ValueError`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
+from contextlib import closing
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,12 +82,49 @@ def plane_samples(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plane_blocks(n: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`plane_samples(n, seed)` in blocks of `_BLOCK` points: x drawn whole, y block by block."""
+    """`plane_samples(n, seed)` in blocks of `_BLOCK` points: x drawn whole, y block by block.
+
+    One worker thread draws the y blocks in order, each when the previous
+    one is handed over, so drawing block i + 1 overlaps the caller's
+    counting of block i (numpy draws without holding the GIL).  The worker
+    is the only user of the generator once x is drawn, so the stream is
+    bitwise `plane_samples(n, seed)`.  It is joined when the blocks run out
+    or the iterator is closed.
+    """
     n = int(n)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, _SCALE, size=n)
-    for i in range(0, n, _BLOCK):
-        yield x[i : i + _BLOCK], rng.normal(0.0, _SCALE, size=min(_BLOCK, n - i))
+    starts = range(0, n, _BLOCK)
+    ask, ready = threading.Semaphore(), threading.Semaphore(0)
+    slot: list = [None]  # the last block drawn, or the exception that stopped the draws
+    closed = False
+
+    def draw() -> None:
+        try:
+            for i in starts:
+                ask.acquire()
+                if closed:
+                    return
+                slot[0] = rng.normal(0.0, _SCALE, size=min(_BLOCK, n - i))
+                ready.release()
+        except BaseException as exc:
+            slot[0] = exc
+            ready.release()
+
+    worker = threading.Thread(target=draw, name="gaussdiff-plane-blocks", daemon=True)
+    worker.start()
+    try:
+        for i in starts:
+            ready.acquire()
+            y = slot[0]
+            if isinstance(y, BaseException):
+                raise y
+            ask.release()  # the next block is drawn while this one is counted
+            yield x[i : i + _BLOCK], y
+    finally:
+        closed = True
+        ask.release()
+        worker.join()
 
 
 def region_mask(region: Region, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,6 +229,8 @@ def _estimates(
         for i, region in enumerate(regions):
             hits[i] += counts.hits(region)
         n += x.size
+    if n == 0:
+        raise ValueError("no samples to estimate the masses from")
     # Python ints, so that count / n is a Python float, not a numpy scalar
     return [h / n for h in hits]
 
@@ -203,7 +247,8 @@ def mc_measures(regions: Sequence[Region], x: np.ndarray, y: np.ndarray) -> list
 
 def mc_plane_measures(regions: Sequence[Region], n: int, seed: int = 0) -> list[float]:
     """Bitwise `mc_measures(regions, *plane_samples(n, seed))`, drawing y one block at a time."""
-    return _estimates(regions, _plane_blocks(n, seed))
+    with closing(_plane_blocks(n, seed)) as blocks:  # joins the worker if counting raises
+        return _estimates(regions, blocks)
 
 
 def mc_measure(region: Region, x: np.ndarray, y: np.ndarray) -> float:

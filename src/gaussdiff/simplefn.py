@@ -240,7 +240,11 @@ class SimpleFunction:
 
     @classmethod
     def zero(cls, family: str) -> "SimpleFunction":
-        return cls(family)
+        """`SimpleFunction(family)`, built from empty columns without the overlay."""
+        if family not in (GRID, RADIAL):
+            raise ValueError(f"unknown function family {family!r}")
+        ends = ([], []) if family == GRID else ([],)  # shared by the terms and the atoms
+        return _from_columns(family, [], [], ends, ZERO_TOL, ([], ends))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

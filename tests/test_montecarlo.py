@@ -3,11 +3,12 @@
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -99,13 +100,60 @@ def test_hand_placed_samples_follow_the_half_open_rule():
 
 
 def test_streamed_blocks_are_the_plane_samples():
-    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 5):
         blocks = list(_plane_blocks(n, seed=5))
         assert [bx.size for bx, _ in blocks] == [by.size for _, by in blocks]
         assert max(bx.size for bx, _ in blocks) <= _BLOCK
         x, y = plane_samples(n, seed=5)
         assert np.concatenate([bx for bx, _ in blocks]).tobytes() == x.tobytes()
         assert np.concatenate([by for _, by in blocks]).tobytes() == y.tobytes()
+
+
+def test_the_block_worker_ends_with_the_blocks():
+    before = threading.active_count()
+    mc_plane_measures(GRID_REGIONS + RADIAL_REGIONS, 3 * _BLOCK + 5, seed=5)
+    assert threading.active_count() == before
+    blocks = _plane_blocks(3 * _BLOCK + 5, 5)
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+    # counting that raises closes the blocks too
+    with pytest.raises(AttributeError):
+        mc_plane_measures([object()], 3 * _BLOCK + 5, seed=5)
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_reaches_the_caller(monkeypatch):
+    default_rng = np.random.default_rng
+
+    class FailingThirdDraw:
+        """The generator of the seed, whose third draw (the second y block) fails."""
+
+        def __init__(self, seed):
+            self.rng, self.draws = default_rng(seed), 0
+
+        def normal(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 3:
+                raise MemoryError("no room for the block")
+            return self.rng.normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingThirdDraw)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for the block"):
+        mc_plane_measures(RADIAL_REGIONS, 3 * _BLOCK + 5, seed=5)
+    assert threading.active_count() == before
+
+
+def test_no_samples_is_an_error():
+    empty = np.array([])
+    with pytest.raises(ValueError, match="no samples"):
+        mc_plane_measures([annulus(0, 1)], 0)
+    with pytest.raises(ValueError, match="no samples"):
+        mc_measures([annulus(0, 1), rect(0, 1, 0, 1)], empty, empty)
+    with pytest.raises(ValueError, match="no samples"):
+        mc_measure(rect(0, 1, 0, 1), empty, empty)
 
 
 def test_plane_estimates_equal_the_estimates_on_plane_samples():
@@ -252,7 +300,25 @@ def _cases(draw):
 _BACKGROUND = plane_samples(_BLOCK + 500 + 40 + 64 * 16, seed=11)
 
 
+def _largest_case():
+    """The most points `_cases` draws: 40, and a fan of 64 at each of 16 radii.
+
+    Four regions of two rings each.  Placed at `_BLOCK + 500` it ends on
+    the last background sample: the size that once overran the background.
+    """
+    regions = [
+        region_union(annulus(a, a + 0.1), annulus(a + 0.2, a + 0.3)) for a in (0.05, 0.45, 0.85, 1.25)
+    ]
+    radii = sorted({t for r in regions for t in r._ends[0].tolist()})
+    assert len(radii) == 16
+    points = [(_nudged(t, j), 0.0) for t in radii for j in (-1, 1)]
+    points += [(0.0, -t) for t in radii[:8]]
+    assert len(points) == 40
+    return regions, points + [p for t in radii for p in _fan(t, seed=16)]
+
+
 @given(_cases(), st.sampled_from((0, _BLOCK - 20, _BLOCK + 500)))
+@example(_largest_case(), _BLOCK + 500)
 @settings(max_examples=200, deadline=None)
 def test_counts_equal_the_mask_mean_on_edge_samples(case, at):
     regions, points = case
@@ -312,8 +378,9 @@ def test_hypot_sees_only_band_samples(monkeypatch):
 
 def test_measure_identities_memory_peak():
     # the x coordinates (8 MB for the default 10**6 samples) and a few
-    # 2**16-sample block arrays; measured 9.6 MiB, where holding both
-    # coordinate arrays and the radii took 25.3 MiB
+    # 2**16-sample block arrays; measured 10.1 MiB (10.8 MiB when the call
+    # starts the process's first thread), where holding both coordinate
+    # arrays and the radii took 25.3 MiB
     cfg = ExperimentConfig(experiment="measure-identities", seed=0)
     tracemalloc.start()
     try:

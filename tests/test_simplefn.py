@@ -82,6 +82,21 @@ def test_indicator_of_empty_region_is_zero():
     assert f.value_at(0.0) == 0
 
 
+@pytest.mark.parametrize("family", ["grid", "radial"])
+def test_zero_is_the_empty_function(family):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplefn, "_overlay", None)  # an overlay would raise TypeError
+        f = SimpleFunction.zero(family)
+    g = SimpleFunction(family)
+    columns = ("_term_coeffs", "_term_sizes", "_term_ends", "_atom_coeffs", "_atom_ends")
+    assert [getattr(f, c) for c in columns] == [getattr(g, c) for c in columns]
+    assert (f.family, f.zero_tol, f._arrays) == (g.family, g.zero_tol, g._arrays)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert f.is_zero and f.terms == () and f.masses == ()
+    with pytest.raises(ValueError, match="unknown function family"):
+        SimpleFunction.zero("polar")
+
+
 def test_indicator_point_values():
     f = indicator(lower_left_quadrant(0.0, 0.0))
     assert f.value_at(-1 - 1j) == 1
