@@ -24,46 +24,30 @@ which is how every difference is computed: in floating point it stays
 within a few ulp of the exact sum of the same weights, where the Newton
 triangle of the recursion loses digits from order 12 on (Berrut and
 Trefethen, SIAM Review 46, 2004; de Boor, "Divided differences", 2005).
-`divided_diff_lagrange` is the sum as `linear_combine(weights, values)`.
-`divided_diffs` computes the sums of many tuples (the steps of a shrink
-schedule) in one pass of float64 array operations, on one grid of cells
-per tuple: per axis the sorted union of the curve values' atom endpoints
-(radii for rings); `divided_diff` is its one-tuple call.  A cell is
-0.0 + w_0*x_0 + ... + w_k*x_k, x_m the value of f(z_m) on the cell (0
-where it has no atom), set to 0j where its modulus is at most zero_tol
-times the largest product modulus |w_m*x_m|.  That is `linear_combine`'s
-sum and its zero_tol rule, whose terms are the w_m times the values'
-atoms.  Canonical atoms do not depend on how fine the grid is, so only
-the sums are merged into atoms, bit for bit the atoms
-`divided_diff_lagrange` builds; they are also the result's terms.
-
-The arrays compute Python's complex arithmetic bit for bit.  The weights
-are Python complex divisions, in node order, because numpy's divide
-rounds differently.  A product w*x is formed on the real and imaginary
-planes as wr*xr - wi*xi and wr*xi + wi*xr, which is what CPython's
-complex multiply computes, with no fused multiply-add (a test pins this),
-whereas numpy's complex multiply may fuse them.  A modulus is `np.hypot`,
-the libm `hypot` that Python's complex `abs` calls.  The sum starts at +0
-and adds every node's product, also the products w*0 of the nodes whose
-value has no atom on the cell: a sum from +0 is never -0, and adding +-0
-leaves any value but -0 as it is, so this is the kernel's sum from 0j of
-the terms present.  Where the sum would leave the float range (a weight
-that is not a finite non-zero float, as for nodes a subnormal distance
-apart, or a product or cell whose modulus is not finite),
-FloatRangeError is raised instead.
+`divided_diffs` computes the sum over each tuple (the steps of a shrink
+schedule, say) as one overlay of the kernel in measure.py, the terms
+being the products w_m*c of each weight and the atom coefficients c of
+f(z_m), in node order, and the threshold zero_tol times the largest
+product modulus: `linear_combine`'s sum and its zero_tol rule.  The
+weights are Python complex divisions, in node order.  The terms of a
+difference are its atoms.  `divided_diff` is the one-tuple call, and
+`divided_diff_lagrange`, the sum as `linear_combine(weights, values)`,
+builds the same function bit for bit.  Where the sum would leave the
+float range (a weight that is not a finite non-zero float, as for nodes
+a subnormal distance apart, or a product or atom whose modulus is not
+finite), FloatRangeError is raised instead.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
-import numpy as np
-
-from .measure import GRID, NEG_INF, POS_INF, RADIAL, _merged
+from .measure import GRID, NEG_INF, POS_INF, RADIAL, _joined, _overlay
 from .simplefn import (
     SimpleFunction,
     SupportBound,
@@ -239,8 +223,8 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
 
     The one-tuple call of `divided_diffs` (see the module docstring);
     bitwise `divided_diff_lagrange`.  Raises FloatRangeError when a
-    barycentric weight, a weighted curve value or a cell sum leaves the
-    float range.
+    barycentric weight, a weighted curve value or an atom of their sum
+    leaves the float range.
     """
     return divided_diffs(f, [nodes], zero_tol)[0]
 
@@ -248,7 +232,7 @@ def divided_diff(f: CurveMap, nodes: Nodes, zero_tol: float = 1e-9) -> SimpleFun
 def divided_diffs(
     f: CurveMap, tuples: Sequence[Nodes], zero_tol: float = 1e-9
 ) -> list[SimpleFunction]:
-    """The divided differences over node tuples of one order, all weight sums at once.
+    """The divided differences over node tuples of one order, one weight sum per tuple.
 
     Item i is bitwise `divided_diff(f, tuples[i], zero_tol)`.  Raises
     FloatRangeError for the first tuple in list order whose weight sum
@@ -260,12 +244,14 @@ def divided_diffs(
 def _differences(
     f: CurveMap, tuples: Sequence[Nodes], zero_tol: float = 1e-9
 ) -> Iterator[SimpleFunction]:
-    """`divided_diffs`, one difference at a time.
+    """`divided_diffs` as an iterator: the differences in list order, then the first fault.
 
-    The weight sums run together, on float64 arrays, and each result is
-    merged only when it is asked for, so a caller that gauges one
-    difference at a time holds one.  The tuples' nodes are checked before
-    any curve is evaluated, and a tuple's weights before its curve values.
+    The tuples' nodes are checked before any curve is evaluated.  Every
+    difference before the first tuple that raises FloatRangeError is
+    computed before the first is yielded; its `index` is that tuple's
+    position.  Computing each difference only when the caller asks for it,
+    between the caller's gauges, ran 15% slower on a smoothness trace (2
+    vCPU Xeon).
     """
     zss = [_distinct_nodes(nodes) for nodes in tuples]
     if len(set(map(len, zss))) > 1:
@@ -273,36 +259,38 @@ def _differences(
     if zss and len(zss[0]) == 1:
         yield from (f(zs[0]) for zs in zss)
         return
-    batch: list = []  # (weights, curve values, grid) of the tuples of the next pass
-    start = widest = 0
-    fault = None
+    out, fault = [], None
     for i, zs in enumerate(zss):
         try:
-            weights = _weights(zs)
+            out.append(_difference(f, zs, zero_tol))
         except FloatRangeError as exc:
-            fault, exc.index = exc, i
+            exc.index, fault = i, exc
             break
-        values = [f(z) for z in zs]
-        grid = _CellGrid(values)
-        widest = max(widest, grid.size)
-        if batch and (len(batch) + 1) * len(zs) * widest > _PASS_CELLS:
-            yield from _batch_differences(batch, start, zero_tol)
-            batch, start, widest = [], i, grid.size
-        batch.append((weights, values, grid))
-    if batch:
-        yield from _batch_differences(batch, start, zero_tol)
+    yield from out
     if fault is not None:
         raise fault
 
 
-#: Curve-value cells, padding included, of the tuples whose weight sums
-#: share one array pass.  A pass holds 16 bytes per such cell, plus about
-#: 64 bytes per cell of one row (the sums, their moduli, a node's products
-#: and their temporaries): 16 + 64/n bytes per cell for n nodes, at most
-#: 48.  On the divdiff-deep benchmark (2 vCPU Xeon), passes of whole
-#: 40-step schedules ran 1% faster (p90 8.5 against 9.0 ms) and raised its
-#: peak RSS by 0.6 MB; 2**12 keeps the pass of any schedule small.
-_PASS_CELLS = 2**12
+def _difference(f: CurveMap, zs: Sequence[complex], zero_tol: float) -> SimpleFunction:
+    """The divided difference over at least two distinct nodes: one kernel overlay.
+
+    The nodes' weights are computed before the curve values.
+    """
+    weights = _weights(zs)
+    values = [f(z) for z in zs]
+    products = [w * c for w, v in zip(weights, values) for c in v._atom_coeffs]
+    ends = _joined(f.family, (v._atom_ends for v in values))
+    try:
+        cmax = max(map(abs, products), default=0.0)
+        # capped, so that no cell of infinite modulus is dropped: it raises
+        tol = min(zero_tol * cmax, sys.float_info.max)
+        atoms = _overlay(products, ends, tol) if math.isfinite(cmax) else None
+    except OverflowError:  # abs of a finite value whose modulus is past the largest float
+        atoms = None
+    if atoms is None or not all(map(cmath.isfinite, atoms[0])):
+        raise FloatRangeError("a coefficient's modulus is past the largest float")
+    ac, ae, _ = atoms  # a difference's terms are its atoms
+    return _from_columns(f.family, ac, [1] * len(ac), ae, zero_tol, atoms)
 
 
 def _weights(zs: Sequence[complex]) -> list[complex]:
@@ -324,103 +312,6 @@ def _weights(zs: Sequence[complex]) -> list[complex]:
             )
         weights.append(w)
     return weights
-
-
-def _batch_differences(batch: list, start: int, zero_tol: float) -> Iterator[SimpleFunction]:
-    """The differences over tuples of n >= 2 distinct nodes, by one array pass.
-
-    Tuple s keeps its own grid; its curve values fill rows 0..n-1 of
-    `cells[s]`, padded with zero cells to the largest grid, and
-    `_weighted_sum` sums them.  A tuple fails where a product or a cell
-    modulus is not finite.  The differences of the tuples before the first
-    failing one are yielded, then its error is raised.
-    """
-    weights, values, grids = zip(*batch)
-    sizes = [grid.size for grid in grids]
-    cells = np.zeros((len(grids), len(weights[0]), max(sizes)), dtype=complex)
-    for grid, vs, rows in zip(grids, values, cells):
-        for v, row in zip(vs, rows):
-            grid.fill(row, v)
-    sums, cmax, mod = _weighted_sum(np.array(weights), cells, zero_tol)
-    failed = ~np.isfinite(cmax) | ~np.isfinite(mod).all(axis=1)
-    stop = int(failed.argmax()) if failed.any() else len(grids)
-    for grid, row, size in zip(grids[:stop], sums, sizes):
-        ac, ae = grid.merged(row[:size].tolist())  # a difference's terms are its atoms
-        yield _from_columns(grid.family, ac, [1] * len(ac), ae, zero_tol, (ac, ae))
-    if stop < len(grids):
-        exc = FloatRangeError("a coefficient's modulus is past the largest float")
-        exc.index = start + stop
-        raise exc
-
-
-def _weighted_sum(
-    w: np.ndarray, cells: np.ndarray, zero_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each tuple's cells 0.0 + sum_m w_m * x_m, and 0 where the modulus is at most zero_tol * cmax.
-
-    w, shape (tuples, n), holds each tuple's weights and cells, shape
-    (tuples, n, cells), its rows of curve values x_m.  Returns the sums,
-    shape (tuples, cells), cmax, the largest product modulus |w_m * x_m|
-    of each tuple, and the moduli of the sums before the drop.  Products
-    and sums are formed on the real and imaginary planes (see the module
-    docstring).
-    """
-    sums = np.zeros((cells.shape[0], cells.shape[2]), dtype=complex)
-    sr, si = sums.real, sums.imag
-    cmax = np.zeros(len(w))
-    with np.errstate(all="ignore"):
-        for m in range(w.shape[1]):
-            wr, wi = w.real[:, m, None], w.imag[:, m, None]
-            xr, xi = cells.real[:, m], cells.imag[:, m]
-            pr, pi = wr * xr - wi * xi, wr * xi + wi * xr
-            np.maximum(cmax, np.hypot(pr, pi).max(axis=1, initial=0.0), out=cmax)
-            sr += pr
-            si += pi
-        mod = np.hypot(sr, si)
-        sums[mod <= zero_tol * cmax[:, None]] = 0
-    return sums, cmax, mod
-
-
-class _CellGrid:
-    """One grid of elementary cells under the atoms of several functions.
-
-    Its axes are the sorted distinct atom endpoints of all the functions
-    per axis (radii for the radial family).  A function on it is a flat
-    row of `size` cell values, x-major, with 0j where no atom lies; an
-    atom covers a block of cells.  Canonical atoms do not depend on how
-    fine the grid is, so merging a function's cells gives back its atoms.
-    """
-
-    __slots__ = ("family", "axes", "index", "nx", "ny", "size")
-
-    def __init__(self, values: Sequence[SimpleFunction]) -> None:
-        self.family = values[0].family
-        self.axes = [
-            sorted(set(chain.from_iterable(axis))) for axis in zip(*(v._atom_ends for v in values))
-        ]
-        self.index = [dict(zip(axis, range(len(axis)))) for axis in self.axes]
-        sides = [max(len(axis) - 1, 0) for axis in self.axes]
-        self.nx, self.ny = sides if self.family == GRID else (sides[0], 1)
-        self.size = self.nx * self.ny
-
-    def fill(self, row: np.ndarray, f: SimpleFunction) -> None:
-        """Write the cell values of f into `row`, which is zero: each atom's value on its block."""
-        if self.family == RADIAL:
-            (ir,), (re,) = self.index, f._atom_ends
-            for c, lo, hi in zip(f._atom_coeffs, re[::2], re[1::2]):
-                row[ir[lo] : ir[hi]] = c
-            return
-        (ix, iy), (xe, ye) = self.index, f._atom_ends
-        blocks = row[: self.size].reshape(self.nx, self.ny)
-        for c, xlo, xhi, ylo, yhi in zip(f._atom_coeffs, xe[::2], xe[1::2], ye[::2], ye[1::2]):
-            blocks[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]] = c
-
-    def merged(self, cells: list) -> tuple[list, tuple]:
-        """The kernel's merged atoms of the flat row `cells`, as values and endpoint columns."""
-        if self.family == RADIAL or not cells:
-            return _merged(self.axes, cells, 0.0)
-        ny = self.ny
-        return _merged(self.axes, [cells[s : s + ny] for s in range(0, len(cells), ny)], 0.0)
 
 
 def divided_diff_lagrange(
@@ -480,6 +371,10 @@ class ShrinkSchedule:
             raise ValueError("schedule offsets must be pairwise distinct")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError(f"shrink ratio {self.ratio} outside ]0, 1[")
+        try:
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(f"schedule steps {self.steps!r} is not an integer") from None
         if self.steps < 1:
             raise ValueError("schedule needs at least one step")
 

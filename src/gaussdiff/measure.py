@@ -39,30 +39,34 @@ neighbours merge along y, then equal whole columns along x.  The result is
 the canonical cell list, as values and endpoint columns.
 
 The kernel has two forms, chosen by grid size alone.  A grid of fewer
-than `_ARRAY_CELLS` elementary cells is merged in Python, whose fixed cost
-is lower.  A larger grid is merged on numpy arrays.  A region operation's
-integer weights are summed on its arrays from start to end
-(`_parts_sums`): `_axis` gives each sorted axis and every endpoint's
-index on it, and a summed-area table (Crow 1984) gives every cell's
-cover count, exactly: each piece adds its weight at the corners of its
-block in a difference grid, `np.bincount` adds the corners up, and two
-running sums give the counts.  Only pieces too few for a grid of
-`_ARRAY_CELLS` cells go through lists, as a function's columns do:
-`_cell_sums` adds each piece's weight to its block as one slice of a
-complex grid, in piece order from 0j.  The rounding of a float sum
+than `_ARRAY_CELLS` elementary cells is merged on Python lists, whose
+fixed cost is lower; a larger one on numpy arrays.  A function's overlay
+keeps one representation from start to end: its complex weights are
+added to each piece's block of cells in piece order from 0j, on a list
+of lists by `_list_sums` for a small grid, as one slice of a complex
+grid by `_cell_sums` for a large one.  The rounding of a float sum
 depends on the order of its additions, and piece order is the order a
-per-cell loop adds in.  The array merge finds the kept cells (Python's
-abs decides those within a few ulp of the threshold), the ends of the
-y-runs by comparing each cell with its neighbour and the equal columns
-by comparing whole columns; it then reads the output columns off the
-sorted axes by index.  Both forms give the same values and columns.  A
-function's array form (`_array_merged`) also hands back its pieces'
-moduli and masses as float64 arrays, for the gauges, computed from the
-arrays it read the pieces off: moduli by `np.hypot` of the kept values
-(the libm hypot Python's complex abs calls), masses from one erf (or
-exp) per axis endpoint and each piece's sides as index arrays into the
-sorted axes (`_indexed_masses`, bitwise `_piece_masses`).  Regions,
-which are never gauged, stop at the runs (`_array_runs`).  The kernel is
+per-cell loop adds in, so the two give the same bits.  A region
+operation's integer weights are summed on its arrays (`_parts_sums`):
+`_axis` gives each sorted axis and every endpoint's index on it, and a
+summed-area table (Crow 1984) gives every cell's cover count, exactly:
+each piece adds its weight at the corners of its block in a difference
+grid, `np.bincount` adds the corners up, and two running sums give the
+counts.  A region's pieces too few for a grid of `_ARRAY_CELLS` cells
+are summed by `_cell_sums` instead, because the region's predicates read
+the sums as array masks, and merged on lists.  The array merge finds the
+kept cells (Python's abs decides those within a few ulp of the
+threshold), the ends of the y-runs by comparing each cell with its
+neighbour and the equal columns by comparing whole columns; it then
+reads the output columns off the sorted axes by index.  Both forms give
+the same values and columns.  A function's array form (`_array_merged`)
+also hands back its pieces' moduli and masses as float64 arrays, for the
+gauges, computed from the arrays it read the pieces off: moduli by
+`np.hypot` of the kept values (the libm hypot Python's complex abs
+calls), masses from one erf (or exp) per axis endpoint and each piece's
+sides as index arrays into the sorted axes (`_indexed_masses`, bitwise
+`_piece_masses`).  Regions, which are never gauged, stop at the runs
+(`_array_runs`).  The kernel is
 used in three ways; inclusion needs no grid:
 
 * construction weights every non-empty piece 1 and keeps sums != 0; a
@@ -206,11 +210,12 @@ _Columns = tuple[list[float], ...]
 # the overlay kernel
 # ---------------------------------------------------------------------------
 
-#: Elementary cells from which the kernel merges runs on numpy arrays;
-#: smaller grids keep the Python loops.  Set where the two forms broke even
-#: on the benchmark workloads' own overlays while regions held lists (2 vCPU
-#: Xeon): the array form took about 80% of the loops' time on their 64-127
-#: cell grids, the same on 32-63 cells and about a third more on 16-31.
+#: Elementary cells from which the kernel sums and merges on numpy arrays;
+#: smaller grids keep Python lists and loops.  Set where the two forms
+#: broke even on the benchmark workloads' own overlays while regions held
+#: lists (2 vCPU Xeon): the array form took about 80% of the loops' time on
+#: their 64-127 cell grids, the same on 32-63 cells and about a third more
+#: on 16-31.
 #: With regions held as arrays, a union's whole array path breaks even with
 #: the list path at about 20-30 cells in 1-D and 120-130 cells in 2-D.
 _ARRAY_CELLS = 64
@@ -242,9 +247,9 @@ def _joined(family: str, columns: Iterable[Sequence[Sequence[float]]]) -> _Colum
 
 
 def _cell_sums(
-    weights: Sequence[complex], ends: Sequence[Sequence[float]]
-) -> tuple[list[list[float]], np.ndarray]:
-    """Sorted distinct endpoints per axis, and every elementary cell's complex sum.
+    weights: Sequence[complex], ends: Sequence[Sequence[float]], axes: list[list[float]]
+) -> np.ndarray:
+    """Every elementary cell's complex sum, on the sorted distinct endpoints `axes` per axis.
 
     `weights[i]` is the weight of piece i, whose endpoints `ends` holds as
     endpoint columns of floats.  A piece covers a contiguous block of
@@ -255,7 +260,6 @@ def _cell_sums(
     way; their callers read the sums only through comparisons with small
     integers, where an integer sum and its complex twin agree.
     """
-    axes = [sorted(set(e)) for e in ends]
     # `block += c` on a view; `sums[...] += c` would also copy the block back
     sums = np.zeros([len(a) - 1 for a in axes], dtype=complex)
     if len(axes) == 1:
@@ -264,14 +268,42 @@ def _cell_sums(
         for c, lo, hi in zip(weights, re[::2], re[1::2]):
             block = sums[ir[lo] : ir[hi]]
             block += c
-        return axes, sums
+        return sums
     (xs, ys), (xe, ye) = axes, ends
     ix = dict(zip(xs, range(len(xs))))
     iy = dict(zip(ys, range(len(ys))))
     for c, xlo, xhi, ylo, yhi in zip(weights, xe[::2], xe[1::2], ye[::2], ye[1::2]):
         block = sums[ix[xlo] : ix[xhi], iy[ylo] : iy[yhi]]
         block += c
-    return axes, sums
+    return sums
+
+
+def _list_sums(
+    weights: Sequence[complex], ends: Sequence[Sequence[float]], axes: list[list[float]]
+) -> list:
+    """`_cell_sums(weights, ends, axes).tolist()`, summed on lists.
+
+    Each piece's weight is added to every cell of its block, in piece
+    order from 0j, as `_cell_sums` adds it; a 2-D grid is a list of
+    x-columns, a 1-D grid a plain list.
+    """
+    if len(axes) == 1:
+        (rs,), (re,) = axes, ends
+        ir = dict(zip(rs, range(len(rs))))
+        sums = [0j] * (len(rs) - 1)
+        for c, lo, hi in zip(weights, re[::2], re[1::2]):
+            lo, hi = ir[lo], ir[hi]
+            sums[lo:hi] = [v + c for v in sums[lo:hi]]
+        return sums
+    (xs, ys), (xe, ye) = axes, ends
+    ix = dict(zip(xs, range(len(xs))))
+    iy = dict(zip(ys, range(len(ys))))
+    sums = [[0j] * (len(ys) - 1) for _ in xs[1:]]
+    for c, xlo, xhi, ylo, yhi in zip(weights, xe[::2], xe[1::2], ye[::2], ye[1::2]):
+        lo, hi = iy[ylo], iy[yhi]
+        for column in sums[ix[xlo] : ix[xhi]]:
+            column[lo:hi] = [v + c for v in column[lo:hi]]
+    return sums
 
 
 def _cover_counts(weights: np.ndarray, ends: _Ends) -> tuple[list[np.ndarray], np.ndarray]:
@@ -383,10 +415,11 @@ def _overlay(
     With fewer than two pieces numpy is skipped: a single (non-empty)
     piece is its own elementary cell, valued 0j + w as `_cell_sums` would
     value it.  This is the endpoint form of `_canon`'s rule that a single
-    piece is canonical as given.  A grid of at least `_ARRAY_CELLS` cells
-    is merged on arrays by `_array_merged`, which also hands back the
-    pieces' moduli and masses as arrays; a smaller one by `_merged`, and
-    the arrays are None.  Both give the same values and columns.
+    piece is canonical as given.  A grid of fewer than `_ARRAY_CELLS`
+    cells is summed by `_list_sums` and merged by `_merged`, on lists, and
+    the arrays are None; a larger one is summed by `_cell_sums` and merged
+    by `_array_merged`, which also hands back the pieces' moduli and
+    masses as arrays.  Both give the same values and columns.
     """
     if not weights:
         return [], tuple([] for _ in ends), None
@@ -395,10 +428,10 @@ def _overlay(
         if abs(value) <= tol:  # dropped as `_runs` drops a cell
             return [], tuple([] for _ in ends), None
         return [value], tuple(list(e) for e in ends), None
-    axes, sums = _cell_sums(weights, ends)
-    if sums.size < _ARRAY_CELLS:
-        return *_merged(axes, sums.tolist(), tol), None
-    return _array_merged(axes, sums, tol)
+    axes = [sorted(set(e)) for e in ends]
+    if math.prod(len(a) - 1 for a in axes) < _ARRAY_CELLS:
+        return *_merged(axes, _list_sums(weights, ends, axes), tol), None
+    return _array_merged(axes, _cell_sums(weights, ends, axes), tol)
 
 
 def _kept(values: np.ndarray, tol: float) -> np.ndarray:
@@ -505,7 +538,9 @@ def _parts_sums(parts: Sequence[_Ends]) -> tuple[list, np.ndarray]:
     weights = []
     for k, n in enumerate(sizes, 1):
         weights += [k] * n
-    return _cell_sums(weights, np.concatenate(parts, axis=1).tolist())
+    ends = np.concatenate(parts, axis=1).tolist()
+    axes = [sorted(set(e)) for e in ends]
+    return axes, _cell_sums(weights, ends, axes)
 
 
 def _sweep(parts: Sequence[_Ends], keep: Callable[[np.ndarray], np.ndarray]) -> _Ends:

@@ -63,10 +63,11 @@ Gauges on a function f with atoms (c_i, A_i):
   p-th-power functional of the quasi-normed space.
 
 Each gauge is Python's `sum` of one term per atom, in atom order.  A
-function built by the overlay kernel's array form (`linear_combine` or
-`SimpleFunction(...)` on a grid of at least `_ARRAY_CELLS` elementary
-cells) is handed its atoms' moduli and masses as float64 arrays by the
-kernel (see measure.py), bitwise Python's abs and `_piece_masses`.  Its
+function built by the overlay kernel's array form (`linear_combine`,
+`SimpleFunction(...)` or a divided difference on a grid of at least
+`_ARRAY_CELLS` elementary cells) is handed its atoms' moduli and masses
+as float64 arrays by the kernel (see measure.py), bitwise Python's abs
+and `_piece_masses`.  Its
 four gauges form the per-atom terms in one pass over those arrays and
 add them with `sum` over `.tolist()`: numpy's own sums add in another
 order (pairwise) and would round differently.  `min(1, |c|)` is
@@ -75,15 +76,15 @@ order (pairwise) and would round differently.  `min(1, |c|)` is
 Python's `**` does; `np.power` runs SIMD loops of its own on some CPUs,
 which differ from `pow` in the last ulp on some moduli.  An inf modulus
 times a 0.0 mass is NaN there as in Python, without a warning.  Every
-other function (curve values, differences, indicators, small overlays,
-copies) gauges atom by atom from its columns, with no array built, so
-the thousands of tiny functions of a divided difference pay nothing for
-it.  Both ways give the same bits.
+other function (curve values, indicators, overlays and differences on
+smaller grids, copies) gauges atom by atom from its columns, with no
+array built, so the thousands of tiny differences of a shrink schedule
+pay nothing for it.  Both ways give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -201,16 +202,17 @@ class SimpleFunction:
         coeffs: list[complex],
         sizes: list[int],
         ends: _Columns,
-        atoms: tuple[list[complex], _Columns] | None = None,
+        atoms: tuple[list[complex], _Columns, tuple | None] | None = None,
     ) -> None:
         """Set every column from the term columns; every constructor ends here.
 
         Term i is coeffs[i] times the indicator of the next sizes[i] pieces
-        of `ends`.  `atoms` are the overlay kernel's values and columns of
-        the terms' merged cells if the caller has them; otherwise the
-        overlay runs here, with the threshold zero_tol times the largest
-        term coefficient modulus, and the atoms' moduli and masses that its
-        array form hands back, if it ran, are kept for the gauges.
+        of `ends`.  `atoms` is what the overlay kernel returns for the
+        terms' merged cells, if the caller has it: values, columns, and the
+        moduli and masses its array form hands back, or None.  Otherwise
+        the overlay runs here, with the threshold zero_tol times the
+        largest term coefficient modulus.  The arrays are kept for the
+        gauges.
 
         The columns are lists that nothing changes and that are never
         handed out (an indicator shares its region's).  Short tuples would
@@ -222,9 +224,8 @@ class SimpleFunction:
         if atoms is None:
             weights = [c for c, n in zip(coeffs, sizes) for _ in range(n)]
             tol = zero_tol * max(map(abs, coeffs), default=0.0)
-            atom_coeffs, atom_ends, arrays = _overlay(weights, ends, tol)
-        else:
-            (atom_coeffs, atom_ends), arrays = atoms, None
+            atoms = _overlay(weights, ends, tol)
+        atom_coeffs, atom_ends, arrays = atoms
         init = object.__setattr__
         init(self, "family", family)
         init(self, "zero_tol", zero_tol)
@@ -244,7 +245,7 @@ class SimpleFunction:
         if family not in (GRID, RADIAL):
             raise ValueError(f"unknown function family {family!r}")
         ends = ([], []) if family == GRID else ([],)  # shared by the terms and the atoms
-        return _from_columns(family, [], [], ends, ZERO_TOL, ([], ends))
+        return _from_columns(family, [], [], ends, ZERO_TOL, ([], ends, None))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -254,7 +255,7 @@ class SimpleFunction:
 
     def __reduce__(self):
         # copy and pickle restore the columns as they are
-        atoms = (self._atom_coeffs, self._atom_ends)
+        atoms = (self._atom_coeffs, self._atom_ends, None)
         args = (self._term_coeffs, self._term_sizes, self._term_ends, self.zero_tol, atoms)
         return _from_columns, (self.family, *args)
 
@@ -335,7 +336,7 @@ def _from_columns(
     sizes: list[int],
     ends: _Columns,
     zero_tol: float = ZERO_TOL,
-    atoms: tuple[list[complex], _Columns] | None = None,
+    atoms: tuple[list[complex], _Columns, tuple | None] | None = None,
 ) -> SimpleFunction:
     """The function of these term columns (see `SimpleFunction._fill`); no region is built."""
     out = object.__new__(SimpleFunction)
@@ -360,8 +361,8 @@ def _piece_function(family: str, c: complex, *sides: tuple[float, float]) -> Sim
         return _from_columns(family, [c], [0], tuple([] for _ in sides))
     value = 0j + c
     if abs(value) <= ZERO_TOL * abs(c):
-        return _from_columns(family, [c], [1], ends, ZERO_TOL, ([], tuple([] for _ in sides)))
-    return _from_columns(family, [c], [1], ends, ZERO_TOL, ([value], ends))
+        return _from_columns(family, [c], [1], ends, ZERO_TOL, ([], tuple([] for _ in sides), None))
+    return _from_columns(family, [c], [1], ends, ZERO_TOL, ([value], ends, None))
 
 
 def indicator(r: Region) -> SimpleFunction:
@@ -371,7 +372,7 @@ def indicator(r: Region) -> SimpleFunction:
     """
     ends = tuple(r._ends.tolist())
     n = len(ends[0]) // 2
-    return _from_columns(r.family, [1.0 + 0j], [n], ends, ZERO_TOL, ([1.0 + 0j] * n, ends))
+    return _from_columns(r.family, [1.0 + 0j], [n], ends, ZERO_TOL, ([1.0 + 0j] * n, ends, None))
 
 
 def linear_combine(
@@ -443,40 +444,16 @@ def lp_gauge(f: SimpleFunction, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SupportBound:
     """A region that a function's support is claimed to lie inside.
 
     The region holds its canonical pieces as endpoint columns, as every
     region does: `supported_in` tests against them and `mass` sums them.
-    `support_bound_of` builds the region with `_union_bound`.  Immutable;
-    `==`, `hash` and `repr` are those of a frozen dataclass with the one
-    field `region`.
+    `support_bound_of` builds the region with `_union_bound`.
     """
 
-    __slots__ = ("region",)
-
-    def __init__(self, region: Region) -> None:
-        object.__setattr__(self, "region", region)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SupportBound, (self.region,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.region == other.region
-
-    def __hash__(self) -> int:
-        return hash((self.region,))
-
-    def __repr__(self) -> str:
-        return f"SupportBound(region={self.region!r})"
+    region: Region
 
     @property
     def family(self) -> str:

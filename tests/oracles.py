@@ -289,7 +289,7 @@ def list_sweep(weights: list[int], ends: Sequence[list[float]], keep) -> tuple[l
         return tuple([] for _ in ends)
     axes = [sorted(set(e)) for e in ends]
     if math.prod(len(a) - 1 for a in axes) < measure._ARRAY_CELLS:
-        _, sums = measure._cell_sums(weights, ends)
+        sums = measure._cell_sums(weights, ends, axes)
         return measure._merged(axes, keep(sums).tolist(), 0.0)[1]
     _, at = measure._array_runs(axes, keep(list_cover_counts(weights, axes, ends)), 0.0)
     return tuple(
@@ -655,23 +655,28 @@ def kernel_paths():
     """Record which form of the overlay kernel runs, while the context is open.
 
     Yields {"grids": cell counts of the grids summed (a function's
-    complex sums by `_cell_sums`, a region's integer cover counts by
-    `_cover_counts`), "counts": the number of integer sums, "merges": the
-    number of merges on the array form (`_array_runs`), "merged": (cell
-    count, on the array form) of every merge}.
+    complex sums by `_cell_sums` or `_list_sums`, a region's integer cover
+    counts by `_cover_counts`), "counts": the number of integer sums,
+    "merges": the number of merges on the array form (`_array_runs`),
+    "merged": (cell count, on the array form) of every merge}.
     """
     seen = {"grids": [], "merges": 0, "counts": 0, "merged": []}
-    cell_sums, cover_counts, merged, array_runs = (
+    cell_sums, list_sums, cover_counts, merged, array_runs = (
         measure._cell_sums,
+        measure._list_sums,
         measure._cover_counts,
         measure._merged,
         measure._array_runs,
     )
 
     def counted_sums(*args):
-        axes, sums = cell_sums(*args)
+        sums = cell_sums(*args)
         seen["grids"].append(sums.size)
-        return axes, sums
+        return sums
+
+    def counted_lists(weights, ends, axes):
+        seen["grids"].append(math.prod(len(a) - 1 for a in axes))
+        return list_sums(weights, ends, axes)
 
     def counted_counts(*args):
         axes, sums = cover_counts(*args)
@@ -690,6 +695,7 @@ def kernel_paths():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measure, "_cell_sums", counted_sums)
+        mp.setattr(measure, "_list_sums", counted_lists)
         mp.setattr(measure, "_cover_counts", counted_counts)
         mp.setattr(measure, "_merged", counted_loops)
         mp.setattr(measure, "_array_runs", counted_runs)

@@ -55,10 +55,11 @@ from gaussdiff import (
     support_bound_of,
     supported_in,
     vertical_strip,
+    wk_member,
 )
 
-from gaussdiff import measure, simplefn
-from gaussdiff.divdiff import _CellGrid, _differences, _weighted_sum
+from gaussdiff import divdiff, measure, simplefn
+from gaussdiff.divdiff import _differences
 from gaussdiff.experiments import VERIFY_ALL_SUITE
 from gaussdiff.measure import (
     GRID,
@@ -72,7 +73,7 @@ from gaussdiff.measure import (
     _piece_ends,
     _sweep,
 )
-from gaussdiff.simplefn import SupportBound, _union_bound
+from gaussdiff.simplefn import SupportBound, _from_columns, _union_bound
 from oracles import (
     barycentric_overflows,
     cell_values,
@@ -160,7 +161,7 @@ def test_repeated_nodes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the batched weight sums against linear_combine(weights, values)
+# the weight sums of many tuples against linear_combine(weights, values)
 # ---------------------------------------------------------------------------
 
 
@@ -301,21 +302,27 @@ def _bits(v: complex) -> bytes:
 @example(1 + 0j, 2 + 0j, 0j, 1.0)
 @settings(max_examples=500, deadline=None)
 def test_level_arithmetic_is_pythons(w, x, y, zero_tol):
-    # pins the platform assumption of the array weight sum: CPython's
-    # complex multiply is wr*xr - wi*xi, wr*xi + wi*xr with no fused
-    # multiply-add, and its abs is the hypot that np.hypot calls; the
-    # weights w and -w of one cell x, y sum as linear_combine([w, -w], ...)
-    sums, cmax, mod = _weighted_sum(np.array([[w, -w]]), np.array([[[x], [y]]]), zero_tol)
+    # a difference is Python's complex arithmetic: over one cell on which
+    # the curve values are x and y, the weights w and -w sum as
+    # linear_combine([w, -w], ...) does, from 0j and in node order
+    cell = ([0.0, 1.0], [0.0, 1.0])
+    values = {
+        z: _from_columns(GRID, [c], [1], cell, 1e-9, ([c], cell, None)) for z, c in ((0, x), (1, y))
+    }
+    curve = CurveMap(GRID, values.__getitem__)
     products = [_modulus(w * x), _modulus(-w * y)]
     v = 0j + w * x + (-w) * y
-    if not all(map(math.isfinite, [*products, _modulus(v)])):
-        # the weight sum raises FloatRangeError for this tuple
-        assert not (math.isfinite(cmax[0]) and math.isfinite(mod[0, 0]))
-        return
-    assert cmax[0].hex() == max(products).hex()
-    assert mod[0, 0].hex() == abs(v).hex()
-    kept = 0j if abs(v) <= zero_tol * max(products) else v
-    assert _bits(sums[0, 0].item()) == _bits(kept)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divdiff, "_weights", lambda zs: [w, -w])
+        if not all(map(math.isfinite, [*products, _modulus(v)])):
+            with pytest.raises(FloatRangeError, match="^a coefficient's modulus is past "):
+                divided_diff(curve, (0, 1), zero_tol)
+            return
+        g = divided_diff(curve, (0, 1), zero_tol)
+    if abs(v) <= zero_tol * max(products):
+        assert g.is_zero
+    else:
+        assert [_bits(c) for c in g._atom_coeffs] == [_bits(v)] and g._atom_ends == cell
 
 
 _CENTERS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -401,9 +408,9 @@ def test_batched_errors_name_the_first_failing_tuple(family):
     good = (0.25, 0.5j)
     want = divided_diff(curve, good)
     assert not want.is_zero
-    # a cell fault, found in the array pass, and a weight fault, found
-    # before it: whichever tuple comes first wins, and the tuples before
-    # it are yielded
+    # a cell fault, found in the tuple's overlay, and a weight fault,
+    # found before it: whichever tuple comes first wins, and the tuples
+    # before it are yielded
     for tuples, index, name in (
         ([_CELL_FAULT, _WEIGHT_FAULT], 0, "cell"),
         ([_WEIGHT_FAULT, _CELL_FAULT], 0, "weight"),
@@ -416,6 +423,16 @@ def test_batched_errors_name_the_first_failing_tuple(family):
         out, error = _yielded(curve, tuples)
         assert (str(error), error.index) == (messages[name], index)
         assert len(out) == index and all(repr(g) == repr(want) for g in out)
+
+
+@pytest.mark.parametrize("zero_tol", [2.0, INF])
+def test_a_threshold_past_the_largest_float_keeps_the_cell_faults(zero_tol):
+    # zero_tol * 1e308 is past the largest float: a cell whose sum
+    # overflows still raises, and every finite cell is at most the threshold
+    curve = _huge_values(GRID)
+    with pytest.raises(FloatRangeError, match="^a coefficient's modulus is past "):
+        divided_diff(curve, _CELL_FAULT, zero_tol)
+    assert divided_diff(curve, (0.25, 0.5j), zero_tol).is_zero
 
 
 def test_batched_errors_keep_the_tuples_in_step_order():
@@ -442,11 +459,12 @@ def test_differences_run_no_overlay_sweep(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_differences_merge_only_the_results(k, monkeypatch):
-    # a difference's terms are its atoms: its children are not merged, and
-    # no mass is computed until a gauge reads one
+    # a difference is one overlay, whose atoms are also its terms: its
+    # children are not merged, and no mass is computed until a gauge reads one
     merges, masses = [], []
-    merged, piece_masses = _CellGrid.merged, simplefn._piece_masses
-    monkeypatch.setattr(_CellGrid, "merged", lambda *args: merges.append(1) or merged(*args))
+    overlay, piece_masses = measure._overlay, simplefn._piece_masses
+    for module in (divdiff, simplefn):
+        monkeypatch.setattr(module, "_overlay", lambda *args: merges.append(1) or overlay(*args))
     monkeypatch.setattr(simplefn, "_piece_masses", lambda e: masses.append(1) or piece_masses(e))
     sched = ShrinkSchedule.roots_of_unity(k)
     tuples = [sched.tuple_at(0.3 + 0.7j, n) for n in range(1, 9)]
@@ -459,41 +477,66 @@ def test_differences_merge_only_the_results(k, monkeypatch):
     assert len(masses) == 1
 
 
+def _gauge_bits(f):
+    """The four gauges and the masses of f, as bits."""
+    values = [l0_gauge(f), lp_gauge(f, 0.75), gauge_in_measure(f, 1e-3), *f.masses]
+    return [v.hex() for v in values] + [wk_member(f, 7)]
+
+
 def test_traces_and_differences_gauge_atom_by_atom(monkeypatch):
-    # curve values, differences and their traces keep the list path:
-    # no mass table is built for them, nor the moduli array built with it
-    built = []
+    # curve values, and differences of fewer than _ARRAY_CELLS cells, keep
+    # the list path: no mass table is built for them, nor the moduli array
+    # built with it.  A larger difference, such as k = 10 on example1,
+    # holds the kernel's arrays, and its gauges are the atom-by-atom sums
+    built, large = [], []
     table = measure._indexed_masses
     monkeypatch.setattr(measure, "_indexed_masses", lambda *a: built.append(1) or table(*a))
     for example, center in (("example1", 0.3 + 0.7j), ("example2", 0.4 + 0.5j), ("example3", 0.3)):
         curve, gauge = curve_for(example), gauge_for(example)
         for k in range(1, 11):
             sched = ShrinkSchedule.roots_of_unity(k)
-            derivative_by_limit(curve, center, k, sched, gauge=gauge)
-            for g in divided_diffs(curve, [sched.tuple_at(center, n) for n in (1, 5, 10)]):
-                assert g._arrays is None
-                l0_gauge(g), lp_gauge(g, 0.75), gauge_in_measure(g, 1e-3), g.masses
-    assert not built
+            start = len(built)
+            with kernel_paths() as seen:
+                derivative_by_limit(curve, center, k, sched, gauge=gauge)
+            assert len(built) - start == sum(n >= measure._ARRAY_CELLS for n in seen["grids"])
+            for n in (1, 5, 10):
+                start = len(built)
+                with kernel_paths() as seen:
+                    (g,) = divided_diffs(curve, [sched.tuple_at(center, n)])
+                on_arrays = max(seen["grids"], default=0) >= measure._ARRAY_CELLS
+                assert (g._arrays is not None) == on_arrays
+                twin = copy.copy(g)  # restores the columns without the arrays
+                assert twin == g and twin._arrays is None
+                assert _gauge_bits(g) == _gauge_bits(twin)
+                assert len(built) - start == on_arrays
+                if on_arrays:
+                    large.append((example, k, n))
+    assert ("example1", 10, 5) in large
+    assert {example for example, _, _ in large} == {"example1"}
     # the counter sees the array path: 32 rectangles give a 63 x 63 grid
     rects = [rect(i / 8, i / 8 + 4, i / 8, i / 8 + 4) for i in range(32)]
     f = linear_combine([1.0 + 1j] * 32, [indicator(r) for r in rects])
-    assert len(built) == 1
+    assert len(built) - start == 1
     assert l0_gauge(f) == sum(min(1.0, abs(c)) * m for c, m in zip(f._atom_coeffs, f.masses))
-    assert len(built) == 1
+    assert len(built) - start == 1
 
 
 def test_small_overlays_stay_off_the_array_path():
-    # divided differences and smoothness traces overlay a few pieces at a
-    # time, below _ARRAY_CELLS cells, and their support checks sum no grid
-    # at all; a union of many rectangles does
-    nodes = ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5)
+    # divided differences and smoothness traces of low order overlay a few
+    # pieces at a time, below _ARRAY_CELLS cells, and their support checks
+    # sum no grid at all; a difference of order 10 (an 11 x 8 grid) takes
+    # the array path, as any overlay of that size does, and so does a
+    # union of many rectangles
     experiment, example, extra = VERIFY_ALL_SUITE[1]
     assert (experiment, example) == ("smoothness", "example1")
     with kernel_paths() as seen:
-        divided_diff(QUADRANT_CURVE, nodes)
+        divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(6).tuple_at(0.3 + 0.7j, 5))
         run_experiment(ExperimentConfig(experiment=experiment, example=example, seed=42, **extra))
-    assert seen["merges"] == 0
-    assert max(seen["grids"], default=0) < measure._ARRAY_CELLS
+    assert seen["merges"] == 0 and seen["grids"]
+    assert max(seen["grids"]) < measure._ARRAY_CELLS
+    with kernel_paths() as seen:
+        divided_diff(QUADRANT_CURVE, ShrinkSchedule.roots_of_unity(10).tuple_at(0.3 + 0.7j, 5))
+    assert seen["grids"] == [11 * 8] and seen["merges"] == 1
     rng = np.random.default_rng(12)
     rects = [rect(*np.sort(rng.uniform(-2, 2, 2)), *np.sort(rng.uniform(-2, 2, 2))) for _ in range(128)]
     with kernel_paths() as seen:
@@ -831,6 +874,10 @@ def test_schedule_validation():
         ShrinkSchedule((1.0, -1.0), 1.5, 10)  # ratio outside ]0,1[
     with pytest.raises(ValueError):
         ShrinkSchedule((1.0, -1.0), 0.5, 0)  # no steps
+    with pytest.raises(ValueError, match="not an integer"):
+        ShrinkSchedule((1, 2, 3), 0.5, 2.5)  # used to end in a TypeError from range
+    assert ShrinkSchedule((1.0, -1.0), 0.5, np.int64(3)).steps == 3
+    assert type(ShrinkSchedule((1.0, -1.0), 0.5, np.int64(3)).steps) is int
     with pytest.raises(ValueError):
         derivative_by_limit(QUADRANT_CURVE, 0.0, 2, ShrinkSchedule.roots_of_unity(1))
 

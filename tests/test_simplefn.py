@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import pickle
+import struct
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -51,7 +52,14 @@ from gaussdiff import (
 )
 
 from gaussdiff import simplefn
-from gaussdiff.measure import _ARRAY_CELLS, _array_merged, _cell_sums, _merged, _overlay
+from gaussdiff.measure import (
+    _ARRAY_CELLS,
+    _array_merged,
+    _cell_sums,
+    _list_sums,
+    _merged,
+    _overlay,
+)
 from gaussdiff.simplefn import ZERO_TOL, _from_columns, _piece_function
 from oracles import (
     agrees_3sig,
@@ -662,7 +670,8 @@ def _outcome(merge):
 @settings(max_examples=50, deadline=None)
 def test_array_merge_matches_the_python_merge(overlay, tol, keep):
     weights, ends = overlay
-    axes, sums = _cell_sums(weights, ends)
+    axes = [sorted(set(e)) for e in ends]
+    sums = _cell_sums(weights, ends, axes)
     assume(sums.size >= _ARRAY_CELLS)
     got = _outcome(lambda: _array_merged(axes, keep(sums), tol)[:2])
     assert got == _outcome(lambda: _merged(axes, keep(sums).tolist(), tol))
@@ -676,12 +685,59 @@ def test_array_merge_raises_where_python_abs_overflows():
     # numpy's modulus of 1.5e308 * (1 + 1j) is inf; Python's abs raises
     weights = [complex(1.5e308, 1.5e308)] + [1j] * 39
     ends = [[float(k) for k in range(80)]]  # 40 touching rings, 79 cells
-    axes, sums = _cell_sums(weights, ends)
+    axes = [sorted(set(e)) for e in ends]
+    sums = _cell_sums(weights, ends, axes)
     with kernel_paths() as seen, pytest.raises(OverflowError):
         _overlay(weights, ends, 0.5)
     assert seen["merges"] == 1
     with pytest.raises(OverflowError):
         _merged(axes, sums.tolist(), 0.5)
+
+
+# Weights for the sums of both kernel forms: signed zero parts, a pair whose
+# sum overflows to inf (and, with its negative, to NaN), and plain values.
+_SUM_WEIGHTS = st.sampled_from(
+    [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0), complex(2.0, -0.0)]
+    + [complex(1.5e308, 1.0), complex(1.5e308, -1.5e308), complex(-1.5e308, -0.0)]
+) | st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _summed_overlays(draw):
+    """Kernel arguments (weights, ends) of rectangles or rings, weighted by _SUM_WEIGHTS."""
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.tuples(_side(_WIDE_END), _side(_WIDE_END)), min_size=2))
+        ends = piece_columns(pieces, "grid")
+    else:
+        ends = piece_columns(draw(st.lists(_side(_WIDE_RADIUS), min_size=2, max_size=40)), "radial")
+    n = len(ends[0]) // 2
+    return draw(st.lists(_SUM_WEIGHTS, min_size=n, max_size=n)), ends
+
+
+# three rings, and three rectangles, over one cell: inf, then NaN
+_OVERFLOWING = [complex(1.5e308, 1.0), complex(1.5e308, -0.0), complex(-INF, 1.0)]
+
+
+@given(_summed_overlays())
+@example((_OVERFLOWING, ([0.0, 2.0, 1.0, 3.0, 0.5, 2.5],)))
+@example((_OVERFLOWING, ([0.0, 2.0, 1.0, 3.0, 0.5, 2.5], [-0.0, 1.0, 0.0, 1.0, 0.5, 2.0])))
+@settings(max_examples=200, deadline=None)
+def test_list_sums_are_the_array_sums(overlay):
+    # the small grids' list sums and the large grids' array sums add the
+    # same weights in the same order, bit for bit
+    weights, ends = overlay
+    axes = [sorted(set(e)) for e in ends]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _cell_sums(weights, ends, axes)
+    assert _cell_bits(_list_sums(weights, ends, axes)) == _cell_bits(sums.tolist())
+
+
+def _cell_bits(cells: list) -> list:
+    """The type and bits of every cell of a 1-D or 2-D list grid, in its shape."""
+    return [
+        _cell_bits(v) if type(v) is list else (type(v), struct.pack("<dd", v.real, v.imag))
+        for v in cells
+    ]
 
 
 @st.composite
@@ -781,7 +837,7 @@ def _gauges(f: SimpleFunction, eps: list[float], masses_last: bool = False) -> l
 
 def _list_path_twins(f: SimpleFunction) -> list[SimpleFunction]:
     """f rebuilt from its columns, copied and pickled: all three gauge atom by atom."""
-    atoms = (f._atom_coeffs, f._atom_ends)
+    atoms = (f._atom_coeffs, f._atom_ends, None)
     twin = _from_columns(f.family, f._term_coeffs, f._term_sizes, f._term_ends, f.zero_tol, atoms)
     return [twin, copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
 
@@ -1096,7 +1152,8 @@ def test_single_piece_function_matches_the_kernel(region):
     for coeff in _SINGLE_COEFFS:
         for zero_tol in (ZERO_TOL, 0.0, 0.999, 1.0, 2.0):
             tol = zero_tol * abs(coeff)
-            axes, sums = _cell_sums([coeff], ends)
+            axes = [sorted(set(e)) for e in ends]
+            sums = _cell_sums([coeff], ends, axes)
             values, columns, arrays = _overlay([coeff], ends, tol)
             assert repr((values, columns)) == repr(_merged(axes, sums.tolist(), tol))
             assert arrays is None
