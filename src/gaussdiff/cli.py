@@ -12,7 +12,9 @@ negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
 `real-restriction` on example3, which runs it), --k for `taylor-failure`
 (it traces orders 1 to 4 itself), --center for `identity-failure` (it
 draws its two centers from --seed), or --outdir for a single experiment,
-which writes to stdout or --out.  A center with a negative
+which writes to stdout or --out.  An --out or --outdir that cannot be
+written (a missing directory, a file where a directory should be) also
+exits 2, with one `verify: cannot write ...` line.  A center with a negative
 real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a separate
 `-0.5,0.3` as an option.
 """
@@ -20,6 +22,7 @@ real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a separate
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional, Sequence
@@ -112,17 +115,28 @@ def _reject_given(args: argparse.Namespace, names: Sequence[str], why: str) -> N
         raise ConfigError(f"{why} {', '.join(given)}")
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError of writing `path` into the ConfigError `main` reports."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
         single = ("k", "p", "rho", "tol", "ceiling", "center", "example", "out")
         _reject_given(args, single, "`all` runs the default suite and takes no")
         outdir = args.outdir or os.environ.get(OUT_DIR_ENV) or "reports"
-        os.makedirs(outdir, exist_ok=True)
+        with _writing(outdir):
+            os.makedirs(outdir, exist_ok=True)
         overrides = {} if args.steps is None else {"steps": args.steps}
         all_ok = True
         for i, (name, report) in enumerate(verify_all(seed=args.seed, **overrides)):
             path = os.path.join(outdir, f"{i:02d}_{name}.{args.format}")
-            report.write(path, args.format)
+            with _writing(path):
+                report.write(path, args.format)
             print(f"[{report.verdict}] {name} ({report.wall_time:.2f}s) -> {path}")
             all_ok = all_ok and report.ok
         return 0 if all_ok else 1
@@ -151,7 +165,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 2
     report = run_experiment(_config_from_args(args))
     if args.out:
-        report.write(args.out, args.format)
+        with _writing(args.out):
+            report.write(args.out, args.format)
         print(f"[{report.verdict}] {args.experiment} ({report.wall_time:.2f}s) -> {args.out}")
     else:
         text = report.to_csv_str() if args.format == "csv" else report.to_json_str()

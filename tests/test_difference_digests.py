@@ -14,19 +14,24 @@ schedule of STEPS steps, two kinds of entry are hashed with SHA-256:
 
 `PYTHONPATH=src python tests/test_difference_digests.py` rewrites the
 data file with every entry, in well under a minute; `--out PATH` writes
-them to another file instead, so two source trees can be compared byte
-for byte.  Tier-1 recomputes the PINNED schedules only.  A change that
-moves an entry says which entries moved and why.
+them to another file instead, and `--against PATH` recomputes them and
+prints each entry that differs from PATH's or that only one side has,
+exiting 1 if there is any, so two source trees are compared by running
+`--out` on one and `--against` on the other.  Tier-1 recomputes the
+PINNED schedules only.  A change that moves an entry says which entries
+moved and why.
 """
 
 import argparse
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
 from gaussdiff import ShrinkSchedule, curve_for, derivative_by_limit, divided_diffs, gauge_for
+import digest_files
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "difference_digests.json"
 EXAMPLES = ("example1", "example2", "example3")
@@ -82,9 +87,14 @@ def test_differences_match_recorded_digests(example, k, center, ratio):
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Write divided-difference digests as JSON.")
-    parser.add_argument(
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument(
         "--out", type=pathlib.Path, default=DIGESTS, help="default: the pinned data file"
     )
+    where.add_argument(
+        "--against", type=pathlib.Path, help="compare with this file instead of writing one"
+    )
     args = parser.parse_args()
-    text = json.dumps(all_digests(), indent=2, sort_keys=True) + "\n"
-    args.out.write_text(text, encoding="utf-8")
+    if args.against:
+        sys.exit(digest_files.against(args.against, all_digests()))
+    digest_files.write(args.out, all_digests())

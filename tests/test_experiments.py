@@ -710,6 +710,23 @@ def test_cli_center_with_a_negative_real_part(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["center"] == [-0.5, 0.3]
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # each used to end in a traceback (FileNotFoundError after the whole
+    # run, NotADirectoryError) with exit code 1, the code of a failed claim
+    out = tmp_path / "missing" / "x.json"
+    assert main(["smoothness", "--example", "example1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"verify: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["all", "--outdir", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: cannot write {blocker / 'sub'}: Not a directory\n"
+
+
 def _option(name, values):
     return st.one_of(st.none(), st.sampled_from(values).map(lambda v: f"--{name}={v}"))
 

@@ -6,18 +6,22 @@ Seed 22 is one where an identity-failure sample rounds onto the unit
 circle.  A change that is meant to change reports regenerates the data file
 with `PYTHONPATH=src python tests/test_report_digests.py` and names the
 entries that moved.  `--seeds 0-159 --out PATH` writes the digests of a
-seed range to another file instead, so two source trees can be compared
-byte for byte (point PYTHONPATH at each tree's `src/`).
+seed range to another file instead, and `--seeds 0-159 --against PATH`
+recomputes them on this tree (point PYTHONPATH at its `src/`) and prints
+each entry that differs from PATH's or that only one side has, exiting 1
+if there is any: run `--out` on one tree and `--against` on the other.
 """
 
 import argparse
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
 from gaussdiff import verify_all
+import digest_files
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "verify_all_digests.json"
 SEEDS = (0, 22, 42)
@@ -50,9 +54,15 @@ if __name__ == "__main__":
     parser.add_argument(
         "--seeds", type=_seed_range, default=SEEDS, help="inclusive range A-B (default: 0, 22, 42)"
     )
-    parser.add_argument(
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument(
         "--out", type=pathlib.Path, default=DIGESTS, help="default: the pinned data file"
+    )
+    where.add_argument(
+        "--against", type=pathlib.Path, help="compare with this file instead of writing one"
     )
     args = parser.parse_args()
     digests = {key: d for seed in args.seeds for key, d in _digests(seed).items()}
-    args.out.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if args.against:
+        sys.exit(digest_files.against(args.against, digests))
+    digest_files.write(args.out, digests)

@@ -15,18 +15,24 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
+    ANNULUS_CURVE,
     FamilyMismatchError,
     GridRegion,
     Interval,
+    QUADRANT_CURVE,
     RadialRegion,
     SimpleFunction,
     SupportBound,
     annulus,
+    annulus_map,
     coefficient_distance,
     disk,
+    divided_diff,
+    divided_diffs,
     empty_region,
     full_plane,
     gauge_in_measure,
+    halfplane_map,
     horizontal_strip,
     indicator,
     l0_gauge,
@@ -45,6 +51,7 @@ from gaussdiff import (
     region_symdiff,
     region_to_json,
     region_union,
+    scalar_curve,
     simple_function_to_json,
     supported_in,
     vertical_strip,
@@ -1205,8 +1212,49 @@ def test_simple_function_is_immutable_and_copies():
         f.family = "radial"
     with pytest.raises(FrozenInstanceError):
         del f.masses
-    for again in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+    copies = (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)))
+    for again in copies:
         assert again == f and repr(again) == repr(f) and again.masses == f.masses
+    # every builder stores the fields on an unsealed object and hands out
+    # only the sealed SimpleFunction
+    pieces = [indicator(rect(i, i + 0.5, i, i + 0.5)) for i in range(8)]
+    small = linear_combine([1.0, 2j], pieces[:2])
+    large = linear_combine(range(1, 9), pieces)
+    assert small._arrays is None and large._arrays is not None  # below / at least _ARRAY_CELLS
+    built = [
+        f,
+        *copies,
+        SimpleFunction("grid", [(1.0, rect(0, 1, 0, 1)), (2j, rect(0.5, 2, 0, 1))]),
+        SimpleFunction("radial", [(1.0, annulus(0.5, 1.0))]),
+        SimpleFunction("grid"),
+        indicator(rect(0, 1, 0, 1)),
+        indicator(annulus(0.5, 1.0)),
+        small,
+        large,
+        SimpleFunction.zero("grid"),
+        SimpleFunction.zero("radial"),
+        quadrant_map(0.3 + 0.7j),
+        annulus_map(0.5j),
+        annulus_map(2.0),
+        halfplane_map(-0.4),
+        scalar_curve(lambda z: z * z)(0.5 + 0.5j),
+        scalar_curve(lambda z: 0j, "radial")(1.0),
+        divided_diff(QUADRANT_CURVE, [0.3 + 0.7j, 0.4 + 0.6j, 0.2 + 0.9j]),
+        *divided_diffs(ANNULUS_CURVE, [[0.1, 0.5j, -0.3], [0.2, 0.3 + 0.4j, -0.6]]),
+    ]
+    for g in built:
+        assert type(g) is SimpleFunction
+        kept = repr(g)
+        for name in simplefn._Unsealed.__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(g, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(g, name)
+        with pytest.raises(FrozenInstanceError):
+            g.__class__ = simplefn._Unsealed
+        assert type(g) is SimpleFunction and repr(g) == kept
+    for g in copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built)):
+        assert all(type(h) is SimpleFunction for h in g) and g == built
 
 
 def test_supported_in_radial_rings():
