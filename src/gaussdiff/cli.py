@@ -13,17 +13,20 @@ negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
 (it traces orders 1 to 4 itself), --center for `identity-failure` (it
 draws its two centers from --seed), or --outdir for a single experiment,
 which writes to stdout or --out.  An --out or --outdir that cannot be
-written (a missing directory, a file where a directory should be) also
-exits 2, with one `verify: cannot write ...` line.  A center with a negative
-real part needs `=`, as in `--center=-0.5,0.3`: argparse reads a separate
-`-0.5,0.3` as an option.
+written (a missing directory, a file where a directory should be, an
+--out that is a directory) also exits 2, with one `verify: cannot write
+...` line; a single experiment checks its --out before it runs.  A
+center with a negative real part needs `=`, as in `--center=-0.5,0.3`:
+argparse reads a separate `-0.5,0.3` as an option.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -124,6 +127,19 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_out(path: str) -> None:
+    """Raise `_writing`'s ConfigError now if `path` cannot be a file, before a run is spent.
+
+    Its directory must exist and `path` must not be a directory; the write
+    itself stays inside `_writing`, because it can still fail (permissions).
+    """
+    with _writing(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
         single = ("k", "p", "rho", "tol", "ceiling", "center", "example", "out")
@@ -163,6 +179,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment != "measure-identities" and args.example is None:
         print(f"--example is required for {args.experiment}", file=sys.stderr)
         return 2
+    if args.out:
+        _check_out(args.out)
     report = run_experiment(_config_from_args(args))
     if args.out:
         with _writing(args.out):

@@ -1,9 +1,10 @@
 """Write a digest file, or compare digests against one, for the digest scripts.
 
-`tests/test_report_digests.py` and `tests/test_difference_digests.py`
-each map entry names to SHA-256 digests.  `--out PATH` writes them;
-`--against PATH` recomputes them on the current tree and prints every
-entry whose digest differs from PATH's or that only one side has.
+`tests/test_report_digests.py`, `tests/test_difference_digests.py` and
+`tests/test_region_digests.py` each map entry names to SHA-256 digests.
+`--out PATH` writes them; `--against PATH` recomputes them on the
+current tree and prints every entry whose digest differs from PATH's or
+that only one side has.
 """
 
 import json

@@ -710,15 +710,22 @@ def test_cli_center_with_a_negative_real_part(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["center"] == [-0.5, 0.3]
 
 
-def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
     # each used to end in a traceback (FileNotFoundError after the whole
-    # run, NotADirectoryError) with exit code 1, the code of a failed claim
-    out = tmp_path / "missing" / "x.json"
-    assert main(["smoothness", "--example", "example1", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"verify: cannot write {out}: ")
-    assert len(captured.err.splitlines()) == 1
+    # run, NotADirectoryError) with exit code 1, the code of a failed claim;
+    # a single experiment's --out is checked before the experiment runs
+    def no_run(cfg):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr("gaussdiff.cli.run_experiment", no_run)
+    for out, why in (
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        assert main(["smoothness", "--example", "example1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"verify: cannot write {out}: {why}\n"
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["all", "--outdir", str(blocker / "sub")]) == 2

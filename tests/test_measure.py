@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussdiff import (
@@ -439,6 +439,25 @@ def test_radial_constructor_matches_slab_sweep(rings):
     _assert_same(RadialRegion(tuple(rings)).rings, reference_canon_1d(rings))
 
 
+def _union(*regions):
+    return functools.reduce(region_union, regions)
+
+
+# The edges of a Boolean's window (`measure._windowed`).  A column that
+# touches the window must merge inside the sweep: a - b of the first pair
+# is rect(0, 2, 0, 1), the second and third pairs' union and symmetric
+# difference are rect(0, 3, 0, 1) and the fourth's union is annulus(0, 3).
+# The last pair's intersection drops every column that passes the window.
+@example((_union(rect(0, 1, 0, 1), rect(1, 2, 0, 2)), rect(1, 2, 1, 2)))
+@example((_union(rect(0, 1, 0, 1), rect(2, 3, 0, 1)), rect(1, 2, 0, 1)))
+@example((rect(1, 2, 0, 1), _union(rect(0, 1, 0, 1), rect(2, 3, 0, 1))))
+@example((_union(annulus(0, 1), annulus(2, 3)), annulus(1, 2)))
+@example(
+    (
+        _union(*(rect(x0, x1, 0, 1) for x0, x1 in ((0, 1), (2, 3), (4, 6), (7, 8), (9, 10)))),
+        rect(5, 5.5, 0, 2),
+    )
+)
 @given(_KERNEL_PAIRS)
 @settings(max_examples=200)
 def test_booleans_match_slab_sweep(pair):
