@@ -846,29 +846,14 @@ def _windowed(a: _Ends, b: _Ends, keep: Callable) -> _Ends:
     so they never merge.  The result is the left passing columns, the
     sweep, and the right passing columns, in that order.
 
-    At most one operand passes columns on each side.  Whether any column
-    can pass is decided first, at constant cost, from the operands' sizes
-    and their first and last columns; if none can (an empty operand, or
-    every Boolean of two single pieces), the operands go to `_sweep` whole.
+    At most one operand passes columns on each side.  An empty operand,
+    or two single pieces (where nothing can pass), go to `_sweep` whole.
     """
     ends_a, ends_b = a.shape[1], b.shape[1]
     # an empty operand, or two single pieces: no window, or nothing passes
     if not (ends_a and ends_b) or ends_a == ends_b == 2:
         return _sweep((a, b), keep)
-    a_lo, a_hi, b_lo, b_hi = a.item(0), a.item(0, -1), b.item(0), b.item(0, -1)
-    # only the operand that starts first can pass columns on the left, and
-    # only if its first column ends by lo and is not its last (ends before
-    # the operand does); on the right, the same mirrored
-    if a_lo < b_lo:
-        lo, head, first_hi = b_lo, a.item(1), a_hi
-    else:
-        lo, head, first_hi = a_lo, b.item(1), b_hi
-    if a_hi > b_hi:
-        hi, tail, last_lo = b_hi, a.item(0, -2), a_lo
-    else:
-        hi, tail, last_lo = a_hi, b.item(0, -2), b_lo
-    if not (head <= lo and head < first_hi or tail >= hi and tail > last_lo):
-        return _sweep((a, b), keep)
+    lo, hi = max(a.item(0), b.item(0)), min(a.item(0, -1), b.item(0, -1))
     parts, left, right = [], [], []
     for w, part in enumerate((a, b), 1):
         start, stop = _passing(part[0], lo, hi)

@@ -1,6 +1,7 @@
 """Experiment harness and CLI tests."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -726,6 +727,17 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"verify: cannot write {out}: {why}\n"
+    # a write that fails after the run (the check cannot see permissions)
+    class Unwritable:
+        def write(self, path, fmt):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    out = tmp_path / "x.json"
+    monkeypatch.setattr("gaussdiff.cli.run_experiment", lambda cfg: Unwritable())
+    assert main(["smoothness", "--example", "example1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: cannot write {out}: Permission denied\n"
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["all", "--outdir", str(blocker / "sub")]) == 2
