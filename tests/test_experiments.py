@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -18,6 +19,7 @@ from gaussdiff import (
     BlowupConstants,
     ConfigError,
     CurveMap,
+    ExampleId,
     ExperimentConfig,
     curve_for,
     divided_diff,
@@ -31,7 +33,7 @@ from gaussdiff import (
     run_experiment,
     verify_all,
 )
-from gaussdiff import experiments, measure
+from gaussdiff import cli, experiments, measure
 from gaussdiff.cli import main
 from gaussdiff.divdiff import CurveMap, ShrinkSchedule, classify_trace, monotone_tail
 from gaussdiff.measure import NEG_INF, POS_INF, _nu, _ring, annulus, mu_grid, mu_radial, rect
@@ -96,6 +98,11 @@ def test_experiment_example_preconditions():
         )
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig(experiment="nope"))
+    # a config of another experiment, on an example this function would take
+    with pytest.raises(ConfigError):
+        exp_smoothness(ExperimentConfig(experiment="real-restriction", example="example1"))
+    with pytest.raises(ConfigError):
+        exp_real_restriction(ExperimentConfig(experiment="c1-not-c2", example="example3"))
 
 
 def test_blowup_steps_default():
@@ -105,6 +112,17 @@ def test_blowup_steps_default():
         == 120
     )
     assert ExperimentConfig(experiment="smoothness", example="example1").resolved_steps() == 40
+
+
+def test_an_example_id_is_its_name():
+    # an ExampleId used to get 40 steps here (the run ended INCONCLUSIVE),
+    # and its report's JSON raised TypeError
+    cfg = ExperimentConfig(experiment="real-restriction", example=ExampleId.HALFPLANE, seed=1)
+    assert cfg == ExperimentConfig(experiment="real-restriction", example="example3", seed=1)
+    assert cfg.resolved_steps() == 120
+    rep = run_experiment(cfg)
+    assert rep.verdict == "DIVERGENT-AS-EXPECTED"
+    assert json.loads(rep.to_json_str())["config"]["example"] == "example3"
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +608,12 @@ def test_cli_requires_example(capsys):
         # `all` runs the default suite: it used to drop these options and exit 0
         ["all", "--tol", "nan", "--k", "40"],
         ["all", "--k", "5"],
+        ["all", "--p", "0.6"],
+        ["all", "--rho", "0.6"],
+        ["all", "--ceiling", "1e5"],
+        ["all", "--center", "0.3,0.7"],
+        ["all", "--example", "example1"],
+        ["all", "--out", "report.json"],
         # every report's config holds p, and NaN is not JSON
         ["smoothness", "--example", "example1", "--p", "nan"],
         # a single report goes to stdout or --out: it used to drop --outdir
@@ -651,6 +675,86 @@ def test_cli_keeps_the_options_an_experiment_reads(argv, key, value, tmp_path, c
     out = tmp_path / "rep.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"][key] == value
+
+
+_PAIRS = [(name, example) for name, examples in experiments.RUNS.items() for example in examples]
+
+# for each option that sets a config field: a value other than the field's
+# default that every run reading it accepts, as typed and as the field holds it
+_OPTION_VALUES = {
+    "k": ("2", 2),
+    "p": ("0.6", 0.6),
+    "rho": ("0.6", 0.6),
+    "steps": ("30", 30),
+    "tol": ("1e-5", 1e-5),
+    "ceiling": ("1e5", 1e5),
+    "center": ("0.3,0.7", 0.3 + 0.7j),
+}
+_OTHER_VALUES = {cli._FIELDS[option]: value for option, (_, value) in _OPTION_VALUES.items()}
+
+
+@pytest.mark.parametrize("option", list(_OPTION_VALUES))
+@pytest.mark.parametrize("experiment, example", _PAIRS)
+def test_cli_rejects_exactly_the_options_a_run_does_not_read(experiment, example, option, capsys):
+    text, value = _OPTION_VALUES[option]
+    field = cli._FIELDS[option]
+    argv = [experiment, *(["--example", example] if example else []), f"--{option}", text]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if field in experiments.run_for(experiment, example).reads:
+        assert code in (0, 1)
+        given = ExperimentConfig(experiment, example, **{field: value}).to_json_dict()[field]
+        assert json.loads(captured.out)["config"][field] == given
+    else:
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.rstrip().endswith(f"it takes no --{option}")
+
+
+@pytest.mark.parametrize("experiment, example", _PAIRS)
+def test_a_run_reads_no_field_it_does_not_declare(experiment, example):
+    reads = experiments.run_for(experiment, example).reads
+    assert reads <= set(_OTHER_VALUES)
+
+    def report(**fields):
+        cfg = ExperimentConfig(experiment, example, seed=5, grid_points=200, **fields)
+        d = run_experiment(cfg).to_json_dict()
+        del d["config"], d["wall_time"]
+        return d
+
+    default = report()
+    for field, value in _OTHER_VALUES.items():
+        if field not in reads:
+            assert value != getattr(ExperimentConfig(experiment), field)
+            assert report(**{field: value}) == default, field
+
+
+def _listed_reads(text: str) -> dict:
+    """The `<experiment> [<example> ...]: <options>` lines of `text`, as the options they list."""
+    listed = {}
+    for line in text.splitlines():
+        head, colon, tail = line.partition(":")
+        words = head.split()
+        if colon and words and words[0] in experiments.EXPERIMENTS:
+            options = {word for word in tail.split() if word.startswith("--")}
+            listed.update({(words[0], example): options for example in words[1:] or [None]})
+    return listed
+
+
+@pytest.mark.parametrize(
+    "text",
+    [cli.__doc__, (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")],
+    ids=["cli-docstring", "README"],
+)
+def test_the_docs_list_the_options_each_run_reads(text):
+    assert _listed_reads(text) == {
+        (experiment, example): {
+            f"--{option}"
+            for option, field in cli._FIELDS.items()
+            if field in experiments.run_for(experiment, example).reads
+        }
+        for experiment, example in _PAIRS
+    }
 
 
 def test_cli_measure_identities_takes_a_seed(tmp_path, capsys):
