@@ -18,7 +18,8 @@ Each reads --seed, --out and --format, and beyond those:
     real-restriction example3:     --p --rho --steps --tol --ceiling
     measure-identities:            nothing more; it takes no example
 
-`all` takes only --seed, --steps, --outdir and --format.  An --out or
+`all` takes only --seed, --steps, --outdir and --format; its --steps
+reaches the runs that read it, so not measure-identities.  An --out or
 --outdir that cannot be written (a missing directory, a file where a
 directory should be, an --out that is a directory) also exits 2, with one
 `verify: cannot write ...` line; a single experiment checks its --out

@@ -12,8 +12,11 @@ whose rows hold only their conjunction, and the facts no row holds
 (measure-identities' sweeps and density check, real-restriction's
 injectivity).  The verdict folds the flags: FAIL if any claim was
 violated, else the experiment's success verdict once its evidence has
-settled (a converged or divergent trace; at once for the experiments
-without a trace), else INCONCLUSIVE.
+settled (a converged or divergent trace; for taylor-failure and
+identity-failure, every smoothness rerun PASSed; at once for
+measure-identities), else INCONCLUSIVE.  A smoothness rerun's row holds
+unless the rerun FAILed, so an INCONCLUSIVE rerun leaves its experiment
+INCONCLUSIVE, not FAIL.
 
 Verdicts:
 
@@ -383,14 +386,19 @@ def _smoothness(cfg: ExperimentConfig, real_axis: bool) -> ExperimentReport:
 
 
 def _derivative_trace(cfg: ExperimentConfig, center: complex, k: int, n: int) -> tuple[dict, dict]:
-    """Rerun smoothness of order k at `center`: (summary, row n, which holds if it passed)."""
+    """Rerun smoothness of order k at `center`: (summary, row n, which holds unless it FAILed)."""
     sub = _smoothness(dataclasses.replace(cfg, center=center, k=k), real_axis=False)
     gauge = sub.extras["final_gauge"]
     summary = {"center": [center.real, center.imag], "verdict": sub.verdict, "final_gauge": gauge}
     row = _row(
-        n, [center], gauge, cfg.convergence_tol, sub.verdict == PASS, kind="derivative-trace", k=k
+        n, [center], gauge, cfg.convergence_tol, sub.verdict != FAIL, kind="derivative-trace", k=k
     )
     return summary, row
+
+
+def _passed(summaries: Sequence[dict]) -> bool:
+    """Whether every rerun of `_derivative_trace` PASSed: only then has its evidence settled."""
+    return all(s["verdict"] == PASS for s in summaries)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +412,8 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
     For each center z0 and radius r down to 1e-8 a witness z with
     |z - z0| <= r and mu(symdiff) > 0 is recorded (the disagreement mass is
     also capped by 2|z - z0|); alongside, the order 1..4 derivative traces
-    at z0 are rerun and must all converge to zero.
+    at z0 are rerun and must all converge to zero.  A rerun that FAILs is
+    a FAIL; one that has not converged leaves the run INCONCLUSIVE.
     """
     t0 = time.perf_counter()
     cfg.validate(exp_taylor_failure)
@@ -431,7 +440,7 @@ def exp_taylor_failure(cfg: ExperimentConfig) -> ExperimentReport:
             rows.append(row)
 
     witnesses_ok, derivatives_ok = _held(rows[:witnesses]), _held(rows[witnesses:])
-    verdict = _verdict(not (witnesses_ok and derivatives_ok), True, PASS)
+    verdict = _verdict(not (witnesses_ok and derivatives_ok), _passed(derivative_side), PASS)
     extras = {
         "centers": [[z.real, z.imag] for z in centers],
         "witnesses_ok": witnesses_ok,
@@ -467,7 +476,9 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
 
     Checks f(z) == 0 on a 100-point grid with |z| >= 1, f(z) != 0 on a
     100-point grid with |z| < 1, and that the smoothness experiment passes
-    at one center inside and one outside the unit disc.
+    at one center inside and one outside the unit disc.  A smoothness run
+    that FAILs is a FAIL; one that has not converged leaves the run
+    INCONCLUSIVE.
     """
     t0 = time.perf_counter()
     cfg.validate(exp_identity_theorem_failure)
@@ -506,7 +517,7 @@ def exp_identity_theorem_failure(cfg: ExperimentConfig) -> ExperimentReport:
     zero_outside = _held(rows[:n_pts])
     nonzero_inside = _held(rows[n_pts : 2 * n_pts])
     smooth_ok = _held(rows[2 * n_pts :])
-    verdict = _verdict(not (zero_outside and nonzero_inside and smooth_ok), True, PASS)
+    verdict = _verdict(not (zero_outside and nonzero_inside and smooth_ok), _passed(subs), PASS)
     extras = {
         "zero_outside": zero_outside,
         "nonzero_inside": nonzero_inside,
@@ -808,6 +819,9 @@ RUNS: dict[str, dict[Optional[str], Run]] = {
 
 EXPERIMENTS = tuple(RUNS)
 
+# The command-line fields that some run reads
+_READ_ANYWHERE = frozenset().union(*(run.reads for runs in RUNS.values() for run in runs.values()))
+
 
 def run_for(experiment: str, example: Optional[str]) -> Run:
     """The `RUNS` entry of (experiment, example); ConfigError if there is none."""
@@ -838,11 +852,19 @@ VERIFY_ALL_SUITE = (
 
 
 def verify_all(seed: int = 42, **overrides) -> list[tuple[str, ExperimentReport]]:
-    """Run the whole suite; returns (name, report) pairs in a fixed order."""
-    out = []
+    """Run the whole suite; returns (name, report) pairs in a fixed order.
+
+    An override of a command-line field (one that some run `reads`, such as
+    `steps`) reaches only the entries whose run reads it; any other field,
+    such as `grid_points`, reaches every entry.  Every config is validated
+    before the first run.
+    """
+    configs = []
     for experiment, example, extra in VERIFY_ALL_SUITE:
-        kwargs = {**extra, **overrides}
+        reads = run_for(experiment, example).reads
+        given = {f: v for f, v in overrides.items() if f in reads or f not in _READ_ANYWHERE}
+        kwargs = {**extra, **given}
         cfg = ExperimentConfig(experiment=experiment, example=example, seed=seed, **kwargs)
-        name = experiment if example is None else f"{experiment}_{example}"
-        out.append((name, run_experiment(cfg)))
-    return out
+        cfg.validate()
+        configs.append((experiment if example is None else f"{experiment}_{example}", cfg))
+    return [(name, run_experiment(cfg)) for name, cfg in configs]

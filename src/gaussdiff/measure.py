@@ -38,29 +38,29 @@ predicate on the cell sums keeps some cells; runs of kept, equal
 neighbours merge along y, then equal whole columns along x.  The result is
 the canonical cell list, as values and endpoint columns.
 
-The kernel has two forms, chosen by grid size alone.  A grid of fewer
-than `_ARRAY_CELLS` elementary cells is merged on Python lists, whose
-fixed cost is lower; a larger one on numpy arrays.  A function's overlay
-keeps one representation from start to end: its complex weights are
-added to each piece's block of cells in piece order from 0j, on a list
-of lists by `_list_sums` for a small grid, as one slice of a complex
-grid by `_cell_sums` for a large one.  The rounding of a float sum
-depends on the order of its additions, and piece order is the order a
-per-cell loop adds in, so the two give the same bits.  A region
-operation's integer weights are summed on its arrays (`_parts_sums`);
-a Boolean's are those of its window's columns only (see the Boolean
-use below), as the columns outside it need no sum.  `_axis` gives each
-sorted axis (`np.sort`, duplicates dropped) and every endpoint's index
-on it (one `searchsorted`), and a summed-area table (Crow 1984) gives
-every cell's cover count, exactly:
-each piece adds its weight at the corners of its block in a difference
-grid, `np.bincount` adds the corners up, and two running sums give the
-counts.  A region's pieces too few for a grid of `_ARRAY_CELLS` cells
-are summed by `_cell_sums` instead, because the region's predicates read
-the sums as array masks, and merged on lists.  The array merge finds the
-kept cells (Python's abs decides those within a few ulp of the
-threshold), the ends of the y-runs by comparing each cell with its
-neighbour and the equal columns by comparing whole columns; it then
+The kernel has two forms: Python lists and loops, whose fixed cost is
+lower, and numpy arrays.  A function's overlay picks one from its grid's
+size and keeps it from start to end: its complex weights are added to
+each piece's block of cells in piece order from 0j, on a list of lists
+by `_list_sums` for a grid of fewer than `_ARRAY_CELLS` elementary
+cells, as one slice of a complex grid by `_cell_sums` for a larger one.
+The rounding of a float sum depends on the order of its additions, and
+piece order is the order a per-cell loop adds in, so the two give the
+same bits.  A region operation picks its form once, from its piece
+count, before it builds a grid (`_sweep`): n pieces make at most
+(2n - 1)**d cells.  Pieces too few for `_ARRAY_CELLS` cells, none or one
+included, have their integer weights summed by `_list_sums` and are
+merged on lists; more are summed and merged on arrays.  A Boolean counts
+only the pieces of its window's columns (see the Boolean use below), as
+the columns outside it need no sum.  On arrays `_axis` gives each sorted
+axis (`np.sort`, duplicates dropped) and every endpoint's index on it
+(one `searchsorted`), and a summed-area table (Crow 1984) gives every
+cell's cover count, exactly (`_cover_counts`): each piece adds its
+weight at the corners of its block in a difference grid, `np.bincount`
+adds the corners up, and two running sums give the counts.  The array
+merge finds the kept cells (Python's abs decides those within a few ulp
+of the threshold), the ends of the y-runs by comparing each cell with
+its neighbour and the equal columns by comparing whole columns; it then
 reads the output columns off the sorted axes by index.  Both forms give
 the same values and columns.  A function's array form (`_array_merged`)
 also hands back its pieces' moduli and masses as float64 arrays, for the
@@ -72,9 +72,9 @@ sides as index arrays into the sorted axes (`_indexed_masses`, bitwise
 (`_array_runs`).  The kernel is
 used in three ways; inclusion needs no grid:
 
-* construction weights every non-empty piece 1 and keeps sums != 0; a
-  single non-empty rectangle or ring is canonical already and is kept
-  as given;
+* construction weights every non-empty piece 1 and keeps sums != 0 (a
+  one-piece constructor such as `rect` or `annulus` builds its canonical
+  columns directly);
 * a Boolean weights the left operand's pieces 1 and the right's 2.  Both
   are canonical, so a cell sums to 0 (in neither), 1 (left only), 2
   (right only) or 3 (both): union keeps != 0, intersection == 3,
@@ -267,10 +267,7 @@ def _cell_sums(
     endpoint columns of floats.  A piece covers a contiguous block of
     elementary cells, and its weight is added to the block as one slice
     of a complex grid; cells receive their additions in piece order,
-    starting from 0j, exactly as a per-cell loop would.  Integer weights
-    (a region's pieces too few for `_cover_counts`) are summed the same
-    way; their callers read the sums only through comparisons with small
-    integers, where an integer sum and its complex twin agree.
+    starting from 0j, exactly as a per-cell loop would.
     """
     # `block += c` on a view; `sums[...] += c` would also copy the block back
     sums = np.zeros([len(a) - 1 for a in axes], dtype=complex)
@@ -429,12 +426,12 @@ def _overlay(
 
     With fewer than two pieces numpy is skipped: a single (non-empty)
     piece is its own elementary cell, valued 0j + w as `_cell_sums` would
-    value it.  This is the endpoint form of `_canon`'s rule that a single
-    piece is canonical as given.  A grid of fewer than `_ARRAY_CELLS`
-    cells is summed by `_list_sums` and merged by `_merged`, on lists, and
-    the arrays are None; a larger one is summed by `_cell_sums` and merged
-    by `_array_merged`, which also hands back the pieces' moduli and
-    masses as arrays.  Both give the same values and columns.
+    value it, and its columns are copied as given.  A grid of fewer than
+    `_ARRAY_CELLS` cells is summed by `_list_sums` and merged by `_merged`,
+    on lists, and the arrays are None; a larger one is summed by
+    `_cell_sums` and merged by `_array_merged`, which also hands back the
+    pieces' moduli and masses as arrays.  Both give the same values and
+    columns.
     """
     if not weights:
         return [], tuple([] for _ in ends), None
@@ -542,49 +539,30 @@ def _interleaved(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return at
 
 
-def _parts_sums(parts: Sequence[_Ends]) -> tuple[list, np.ndarray]:
-    """Sorted distinct endpoints per axis, and every elementary cell's integer sum.
-
-    The pieces of part k (float64 endpoint columns) weigh k + 1.  n pieces
-    make (2n - 1)**d cells at most: enough pieces for `_ARRAY_CELLS` cells
-    are summed by `_cover_counts`, and the axes are arrays.  Fewer pieces
-    are summed by `_cell_sums` on `.tolist()`, and the axes are lists.
-    """
-    sizes = [part.shape[1] // 2 for part in parts]
-    if (2 * sum(sizes) - 1) ** len(parts[0]) >= _ARRAY_CELLS:
-        weights = np.repeat(np.arange(1, len(parts) + 1), sizes)
-        return _cover_counts(weights, np.concatenate(parts, axis=1))
-    weights = []
-    for k, n in enumerate(sizes, 1):
-        weights += [k] * n
-    ends = np.concatenate(parts, axis=1).tolist()
-    axes = [sorted(set(e)) for e in ends]
-    return axes, _cell_sums(weights, ends, axes)
-
-
-def _sweep(parts: Sequence[_Ends], keep: Callable[[np.ndarray], np.ndarray]) -> _Ends:
+def _sweep(parts: Sequence[_Ends], keep: Callable) -> _Ends:
     """Float64 endpoint columns of the canonical pieces of the cells whose sum `keep` accepts.
 
     The region form of the overlay kernel; the pieces of part k weigh
-    k + 1 (see `_parts_sums`).  Fewer than two pieces are canonical as
-    given, a single one kept iff `keep` accepts its weight.  A grid of
-    fewer than `_ARRAY_CELLS` cells is merged by `_merged`'s loops on
-    lists; a larger one by `_array_runs`, and the runs' columns are read
-    off the sorted axes by index.  `keep` gives a bool mask: abs(True) > 0
-    keeps a cell, and kept neighbours are equal.
+    k + 1.  n pieces make (2n - 1)**d cells at most, and that bound alone
+    picks the form.  Enough pieces for `_ARRAY_CELLS` cells are summed by
+    `_cover_counts`, `keep` turns the sums into a bool mask, `_array_runs`
+    merges it, and the runs' columns are read off the sorted axes by
+    index.  Fewer pieces, none or one included, are summed by `_list_sums`
+    and merged by `_merged` on lists, `keep` applied to each cell's sum.
+    Either way abs(True) > 0 keeps a cell, and kept neighbours are equal.
     """
-    if sum(part.shape[1] for part in parts) // 2 < 2:
-        for k, part in enumerate(parts, 1):
-            if len(part[0]) and keep(k):
-                return part
-        return _empty(len(parts[0]))
-    axes, sums = _parts_sums(parts)
-    kept = keep(sums)
-    if kept.size < _ARRAY_CELLS:
-        axes = [a if isinstance(a, list) else a.tolist() for a in axes]
-        return _array_columns(_merged(axes, kept.tolist(), 0.0)[1])
-    _, at = _array_runs(axes, kept, 0.0)
-    return np.array([axis[_interleaved(*sides)] for axis, sides in zip(axes, at)])
+    sizes = [part.shape[1] // 2 for part in parts]
+    ends = np.concatenate(parts, axis=1)
+    if (2 * sum(sizes) - 1) ** len(ends) >= _ARRAY_CELLS:
+        axes, sums = _cover_counts(np.repeat(np.arange(1, len(parts) + 1), sizes), ends)
+        _, at = _array_runs(axes, keep(sums), 0.0)
+        return np.array([axis[_interleaved(*sides)] for axis, sides in zip(axes, at)])
+    weights = [k for k, n in enumerate(sizes, 1) for _ in range(n)]
+    ends = ends.tolist()
+    axes = [sorted(set(e)) for e in ends]
+    sums = _list_sums(weights, ends, axes)
+    kept = list(map(keep, sums)) if len(axes) == 1 else [list(map(keep, c)) for c in sums]
+    return _array_columns(_merged(axes, kept, 0.0)[1])
 
 
 def _nonzero(sums: np.ndarray) -> np.ndarray:

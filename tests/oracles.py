@@ -654,13 +654,16 @@ def exact_divided_diff(f, nodes) -> tuple[list[list[float]], dict]:
 def kernel_paths():
     """Record which form of the overlay kernel runs, while the context is open.
 
-    Yields {"grids": cell counts of the grids summed (a function's
-    complex sums by `_cell_sums` or `_list_sums`, a region's integer cover
-    counts by `_cover_counts`), "counts": the number of integer sums,
-    "merges": the number of merges on the array form (`_array_runs`),
-    "merged": (cell count, on the array form) of every merge}.
+    Yields {"grids": cell counts of the grids summed (complex sums by
+    `_cell_sums`, which only a function's overlay calls, sums on lists by
+    `_list_sums`, for a function's or a region's small grid, and a
+    region's integer cover counts by `_cover_counts`), "counts": the
+    number of cover counts, "merges": the number of merges on the array
+    form (`_array_runs`), "merged": (cell count, on the array form) of
+    every merge, "calls": (function name, cell count) of every sum and
+    merge, in call order}.  A grid of no piece counts 0 cells.
     """
-    seen = {"grids": [], "merges": 0, "counts": 0, "merged": []}
+    seen = {"grids": [], "merges": 0, "counts": 0, "merged": [], "calls": []}
     cell_sums, list_sums, cover_counts, merged, array_runs = (
         measure._cell_sums,
         measure._list_sums,
@@ -669,28 +672,39 @@ def kernel_paths():
         measure._array_runs,
     )
 
+    def cells(axes) -> int:
+        return math.prod(max(len(a) - 1, 0) for a in axes)
+
+    def summed(name: str, n: int) -> None:
+        seen["grids"].append(n)
+        seen["calls"].append((name, n))
+
+    def merging(name: str, n: int) -> None:
+        seen["merged"].append((n, name == "_array_runs"))
+        seen["calls"].append((name, n))
+
     def counted_sums(*args):
         sums = cell_sums(*args)
-        seen["grids"].append(sums.size)
+        summed("_cell_sums", sums.size)
         return sums
 
     def counted_lists(weights, ends, axes):
-        seen["grids"].append(math.prod(len(a) - 1 for a in axes))
+        summed("_list_sums", cells(axes))
         return list_sums(weights, ends, axes)
 
     def counted_counts(*args):
         axes, sums = cover_counts(*args)
         seen["counts"] += 1
-        seen["grids"].append(sums.size)
+        summed("_cover_counts", sums.size)
         return axes, sums
 
     def counted_loops(axes, *args):
-        seen["merged"].append((math.prod(len(a) - 1 for a in axes), False))
+        merging("_merged", cells(axes))
         return merged(axes, *args)
 
     def counted_runs(axes, values, *args):
         seen["merges"] += 1
-        seen["merged"].append((values.size, True))
+        merging("_array_runs", values.size)
         return array_runs(axes, values, *args)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -309,6 +309,53 @@ def test_failed_support_check_is_fail(monkeypatch):
     assert not rep.extras["all_support_ok"]
 
 
+_SHORT_RERUNS = (
+    ["taylor-failure", "--example", "example1", "--steps", "8"],
+    ["identity-failure", "--example", "example2", "--steps", "8", "--k", "3"],
+)
+
+
+@pytest.mark.parametrize("argv", _SHORT_RERUNS)
+def test_unsettled_reruns_are_inconclusive(capsys, argv):
+    # every claim holds, but some smoothness rerun is INCONCLUSIVE at 8 steps
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "INCONCLUSIVE"
+    ex = rep["extras"]
+    side = ex["derivative_side"] if "derivative_side" in ex else ex["smoothness_side"]
+    assert {s["verdict"] for s in side} <= {"PASS", "INCONCLUSIVE"}
+    assert any(s["verdict"] == "INCONCLUSIVE" for s in side)
+    assert ex.get("derivatives_ok", True) and ex.get("smooth_ok", True)
+    reruns = [row for row in rep["steps"] if row.get("kind") == "derivative-trace"]
+    assert len(reruns) == len(side) and all(row["support_ok"] for row in reruns)
+
+
+@pytest.mark.parametrize("argv", _SHORT_RERUNS)
+def test_failed_rerun_support_check_is_fail(monkeypatch, capsys, argv):
+    monkeypatch.setattr(experiments, "supported_in", lambda f, bound: False)
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "FAIL"
+    ex = rep["extras"]
+    side = ex["derivative_side"] if "derivative_side" in ex else ex["smoothness_side"]
+    assert all(s["verdict"] == "FAIL" for s in side)
+    assert not (ex.get("derivatives_ok", True) and ex.get("smooth_ok", True))
+
+
+def test_verify_all_passes_a_field_only_to_the_runs_that_read_it(tmp_path, capsys):
+    reports = dict(verify_all(seed=0, steps=30, **_FAST_MC))
+    assert reports["measure-identities"].config["steps"] == 40
+    assert reports["smoothness_example1"].config["steps"] == 30
+    assert reports["c1-not-c2_example3"].config["steps"] == 30
+    # grid_points is no command-line field: it reaches every run
+    assert {rep.config["grid_points"] for rep in reports.values()} == {2_000}
+    main(["all", "--seed", "0", "--steps", "30", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    for path, steps in (("00_measure-identities", 40), ("01_smoothness_example1", 30)):
+        report = json.loads((tmp_path / f"{path}.json").read_text(encoding="utf-8"))
+        assert report["config"]["steps"] == steps
+
+
 @pytest.mark.parametrize("broken", ["identity", "dominance"])
 def test_failed_blowup_claim_is_fail(monkeypatch, broken):
     if broken == "identity":
@@ -497,6 +544,13 @@ def _held(rows) -> bool:
     return all(row["support_ok"] for row in rows)
 
 
+def _reruns_settled(rows, summaries) -> bool:
+    """Check that a smoothness rerun's row holds unless it FAILed; True if every one PASSed."""
+    verdicts = [s["verdict"] for s in summaries]
+    assert [row["support_ok"] for row in rows] == [v != "FAIL" for v in verdicts]
+    return all(v == "PASS" for v in verdicts)
+
+
 def _expected_verdict(rep) -> str:
     """Check each extras flag against its rows; return the verdict the flags give."""
     ex, rows = rep.extras, rep.steps
@@ -512,7 +566,9 @@ def _expected_verdict(rep) -> str:
         assert ex["witnesses_ok"] == _held(row for row in rows if "kind" not in row)
         assert ex["derivatives_ok"] == _held(derivatives)
         assert len(derivatives) == 4 * len(ex["centers"])
-        return _verdict_of({k: ex[k] for k in ("witnesses_ok", "derivatives_ok")}, True, "PASS")
+        settled = _reruns_settled(derivatives, ex["derivative_side"])
+        flags = {k: ex[k] for k in ("witnesses_ok", "derivatives_ok")}
+        return _verdict_of(flags, settled, "PASS")
     if "zero_outside" in ex:  # identity-failure
         samples = [row for row in rows if "kind" not in row]
         outside = [row for row in samples if abs(complex(*row["nodes"][0])) >= 1.0]
@@ -520,8 +576,9 @@ def _expected_verdict(rep) -> str:
         assert ex["zero_outside"] == _held(outside)
         assert ex["nonzero_inside"] == _held(row for row in samples if row not in outside)
         assert ex["smooth_ok"] == _held(row for row in rows if "kind" in row)
+        settled = _reruns_settled([row for row in rows if "kind" in row], ex["smoothness_side"])
         flags = {k: ex[k] for k in ("zero_outside", "nonzero_inside", "smooth_ok")}
-        return _verdict_of(flags, True, "PASS")
+        return _verdict_of(flags, settled, "PASS")
     if "phase_a_ok" in ex:  # c1-not-c2, and real-restriction of example3
         phase_b = [row for row in rows if row["phase"] == "B"]
         trace = [row["gauge"] for row in phase_b]

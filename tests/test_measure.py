@@ -427,16 +427,33 @@ def _assert_same(got, want):
     assert repr(got) == repr(want)
 
 
+def _assert_swept(region, pieces: int) -> None:
+    """The sweep's columns are float64; of no piece or one in, at most one piece out."""
+    _assert_float64(region)
+    assert pieces > 1 or region._ends.shape[1] in (0, 2)
+
+
+# No piece, and one piece, go through the same sweep as many.
+@example([])
+@example([(Interval(0.0, 1.0), Interval(-INF, 0.5))])
+@example([(Interval(0.0, 1.0), Interval(0.5, 0.5))])
 @given(_GRID_PIECES)
 @settings(max_examples=200)
 def test_grid_constructor_matches_slab_sweep(cells):
-    _assert_same(GridRegion(tuple(cells)).cells, reference_canon_grid(cells))
+    region = GridRegion(tuple(cells))
+    _assert_same(region.cells, reference_canon_grid(cells))
+    _assert_swept(region, len(cells))
 
 
+@example([])
+@example([Interval(0.5, 1.0)])
+@example([Interval(0.0, INF)])
 @given(_RADIAL_PIECES)
 @settings(max_examples=200)
 def test_radial_constructor_matches_slab_sweep(rings):
-    _assert_same(RadialRegion(tuple(rings)).rings, reference_canon_1d(rings))
+    region = RadialRegion(tuple(rings))
+    _assert_same(region.rings, reference_canon_1d(rings))
+    _assert_swept(region, len(rings))
 
 
 def _union(*regions):
@@ -458,13 +475,24 @@ def _union(*regions):
         rect(5, 5.5, 0, 2),
     )
 )
+# An empty operand against one piece, in both orders, and two empty ones:
+# fewer than two pieces go through the same sweep as many.
+@example((GridRegion(), rect(0, 1, -INF, 0.5)))
+@example((rect(0, 1, -INF, 0.5), GridRegion()))
+@example((GridRegion(), GridRegion()))
+@example((RadialRegion(), annulus(0.5, 1)))
+@example((annulus(0.5, 1), RadialRegion()))
+@example((RadialRegion(), RadialRegion()))
 @given(_KERNEL_PAIRS)
 @settings(max_examples=200)
 def test_booleans_match_slab_sweep(pair):
     a, b = pair
+    pieces = len(_pieces(a)) + len(_pieces(b))
     for op, keep in _BOOLEANS:
-        _assert_same(op(a, b), reference_combine(a, b, keep))
-        _assert_same(op(b, a), reference_combine(b, a, keep))
+        for x, y in ((a, b), (b, a)):
+            got = op(x, y)
+            _assert_same(got, reference_combine(x, y, keep))
+            _assert_swept(got, pieces)
     _assert_same(region_complement(a), reference_complement(a))
     assert region_contains(a, b) == reference_combine(b, a, _BOOLEANS[2][1]).is_empty
 
@@ -750,11 +778,42 @@ def test_region_algebra_on_the_array_path(case):
         _assert_same(region_complement(a), reference_complement(a))
         assert region_contains(a, b) == reference_combine(b, a, _BOOLEANS[2][1]).is_empty
         assert region_contains(both, a) and region_contains(both, b)
-    # every grid of at least _ARRAY_CELLS cells was an integer cover
-    # count, and the array merge ran, exactly on those grids
-    assert seen["counts"] >= sum(n >= measure._ARRAY_CELLS for n in seen["grids"])
+    _assert_one_form_per_sweep(seen["calls"])
     assert seen["merges"] >= 1
-    assert all((n >= measure._ARRAY_CELLS) == on_arrays for n, on_arrays in seen["merged"])
+
+
+def test_small_region_booleans_sum_on_lists():
+    # pieces too few for _ARRAY_CELLS cells, none and one included, are
+    # summed by _list_sums and merged on lists; _cell_sums is the
+    # function overlay's alone
+    grids = (_union(rect(0, 1, 0, 1), rect(2, 3, 0, 2)), rect(0.5, 2.5, 0.5, 1.5), GridRegion())
+    rings = (_union(annulus(0, 1), annulus(2, 3)), annulus(0.5, 2.5), RadialRegion())
+    with kernel_paths() as seen:
+        for a, b, empty in (grids, rings):
+            for x, y in ((a, b), (b, a), (empty, b), (b, empty), (empty, empty)):
+                for op, _ in _BOOLEANS:
+                    op(x, y)
+            region_complement(a)
+            type(a)(_pieces(a) + _pieces(b))
+            type(a)(_pieces(b))
+            type(a)()
+    _assert_one_form_per_sweep(seen["calls"])
+    assert {name for name, _ in seen["calls"]} == {"_list_sums", "_merged"}
+
+
+def _assert_one_form_per_sweep(calls) -> None:
+    """Each region sweep sums and merges in one form, and every large grid takes the arrays.
+
+    A sweep merges on arrays exactly when `_cover_counts` summed it, and on
+    lists when `_list_sums` did; every grid of at least `_ARRAY_CELLS`
+    cells is a cover count.  No region operation calls `_cell_sums`.
+    """
+    forms = {"_cover_counts": "_array_runs", "_list_sums": "_merged"}
+    assert "_cell_sums" not in {name for name, _ in calls}
+    assert len(calls) % 2 == 0
+    for (summer, n), (merger, m) in zip(calls[::2], calls[1::2]):
+        assert forms[summer] == merger and n == m
+        assert summer == "_cover_counts" or n < measure._ARRAY_CELLS
 
 
 

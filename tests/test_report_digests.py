@@ -44,7 +44,12 @@ def test_verify_all_reports_match_recorded_digests(seed):
     assert _digests(seed) == want
 
 
-def _seed_range(text: str) -> range:
+def all_digests(seeds) -> dict:
+    return {key: digest for seed in seeds for key, digest in _digests(seed).items()}
+
+
+def seed_range(text: str) -> range:
+    """The seeds of an inclusive range A-B, or of one seed A."""
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
 
@@ -52,7 +57,7 @@ def _seed_range(text: str) -> range:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Write verify_all report digests as JSON.")
     parser.add_argument(
-        "--seeds", type=_seed_range, default=SEEDS, help="inclusive range A-B (default: 0, 22, 42)"
+        "--seeds", type=seed_range, default=SEEDS, help="inclusive range A-B (default: 0, 22, 42)"
     )
     where = parser.add_mutually_exclusive_group()
     where.add_argument(
@@ -62,7 +67,7 @@ if __name__ == "__main__":
         "--against", type=pathlib.Path, help="compare with this file instead of writing one"
     )
     args = parser.parse_args()
-    digests = {key: d for seed in args.seeds for key, d in _digests(seed).items()}
+    digests = all_digests(args.seeds)
     if args.against:
         sys.exit(digest_files.against(args.against, digests))
     digest_files.write(args.out, digests)

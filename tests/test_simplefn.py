@@ -1032,7 +1032,7 @@ def test_indicator_takes_its_regions_pieces_as_atoms(region):
     with kernel_paths() as seen, pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplefn, "_overlay", None)  # an overlay would raise TypeError
         f = indicator(region)
-    assert seen == {"grids": [], "merges": 0, "counts": 0, "merged": []}
+    assert seen == {"grids": [], "merges": 0, "counts": 0, "merged": [], "calls": []}
     g = SimpleFunction(region.family, [(1, region)])  # runs the overlay kernel
     assert f == g and hash(f) == hash(g)
     assert repr(f) == repr(g) and repr(f.terms) == repr(g.terms)
